@@ -4,13 +4,15 @@
 # Every command must exit non-zero with a one-line diagnostic on a missing,
 # directory, empty, or truncated/malformed trace — never print a partial
 # report — and the conflicts command must work end-to-end on a real
-# provenance-tagged trace produced by fig_conflict_attribution.
+# provenance-tagged trace produced by a figure run (fig_conflict_attribution
+# in ctest).
 #
-# Usage: check_trace_cli.sh <asfsim_trace> <fig_conflict_attribution>
+# Usage: check_trace_cli.sh <asfsim_trace> <asfsim_fig> <figure>
 set -u
 
 trace_bin=$1
 fig_bin=$2
+figure=$3
 
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
@@ -86,7 +88,7 @@ fi
 # Good path: a tiny real run with provenance on; the report must rank the
 # OLTP record table as an offender site and the CSV dump must materialize.
 export ASFSIM_PROGRESS=0
-if ! "$fig_bin" --scale 0.1 --jobs 2 --no-cache \
+if ! "$fig_bin" "$figure" --scale 0.1 --jobs 2 --no-cache \
     --trace-dir "$work/traces" > "$work/fig.out" 2>&1; then
   echo "FAIL fig run: $(cat "$work/fig.out")"
   fail=1

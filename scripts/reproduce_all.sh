@@ -9,7 +9,7 @@
 # Experiments run through the parallel runner with an on-disk result cache
 # (build/.asfsim-cache/ — see docs/runner.md), so a warm re-run executes
 # zero simulations. Environment knobs:
-#   ASFSIM_JOBS=<n>      worker threads per bench (default: all cores)
+#   ASFSIM_JOBS=<n>      worker threads per figure (default: all cores)
 #   ASFSIM_NO_CACHE=1    bypass the result cache (force fresh simulations)
 set -euo pipefail
 out="${1:-reproduction}"
@@ -24,19 +24,10 @@ if [ "${ASFSIM_NO_CACHE:-0}" = "1" ]; then
   runner_flags+=(--no-cache)
 fi
 
-benches=(
-  table1_states table2_config table3_benchmarks
-  fig1_false_conflict_rate fig2_conflict_type_breakdown
-  fig3_time_distribution fig4_line_distribution fig5_intra_line_access
-  fig8_subblock_sensitivity fig9_overall_conflict_reduction
-  fig10_execution_time
-  ablation_waronly ablation_waw_rule ablation_overhead
-  ablation_ats ablation_cores ablation_variance ablation_capacity
-  ablation_l1_geometry ablation_scale ablation_timing
-)
-for b in "${benches[@]}"; do
+fig="$build/bench/asfsim_fig"
+for b in $("$fig" --list); do
   echo "== $b"
-  "$build/bench/$b" --csv "$out" ${runner_flags[@]+"${runner_flags[@]}"} \
+  "$fig" "$b" --csv "$out" ${runner_flags[@]+"${runner_flags[@]}"} \
     | tee "$out/$b.txt"
 done
 

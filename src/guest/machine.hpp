@@ -23,7 +23,6 @@
 #include "sim/config.hpp"
 #include "sim/kernel.hpp"
 #include "stats/counters.hpp"
-#include "stats/txtrace.hpp"
 #include "trace/sink.hpp"
 
 namespace asfsim {
@@ -73,14 +72,6 @@ class Machine {
     return prov_sites_.get();
   }
 
-  /// Enable the bounded in-memory event ring (of `depth` events).
-  TxTrace& enable_trace(std::size_t depth = 4096) {
-    trace_ = std::make_unique<TxTrace>(depth);
-    add_trace_sink(trace_.get());
-    return *trace_;
-  }
-  [[nodiscard]] TxTrace* trace() { return trace_.get(); }
-
   // ---- setup-phase helpers (host-time, no simulated cycles) ---------------
   void poke(Addr a, std::uint32_t size, std::uint64_t v) {
     backing_.write(a, size, v);
@@ -102,7 +93,6 @@ class Machine {
   std::unique_ptr<prov::SiteRegistry> prov_sites_;
   std::unique_ptr<prov::ProvCollector> prov_;
   Addr fallback_lock_ = 0;
-  std::unique_ptr<TxTrace> trace_;
   std::unique_ptr<FaultPlan> fault_;
   std::vector<std::unique_ptr<GuestCtx>> ctxs_;
 };

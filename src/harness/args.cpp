@@ -2,129 +2,116 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 
 #include "cm/cm_config.hpp"
 #include "fault/fault_config.hpp"
 
 namespace asfsim {
 
-CliOptions parse_cli(int argc, char** argv, double default_scale) {
+const char* CliArgs::value() {
+  if (i_ + 1 >= argc_) fail(std::string("missing value for ") + argv_[i_]);
+  return argv_[++i_];
+}
+
+void CliArgs::fail(const std::string& msg) const {
+  std::fprintf(stderr, "%s: %s\n", argv_[0], msg.c_str());
+  std::exit(2);
+}
+
+CliOptions parse_cli(int argc, char** argv, const CliExtras& extras) {
   CliOptions o;
-  o.scale = default_scale;
-  for (int i = 1; i < argc; ++i) {
-    auto need_value = [&](const char* flag) -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s: missing value for %s\n", argv[0], flag);
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (std::strcmp(argv[i], "--scale") == 0) {
-      o.scale = std::atof(need_value("--scale"));
-    } else if (std::strcmp(argv[i], "--threads") == 0) {
-      o.threads = static_cast<std::uint32_t>(std::atoi(need_value("--threads")));
-    } else if (std::strcmp(argv[i], "--seed") == 0) {
-      o.seed = static_cast<std::uint64_t>(std::atoll(need_value("--seed")));
-    } else if (std::strcmp(argv[i], "--csv") == 0) {
-      o.csv_dir = need_value("--csv");
-    } else if (std::strcmp(argv[i], "--jobs") == 0) {
-      o.jobs = static_cast<std::uint32_t>(std::atoi(need_value("--jobs")));
-    } else if (std::strcmp(argv[i], "--no-cache") == 0) {
+  constexpr double kPositive = std::numeric_limits<double>::min();
+  for (CliArgs a(argc, argv); a.next();) {
+    const std::string_view f = a.arg();
+    if (!extras.runner_flags &&
+        (f == "--csv" || f == "--jobs" || f == "--no-cache")) {
+      a.fail(std::string(f) + " is not supported by this tool");
+    }
+    if (f == "--scale") {
+      o.scale = a.number<double>(kPositive);
+    } else if (f == "--threads") {
+      o.threads = a.number<std::uint32_t>(1, 64);
+    } else if (f == "--seed") {
+      o.seed = a.number<std::uint64_t>();
+    } else if (f == "--csv") {
+      o.csv_dir = a.value();
+    } else if (f == "--jobs") {
+      o.jobs = a.number<std::uint32_t>(0, 1024);
+    } else if (f == "--no-cache") {
       o.no_cache = true;
-    } else if (std::strcmp(argv[i], "--trace-dir") == 0) {
-      o.trace_dir = need_value("--trace-dir");
-    } else if (std::strcmp(argv[i], "--trace-format") == 0) {
-      o.trace_format = need_value("--trace-format");
+    } else if (f == "--trace-dir") {
+      o.trace_dir = a.value();
+    } else if (f == "--trace-format") {
+      o.trace_format = a.value();
       if (o.trace_format != "jsonl" && o.trace_format != "perfetto") {
-        std::fprintf(stderr, "%s: --trace-format must be jsonl or perfetto\n",
-                     argv[0]);
-        std::exit(2);
+        a.fail("--trace-format must be jsonl or perfetto");
       }
-    } else if (std::strcmp(argv[i], "--fault-spurious") == 0) {
-      o.fault_spurious = std::atof(need_value("--fault-spurious"));
-    } else if (std::strcmp(argv[i], "--fault-commit") == 0) {
-      o.fault_commit = std::atof(need_value("--fault-commit"));
-    } else if (std::strcmp(argv[i], "--fault-evict") == 0) {
-      o.fault_evict = std::atof(need_value("--fault-evict"));
-    } else if (std::strcmp(argv[i], "--fault-probe-jitter") == 0) {
-      o.fault_probe_jitter =
-          static_cast<std::uint64_t>(std::atoll(need_value("--fault-probe-jitter")));
-    } else if (std::strcmp(argv[i], "--fault-sched-jitter") == 0) {
-      o.fault_sched_jitter =
-          static_cast<std::uint64_t>(std::atoll(need_value("--fault-sched-jitter")));
-    } else if (std::strcmp(argv[i], "--mutate") == 0) {
-      o.mutate = need_value("--mutate");
+    } else if (f == "--fault-spurious") {
+      o.fault_spurious = a.number(0.0, 1.0);
+    } else if (f == "--fault-commit") {
+      o.fault_commit = a.number(0.0, 1.0);
+    } else if (f == "--fault-evict") {
+      o.fault_evict = a.number(0.0, 1.0);
+    } else if (f == "--fault-probe-jitter") {
+      o.fault_probe_jitter = a.number<std::uint64_t>();
+    } else if (f == "--fault-sched-jitter") {
+      o.fault_sched_jitter = a.number<std::uint64_t>();
+    } else if (f == "--mutate") {
+      o.mutate = a.value();
       ProtocolMutation mut;
       if (!parse_mutation(o.mutate, mut)) {
-        std::fprintf(stderr,
-                     "%s: unknown --mutate %s (try drop-dirty-subblock, "
-                     "forget-invalidated-specinfo, skip-written-mask, "
-                     "skip-commit-validation)\n",
-                     argv[0], o.mutate.c_str());
-        std::exit(2);
+        a.fail("unknown --mutate " + o.mutate +
+               " (try drop-dirty-subblock, forget-invalidated-specinfo, "
+               "skip-written-mask, skip-commit-validation)");
       }
-    } else if (std::strcmp(argv[i], "--oltp-records") == 0) {
-      o.oltp.records =
-          static_cast<std::uint64_t>(std::atoll(need_value("--oltp-records")));
-    } else if (std::strcmp(argv[i], "--oltp-payload") == 0) {
-      o.oltp.payload_bytes =
-          static_cast<std::uint32_t>(std::atoi(need_value("--oltp-payload")));
-    } else if (std::strcmp(argv[i], "--oltp-tx-len") == 0) {
-      o.oltp.tx_len =
-          static_cast<std::uint32_t>(std::atoi(need_value("--oltp-tx-len")));
-    } else if (std::strcmp(argv[i], "--oltp-tx") == 0) {
-      o.oltp.tx_per_thread =
-          static_cast<std::uint64_t>(std::atoll(need_value("--oltp-tx")));
-    } else if (std::strcmp(argv[i], "--oltp-theta") == 0) {
-      o.oltp.theta = std::atof(need_value("--oltp-theta"));
-    } else if (std::strcmp(argv[i], "--oltp-read-ratio") == 0) {
-      o.oltp.read_ratio = std::atof(need_value("--oltp-read-ratio"));
-    } else if (std::strcmp(argv[i], "--oltp-rmw-ratio") == 0) {
-      o.oltp.rmw_ratio = std::atof(need_value("--oltp-rmw-ratio"));
-    } else if (std::strcmp(argv[i], "--oltp-scan-ratio") == 0) {
-      o.oltp.scan_ratio = std::atof(need_value("--oltp-scan-ratio"));
-    } else if (std::strcmp(argv[i], "--oltp-scan-len") == 0) {
-      o.oltp.scan_len =
-          static_cast<std::uint32_t>(std::atoi(need_value("--oltp-scan-len")));
-    } else if (std::strcmp(argv[i], "--oltp-hot-window") == 0) {
-      o.oltp.hot_window = static_cast<std::uint64_t>(
-          std::atoll(need_value("--oltp-hot-window")));
-    } else if (std::strcmp(argv[i], "--prov") == 0) {
+    } else if (f == "--oltp-records") {
+      o.oltp.records = a.number<std::uint64_t>();
+    } else if (f == "--oltp-payload") {
+      o.oltp.payload_bytes = a.number<std::uint32_t>();
+    } else if (f == "--oltp-tx-len") {
+      o.oltp.tx_len = a.number<std::uint32_t>();
+    } else if (f == "--oltp-tx") {
+      o.oltp.tx_per_thread = a.number<std::uint64_t>();
+    } else if (f == "--oltp-theta") {
+      o.oltp.theta = a.number(0.0);
+    } else if (f == "--oltp-read-ratio") {
+      o.oltp.read_ratio = a.number(0.0, 1.0);
+    } else if (f == "--oltp-rmw-ratio") {
+      o.oltp.rmw_ratio = a.number(0.0, 1.0);
+    } else if (f == "--oltp-scan-ratio") {
+      o.oltp.scan_ratio = a.number(0.0, 1.0);
+    } else if (f == "--oltp-scan-len") {
+      o.oltp.scan_len = a.number<std::uint32_t>();
+    } else if (f == "--oltp-hot-window") {
+      o.oltp.hot_window = a.number<std::uint64_t>();
+    } else if (f == "--prov") {
       o.prov = true;
-    } else if (std::strcmp(argv[i], "--cm-policy") == 0) {
-      const char* name = need_value("--cm-policy");
+    } else if (f == "--cm-policy") {
+      const char* name = a.value();
       if (!parse_cm_policy(name, o.cm.policy)) {
-        std::fprintf(stderr,
-                     "%s: unknown --cm-policy %s (try requester-wins, "
-                     "polite, timestamp, serialize)\n",
-                     argv[0], name);
-        std::exit(2);
+        a.fail(std::string("unknown --cm-policy ") + name +
+               " (try requester-wins, polite, timestamp, serialize)");
       }
-    } else if (std::strcmp(argv[i], "--cm-max-retries") == 0) {
-      o.cm.max_retries =
-          static_cast<std::uint32_t>(std::atoi(need_value("--cm-max-retries")));
-    } else if (std::strcmp(argv[i], "--cm-karma") == 0) {
-      o.cm.karma =
-          static_cast<std::uint32_t>(std::atoi(need_value("--cm-karma")));
-    } else if (std::strcmp(argv[i], "--cm-stats") == 0) {
+    } else if (f == "--cm-max-retries") {
+      o.cm.max_retries = a.number<std::uint32_t>();
+    } else if (f == "--cm-karma") {
+      o.cm.karma = a.number<std::uint32_t>();
+    } else if (f == "--cm-stats") {
       o.cm.stats = true;
-    } else if (std::strcmp(argv[i], "--oltp-mix") == 0) {
-      const char* name = need_value("--oltp-mix");
+    } else if (f == "--oltp-mix") {
+      const char* name = a.value();
       if (!parse_oltp_mix(name, o.oltp.mix)) {
-        std::fprintf(stderr, "%s: unknown --oltp-mix %s (try a..f or custom)\n",
-                     argv[0], name);
-        std::exit(2);
+        a.fail(std::string("unknown --oltp-mix ") + name +
+               " (try a..f or custom)");
       }
-    } else if (std::strcmp(argv[i], "--watchdog") == 0) {
-      o.watchdog = static_cast<std::uint64_t>(std::atoll(need_value("--watchdog")));
-    } else if (std::strcmp(argv[i], "--job-timeout") == 0) {
-      o.job_timeout = std::atof(need_value("--job-timeout"));
-    } else if (std::strcmp(argv[i], "--help") == 0) {
+    } else if (f == "--watchdog") {
+      o.watchdog = a.number<std::uint64_t>();
+    } else if (f == "--job-timeout") {
+      o.job_timeout = a.number(0.0);
+    } else if (f == "--help") {
       std::printf(
-          "usage: %s [--scale f] [--threads n] [--seed n] [--csv dir] "
-          "[--jobs n] [--no-cache] [--trace-dir dir] "
-          "[--trace-format jsonl|perfetto]\n"
+          "usage: %s%s [--scale f] [--threads n] [--seed n]%s "
+          "[--trace-dir dir] [--trace-format jsonl|perfetto]\n"
           "  robustness: [--fault-spurious p] [--fault-commit p] "
           "[--fault-evict p] [--fault-probe-jitter n] "
           "[--fault-sched-jitter n] [--mutate name] [--watchdog n] "
@@ -136,12 +123,11 @@ CliOptions parse_cli(int argc, char** argv, double default_scale) {
           "  contention: [--cm-policy requester-wins|polite|timestamp|"
           "serialize] [--cm-max-retries n] [--cm-karma n] [--cm-stats]\n"
           "  observability: [--prov] (conflict provenance attribution)\n",
-          argv[0]);
+          argv[0], extras.usage.c_str(),
+          extras.runner_flags ? " [--csv dir] [--jobs n] [--no-cache]" : "");
       std::exit(0);
-    } else {
-      std::fprintf(stderr, "%s: unknown flag %s (see --help)\n", argv[0],
-                   argv[i]);
-      std::exit(2);
+    } else if (!extras.flag || !extras.flag(a)) {
+      a.fail("unknown flag " + std::string(f) + " (see --help)");
     }
   }
   return o;

@@ -1,8 +1,7 @@
-// Tiny CLI parsing shared by bench binaries and examples.
+// Tiny CLI parsing shared by the figure driver, asfsim_explore and examples.
 //
 // Common flags:
-//   --scale <f>    input-size multiplier (default 1.0; benches use smaller
-//                  defaults so `for b in build/bench/*; do $b; done` is fast)
+//   --scale <f>    input-size multiplier (default 1.0)
 //   --threads <n>  guest threads (default 8, the paper's core count)
 //   --seed <n>     deterministic seed (default 1)
 //   --csv <dir>    also write CSV series into <dir>
@@ -55,10 +54,18 @@
 //   --prov                 conflict provenance: attribute every conflict to
 //                          its allocation site (adds the stats v4 section
 //                          and provenance-tagged trace events)
+//
+// Every numeric value must parse completely and lie in the flag's range;
+// anything else ends in "<prog>: bad value for <flag>: '<text>'" and exit 2.
 #pragma once
 
+#include <charconv>
 #include <cstdint>
+#include <cstring>
+#include <functional>
+#include <limits>
 #include <string>
+#include <string_view>
 
 #include "cm/cm_config.hpp"
 #include "oltp/oltp_config.hpp"
@@ -97,8 +104,57 @@ struct CliOptions {
   CmConfig cm;
 };
 
-/// Parse the common flags; exits with a usage message on errors.
+/// Cursor over argv, shared by parse_cli and a tool's own flag hook.
+class CliArgs {
+ public:
+  CliArgs(int argc, char** argv) : argc_(argc), argv_(argv) {}
+
+  /// Advance to the next argument; false past the end.
+  bool next() { return ++i_ < argc_; }
+  [[nodiscard]] std::string_view arg() const { return argv_[i_]; }
+
+  /// The current flag's value (the next argument); exits 2 when missing.
+  const char* value();
+
+  /// value() parsed as a T in [lo, hi]; exits 2 on anything else
+  /// (trailing junk, a sign on an unsigned flag, overflow, NaN, inf).
+  template <typename T>
+  T number(T lo = std::numeric_limits<T>::lowest(),
+           T hi = std::numeric_limits<T>::max()) {
+    const char* flag = argv_[i_];
+    const char* text = value();
+    const char* end = text + std::strlen(text);
+    T v{};
+    const auto [ptr, ec] = std::from_chars(text, end, v);
+    if (ec != std::errc{} || ptr != end || !(v >= lo && v <= hi)) {
+      fail(std::string("bad value for ") + flag + ": '" + text + "'");
+    }
+    return v;
+  }
+
+  /// Print "<prog>: <msg>" on stderr and exit 2.
+  [[noreturn]] void fail(const std::string& msg) const;
+
+ private:
+  int argc_;
+  char** argv_;
+  int i_ = 0;
+};
+
+/// What a binary accepts beyond the common flags.
+struct CliExtras {
+  /// Called on each argument parse_cli does not know; returns true when it
+  /// consumed the argument (and its value, via CliArgs::value/number).
+  std::function<bool(CliArgs&)> flag;
+  /// Synopsis of the hook's arguments, printed by --help after the program.
+  std::string usage;
+  /// Accept --csv/--jobs/--no-cache. Tools that run one experiment
+  /// in-process (no runner, no CSV) reject them instead of ignoring them.
+  bool runner_flags = true;
+};
+
+/// Parse the common flags; exits with a one-line diagnostic on errors.
 [[nodiscard]] CliOptions parse_cli(int argc, char** argv,
-                                   double default_scale = 1.0);
+                                   const CliExtras& extras = {});
 
 }  // namespace asfsim

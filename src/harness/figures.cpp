@@ -4,6 +4,7 @@
 #include <array>
 #include <chrono>
 #include <cmath>
+#include <cstdio>
 #include <filesystem>
 #include <map>
 #include <numeric>
@@ -46,21 +47,44 @@ runner::RunnerOptions runner_opts(const CliOptions& opts) {
   return o;
 }
 
-/// Fetch a (typically pre-submitted) run; complain — but keep going — if
-/// the workload failed to validate. Every figure below first submits its
-/// whole job set so the pool can execute across the print loop's blocking
-/// get()s; results come back in submission-independent but byte-identical
-/// form (the simulator is deterministic per job).
-ExperimentResult checked_run(Runner& runner, const std::string& name,
-                             const ExperimentConfig& cfg, std::ostream& os,
-                             int* status) {
-  ExperimentResult r = runner.get(name, cfg);
-  if (!r.ok()) {
-    os << "!! " << name << " [" << r.detector
-       << "] failed validation: " << r.validation_error << "\n";
-    *status = 1;
+/// One job of a figure's grid.
+struct Cell {
+  std::string workload;
+  ExperimentConfig cfg;
+};
+
+/// Every workload under every config, workload-major.
+std::vector<Cell> grid(const std::vector<std::string>& workloads,
+                       const std::vector<ExperimentConfig>& cfgs) {
+  std::vector<Cell> cells;
+  for (const std::string& w : workloads) {
+    for (const ExperimentConfig& cfg : cfgs) cells.push_back({w, cfg});
   }
-  return r;
+  return cells;
+}
+
+/// Run a figure's cells and return their results in cell order. All cells
+/// are submitted first so the pool executes across the blocking get()s;
+/// results are byte-identical whatever the order (the simulator is
+/// deterministic per job). A result that failed validation is kept, after
+/// a complaint on `os` and *status = 1.
+std::vector<ExperimentResult> run_cells(const CliOptions& opts,
+                                        const std::vector<Cell>& cells,
+                                        std::ostream& os, int* status) {
+  Runner runner(runner_opts(opts));
+  for (const Cell& c : cells) runner.submit(c.workload, c.cfg);
+  std::vector<ExperimentResult> results;
+  results.reserve(cells.size());
+  for (const Cell& c : cells) {
+    const ExperimentResult& r =
+        results.emplace_back(runner.get(c.workload, c.cfg));
+    if (!r.ok()) {
+      os << "!! " << c.workload << " [" << r.detector
+         << "] failed validation: " << r.validation_error << "\n";
+      *status = 1;
+    }
+  }
+  return results;
 }
 
 double reduction(std::uint64_t base, std::uint64_t now) {
@@ -68,13 +92,9 @@ double reduction(std::uint64_t base, std::uint64_t now) {
   return 1.0 - static_cast<double>(now) / static_cast<double>(base);
 }
 
-}  // namespace
-
 // ---------------------------------------------------------------------------
 // Table I — sub-block state encoding, plus a scripted Fig 6/7 walkthrough.
 // ---------------------------------------------------------------------------
-
-namespace {
 
 Task<void> fig7_writer(GuestCtx& c, Addr line, bool* hold) {
   co_await c.run_tx([&]() -> Task<void> {
@@ -103,8 +123,6 @@ Task<void> fig7_reader(GuestCtx& c, Addr line, MemorySystem* mem,
     *os << "  reader then loaded Dirty sub-block 0 (forced re-probe)\n";
   });
 }
-
-}  // namespace
 
 int table1_states(const CliOptions& opts, std::ostream& os) {
   (void)opts;
@@ -140,8 +158,6 @@ int table1_states(const CliOptions& opts, std::ostream& os) {
 // Table II — simulator configuration + latency verification probes.
 // ---------------------------------------------------------------------------
 
-namespace {
-
 Task<void> latency_probe(GuestCtx& c, Addr a, Cycle* first, Cycle* second) {
   Cycle t0 = c.now();
   co_await c.load_u64(a);
@@ -162,8 +178,6 @@ Task<void> c2c_reader(GuestCtx& c, Addr a, bool* ready, Cycle* lat) {
   co_await c.load_u64(a);
   *lat = c.now() - t0;
 }
-
-}  // namespace
 
 int table2_config(const CliOptions& opts, std::ostream& os) {
   (void)opts;
@@ -248,11 +262,10 @@ int fig1_false_conflict_rate(const CliOptions& opts, std::ostream& os) {
   csv.row({"benchmark", "conflicts", "false_conflicts", "false_rate"});
   TextTable t({"Benchmark", "Conflicts", "False", "False rate"});
   double sum = 0;
-  const ExperimentConfig cfg = base_config(opts);
-  Runner runner(runner_opts(opts));
-  for (const auto& name : paper_benchmarks()) runner.submit(name, cfg);
-  for (const auto& name : paper_benchmarks()) {
-    const auto r = checked_run(runner, name, cfg, os, &status);
+  for (const auto& r : run_cells(
+           opts, grid(paper_benchmarks(), {base_config(opts)}), os,
+           &status)) {
+    const std::string& name = r.workload;
     const double rate = r.stats.false_conflict_rate();
     sum += rate;
     t.add_row({name, std::to_string(r.stats.conflicts_total),
@@ -278,11 +291,10 @@ int fig2_conflict_type_breakdown(const CliOptions& opts, std::ostream& os) {
   CsvWriter csv(opts.csv_dir, "fig2_conflict_type_breakdown");
   csv.row({"benchmark", "war", "raw", "waw"});
   TextTable t({"Benchmark", "WAR", "RAW", "WAW", "WAR%", "RAW%", "WAW%"});
-  const ExperimentConfig cfg = base_config(opts);
-  Runner runner(runner_opts(opts));
-  for (const auto& name : paper_benchmarks()) runner.submit(name, cfg);
-  for (const auto& name : paper_benchmarks()) {
-    const auto r = checked_run(runner, name, cfg, os, &status);
+  for (const auto& r : run_cells(
+           opts, grid(paper_benchmarks(), {base_config(opts)}), os,
+           &status)) {
+    const std::string& name = r.workload;
     const auto& f = r.stats.false_by_type;
     const double total =
         std::max<std::uint64_t>(1, f[0] + f[1] + f[2]);
@@ -302,6 +314,10 @@ int fig2_conflict_type_breakdown(const CliOptions& opts, std::ostream& os) {
 // Fig 3 — cumulative false conflicts / launched transactions over time.
 // ---------------------------------------------------------------------------
 
+/// The four programs the paper profiles in Figs 3–5.
+const std::vector<std::string> kProfiled{"vacation", "genome", "kmeans",
+                                         "intruder"};
+
 int fig3_time_distribution(const CliOptions& opts, std::ostream& os) {
   int status = 0;
   os << "Fig 3: cumulative transactions and false conflicts over execution "
@@ -310,12 +326,8 @@ int fig3_time_distribution(const CliOptions& opts, std::ostream& os) {
   csv.row({"benchmark", "bucket", "tx_started_cum", "false_conflicts_cum"});
   ExperimentConfig cfg = base_config(opts);
   cfg.timeseries = true;
-  Runner runner(runner_opts(opts));
-  for (const std::string name : {"vacation", "genome", "kmeans", "intruder"}) {
-    runner.submit(name, cfg);
-  }
-  for (const std::string name : {"vacation", "genome", "kmeans", "intruder"}) {
-    const auto r = checked_run(runner, name, cfg, os, &status);
+  for (const auto& r : run_cells(opts, grid(kProfiled, {cfg}), os, &status)) {
+    const std::string& name = r.workload;
     const Cycle end = std::max<Cycle>(1, r.stats.total_cycles);
     constexpr int kBuckets = 20;
     std::vector<std::uint64_t> tx(kBuckets, 0), fc(kBuckets, 0);
@@ -353,13 +365,9 @@ int fig4_line_distribution(const CliOptions& opts, std::ostream& os) {
         "32 address bins + concentration)\n";
   CsvWriter csv(opts.csv_dir, "fig4_line_distribution");
   csv.row({"benchmark", "bin", "false_conflicts"});
-  const ExperimentConfig cfg = base_config(opts);
-  Runner runner(runner_opts(opts));
-  for (const std::string name : {"vacation", "genome", "kmeans", "intruder"}) {
-    runner.submit(name, cfg);
-  }
-  for (const std::string name : {"vacation", "genome", "kmeans", "intruder"}) {
-    const auto r = checked_run(runner, name, cfg, os, &status);
+  for (const auto& r : run_cells(opts, grid(kProfiled, {base_config(opts)}),
+                                 os, &status)) {
+    const std::string& name = r.workload;
     const auto& by_line = r.stats.false_by_line;
     if (by_line.empty()) {
       os << "\n" << name << ": no false conflicts\n";
@@ -411,13 +419,9 @@ int fig5_intra_line_access(const CliOptions& opts, std::ostream& os) {
         "line (baseline ASF)\n";
   CsvWriter csv(opts.csv_dir, "fig5_intra_line_access");
   csv.row({"benchmark", "offset", "accesses"});
-  const ExperimentConfig cfg = base_config(opts);
-  Runner runner(runner_opts(opts));
-  for (const std::string name : {"vacation", "genome", "kmeans", "intruder"}) {
-    runner.submit(name, cfg);
-  }
-  for (const std::string name : {"vacation", "genome", "kmeans", "intruder"}) {
-    const auto r = checked_run(runner, name, cfg, os, &status);
+  for (const auto& r : run_cells(opts, grid(kProfiled, {base_config(opts)}),
+                                 os, &status)) {
+    const std::string& name = r.workload;
     const auto& h = r.stats.tx_access_by_offset;
     // Infer the dominant access granularity: GCD of offsets carrying at
     // least 2% of the peak count.
@@ -456,25 +460,23 @@ int fig8_subblock_sensitivity(const CliOptions& opts, std::ostream& os) {
                "ana4", "ana8", "ana16"});
   const ExperimentConfig cfg = base_config(opts);
   double avg4 = 0;
-  Runner runner(runner_opts(opts));
-  for (const auto& name : paper_benchmarks()) {
-    runner.submit(name, cfg.with(DetectorKind::kBaseline));
-    for (const std::uint32_t n : {2u, 4u, 8u, 16u}) {
-      runner.submit(name, cfg.with(DetectorKind::kSubBlock, n));
-    }
-  }
-  for (const auto& name : paper_benchmarks()) {
-    const auto base = checked_run(runner, name,
-                                  cfg.with(DetectorKind::kBaseline), os,
-                                  &status);
-    std::vector<std::string> row{name};
+  // Per benchmark: the baseline, then sub-blocking at 2/4/8/16.
+  const auto res = run_cells(
+      opts,
+      grid(paper_benchmarks(),
+           {cfg.with(DetectorKind::kBaseline),
+            cfg.with(DetectorKind::kSubBlock, 2),
+            cfg.with(DetectorKind::kSubBlock, 4),
+            cfg.with(DetectorKind::kSubBlock, 8),
+            cfg.with(DetectorKind::kSubBlock, 16)}),
+      os, &status);
+  for (std::size_t b = 0; b < res.size(); b += 5) {
+    const auto& base = res[b];
+    std::vector<std::string> row{base.workload};
     std::vector<double> meas, ana;
-    for (const std::uint32_t n : {2u, 4u, 8u, 16u}) {
-      const auto r = checked_run(runner, name,
-                                 cfg.with(DetectorKind::kSubBlock, n), os,
-                                 &status);
+    for (std::size_t i = b + 1; i < b + 5; ++i) {
       meas.push_back(
-          reduction(base.stats.conflicts_false, r.stats.conflicts_false));
+          reduction(base.stats.conflicts_false, res[i].stats.conflicts_false));
     }
     for (const std::uint32_t i : {1u, 2u, 3u, 4u}) {
       ana.push_back(reduction(base.stats.conflicts_false,
@@ -485,7 +487,8 @@ int fig8_subblock_sensitivity(const CliOptions& opts, std::ostream& os) {
     for (const double v : ana) row.push_back(TextTable::pct(v));
     t.add_row(row);
     for (std::size_t i = 0; i < 4; ++i) {
-      csv.row({name, std::to_string(2u << i), TextTable::num(meas[i], 4),
+      csv.row({base.workload, std::to_string(2u << i),
+               TextTable::num(meas[i], 4),
                TextTable::num(ana[i], 4)});
     }
   }
@@ -509,24 +512,19 @@ int fig9_overall_conflict_reduction(const CliOptions& opts, std::ostream& os) {
   csv.row({"benchmark", "baseline_conflicts", "subblock4_reduction",
            "perfect_reduction"});
   TextTable t({"Benchmark", "Base confl", "SubBlock-4", "Perfect"});
-  const ExperimentConfig cfg = base_config(opts);
   double sum4 = 0, sump = 0;
-  Runner runner(runner_opts(opts));
-  for (const auto& name : paper_benchmarks()) {
-    runner.submit(name, cfg.with(DetectorKind::kBaseline));
-    runner.submit(name, cfg.with(DetectorKind::kSubBlock, 4));
-    runner.submit(name, cfg.with(DetectorKind::kPerfect));
-  }
-  for (const auto& name : paper_benchmarks()) {
-    const auto base = checked_run(runner, name,
-                                  cfg.with(DetectorKind::kBaseline), os,
-                                  &status);
-    const auto sb4 = checked_run(runner, name,
-                                 cfg.with(DetectorKind::kSubBlock, 4), os,
-                                 &status);
-    const auto perf = checked_run(runner, name,
-                                  cfg.with(DetectorKind::kPerfect), os,
-                                  &status);
+  const ExperimentConfig cfg = base_config(opts);
+  const auto res = run_cells(opts,
+                             grid(paper_benchmarks(),
+                                  {cfg.with(DetectorKind::kBaseline),
+                                   cfg.with(DetectorKind::kSubBlock, 4),
+                                   cfg.with(DetectorKind::kPerfect)}),
+                             os, &status);
+  for (std::size_t b = 0; b < res.size(); b += 3) {
+    const auto& base = res[b];
+    const auto& sb4 = res[b + 1];
+    const auto& perf = res[b + 2];
+    const std::string& name = base.workload;
     const double r4 =
         reduction(base.stats.conflicts_total, sb4.stats.conflicts_total);
     const double rp =
@@ -565,22 +563,17 @@ int fig10_execution_time(const CliOptions& opts, std::ostream& os) {
   TextTable t(
       {"Benchmark", "Base cycles", "SubBlock-4", "Perfect", "Base retries"});
   const ExperimentConfig cfg = base_config(opts);
-  Runner runner(runner_opts(opts));
-  for (const auto& name : paper_benchmarks()) {
-    runner.submit(name, cfg.with(DetectorKind::kBaseline));
-    runner.submit(name, cfg.with(DetectorKind::kSubBlock, 4));
-    runner.submit(name, cfg.with(DetectorKind::kPerfect));
-  }
-  for (const auto& name : paper_benchmarks()) {
-    const auto base = checked_run(runner, name,
-                                  cfg.with(DetectorKind::kBaseline), os,
-                                  &status);
-    const auto sb4 = checked_run(runner, name,
-                                 cfg.with(DetectorKind::kSubBlock, 4), os,
-                                 &status);
-    const auto perf = checked_run(runner, name,
-                                  cfg.with(DetectorKind::kPerfect), os,
-                                  &status);
+  const auto res = run_cells(opts,
+                             grid(paper_benchmarks(),
+                                  {cfg.with(DetectorKind::kBaseline),
+                                   cfg.with(DetectorKind::kSubBlock, 4),
+                                   cfg.with(DetectorKind::kPerfect)}),
+                             os, &status);
+  for (std::size_t b = 0; b < res.size(); b += 3) {
+    const auto& base = res[b];
+    const auto& sb4 = res[b + 1];
+    const auto& perf = res[b + 2];
+    const std::string& name = base.workload;
     const double t4 =
         reduction(base.stats.total_cycles, sb4.stats.total_cycles);
     const double tp =
@@ -613,22 +606,17 @@ int ablation_waronly(const CliOptions& opts, std::ostream& os) {
   TextTable t({"Benchmark", "Base false", "WAR-only", "SubBlock-4",
                "Dominant type"});
   const ExperimentConfig cfg = base_config(opts);
-  Runner runner(runner_opts(opts));
-  for (const auto& name : paper_benchmarks()) {
-    runner.submit(name, cfg.with(DetectorKind::kBaseline));
-    runner.submit(name, cfg.with(DetectorKind::kWarOnly));
-    runner.submit(name, cfg.with(DetectorKind::kSubBlock, 4));
-  }
-  for (const auto& name : paper_benchmarks()) {
-    const auto base = checked_run(runner, name,
-                                  cfg.with(DetectorKind::kBaseline), os,
-                                  &status);
-    const auto war = checked_run(runner, name,
-                                 cfg.with(DetectorKind::kWarOnly), os,
-                                 &status);
-    const auto sb4 = checked_run(runner, name,
-                                 cfg.with(DetectorKind::kSubBlock, 4), os,
-                                 &status);
+  const auto res = run_cells(opts,
+                             grid(paper_benchmarks(),
+                                  {cfg.with(DetectorKind::kBaseline),
+                                   cfg.with(DetectorKind::kWarOnly),
+                                   cfg.with(DetectorKind::kSubBlock, 4)}),
+                             os, &status);
+  for (std::size_t b = 0; b < res.size(); b += 3) {
+    const auto& base = res[b];
+    const auto& war = res[b + 1];
+    const auto& sb4 = res[b + 2];
+    const std::string& name = base.workload;
     const auto& f = base.stats.false_by_type;
     const char* dom = f[1] > f[0] ? "RAW" : "WAR";
     t.add_row({name, std::to_string(base.stats.conflicts_false),
@@ -664,18 +652,15 @@ int ablation_waw_rule(const CliOptions& opts, std::ostream& os) {
   TextTable t({"Benchmark", "SubBlock-4 confl", "WAW-line-4 confl",
                "WAW-line false WAW"});
   const ExperimentConfig cfg = base_config(opts);
-  Runner runner(runner_opts(opts));
-  for (const auto& name : paper_benchmarks()) {
-    runner.submit(name, cfg.with(DetectorKind::kSubBlock, 4));
-    runner.submit(name, cfg.with(DetectorKind::kSubBlockWawLine, 4));
-  }
-  for (const auto& name : paper_benchmarks()) {
-    const auto sb = checked_run(runner, name,
-                                cfg.with(DetectorKind::kSubBlock, 4), os,
-                                &status);
-    const auto wl =
-        checked_run(runner, name, cfg.with(DetectorKind::kSubBlockWawLine, 4),
-                    os, &status);
+  const auto res = run_cells(
+      opts,
+      grid(paper_benchmarks(), {cfg.with(DetectorKind::kSubBlock, 4),
+                                cfg.with(DetectorKind::kSubBlockWawLine, 4)}),
+      os, &status);
+  for (std::size_t b = 0; b < res.size(); b += 2) {
+    const auto& sb = res[b];
+    const auto& wl = res[b + 1];
+    const std::string& name = sb.workload;
     t.add_row({name, std::to_string(sb.stats.conflicts_total),
                std::to_string(wl.stats.conflicts_total),
                std::to_string(wl.stats.false_by_type[2])});
@@ -702,35 +687,30 @@ int ablation_ats(const CliOptions& opts, std::ostream& os) {
   CsvWriter csv(opts.csv_dir, "ablation_ats");
   csv.row({"benchmark", "config", "conflicts", "cycles", "ats_dispatches"});
   TextTable t({"Benchmark", "Config", "Conflicts", "Cycles", "ATS dispatch"});
-  ExperimentConfig cfg = base_config(opts);
-  const auto ats_config = [&cfg](DetectorKind det, bool ats) {
-    ExperimentConfig c = cfg.with(det, 4);
-    c.sim.enable_ats = ats;
-    c.sim.ats_threshold = 0.4;
-    return c;
-  };
   constexpr std::array<std::tuple<const char*, DetectorKind, bool>, 4>
       kAtsConfigs{std::tuple{"baseline", DetectorKind::kBaseline, false},
                   std::tuple{"baseline+ATS", DetectorKind::kBaseline, true},
                   std::tuple{"subblock4", DetectorKind::kSubBlock, false},
                   std::tuple{"subblock4+ATS", DetectorKind::kSubBlock, true}};
-  Runner runner(runner_opts(opts));
-  for (const std::string name : {"vacation", "kmeans", "scalparc", "counter"}) {
-    for (const auto& [label, det, ats] : kAtsConfigs) {
-      runner.submit(name, ats_config(det, ats));
-    }
+  std::vector<ExperimentConfig> cfgs;
+  for (const auto& [label, det, ats] : kAtsConfigs) {
+    ExperimentConfig c = base_config(opts).with(det, 4);
+    c.sim.enable_ats = ats;
+    c.sim.ats_threshold = 0.4;
+    cfgs.push_back(c);
   }
-  for (const std::string name : {"vacation", "kmeans", "scalparc", "counter"}) {
-    for (const auto& [label, det, ats] : kAtsConfigs) {
-      const auto r = checked_run(runner, name, ats_config(det, ats), os,
-                                 &status);
-      t.add_row({name, label, std::to_string(r.stats.conflicts_total),
-                 std::to_string(r.stats.total_cycles),
-                 std::to_string(r.stats.ats_serialized)});
-      csv.row({name, label, std::to_string(r.stats.conflicts_total),
+  const auto res = run_cells(
+      opts, grid({"vacation", "kmeans", "scalparc", "counter"}, cfgs), os,
+      &status);
+  for (std::size_t i = 0; i < res.size(); ++i) {
+    const auto& r = res[i];
+    const char* label = std::get<0>(kAtsConfigs[i % kAtsConfigs.size()]);
+    t.add_row({r.workload, label, std::to_string(r.stats.conflicts_total),
                std::to_string(r.stats.total_cycles),
                std::to_string(r.stats.ats_serialized)});
-    }
+    csv.row({r.workload, label, std::to_string(r.stats.conflicts_total),
+             std::to_string(r.stats.total_cycles),
+             std::to_string(r.stats.ats_serialized)});
   }
   t.print(os);
   os << "(scheduling attacks the same abort storms from the timing side; "
@@ -749,28 +729,24 @@ int ablation_cores(const CliOptions& opts, std::ostream& os) {
   CsvWriter csv(opts.csv_dir, "ablation_cores");
   csv.row({"benchmark", "cores", "conflicts", "false_rate"});
   TextTable t({"Benchmark", "Cores", "Conflicts", "False rate"});
-  const auto cores_config = [&opts](std::uint32_t n) {
+  std::vector<ExperimentConfig> cfgs;
+  for (const std::uint32_t n : {2u, 4u, 8u}) {
     ExperimentConfig cfg = base_config(opts);
     cfg.sim.ncores = n;
     cfg.params.threads = n;
-    return cfg;
-  };
-  Runner runner(runner_opts(opts));
-  for (const std::string name : {"ssca2", "vacation", "kmeans"}) {
-    for (const std::uint32_t n : {2u, 4u, 8u}) {
-      runner.submit(name, cores_config(n));
-    }
+    cfgs.push_back(cfg);
   }
-  for (const std::string name : {"ssca2", "vacation", "kmeans"}) {
-    for (const std::uint32_t n : {2u, 4u, 8u}) {
-      const auto r = checked_run(runner, name, cores_config(n), os, &status);
-      t.add_row({name, std::to_string(n),
-                 std::to_string(r.stats.conflicts_total),
-                 TextTable::pct(r.stats.false_conflict_rate())});
-      csv.row({name, std::to_string(n),
+  const auto cells = grid({"ssca2", "vacation", "kmeans"}, cfgs);
+  const auto res = run_cells(opts, cells, os, &status);
+  for (std::size_t i = 0; i < res.size(); ++i) {
+    const auto& r = res[i];
+    const std::uint32_t n = cells[i].cfg.sim.ncores;
+    t.add_row({r.workload, std::to_string(n),
                std::to_string(r.stats.conflicts_total),
-               TextTable::num(r.stats.false_conflict_rate(), 4)});
-    }
+               TextTable::pct(r.stats.false_conflict_rate())});
+    csv.row({r.workload, std::to_string(n),
+             std::to_string(r.stats.conflicts_total),
+             TextTable::num(r.stats.false_conflict_rate(), 4)});
   }
   t.print(os);
   os << "(more cores -> more concurrent speculative state -> more false "
@@ -793,33 +769,25 @@ int ablation_variance(const CliOptions& opts, std::ostream& os) {
   csv.row({"benchmark", "mean_reduction", "stddev", "min", "max",
            "mean_base_conflicts"});
   TextTable t({"Benchmark", "Mean", "Stddev", "Min", "Max", "Base confl"});
-  const auto seeded_config = [&opts](int seed) {
+  // Per benchmark and seed: the baseline, then sub-blocking at 4.
+  std::vector<ExperimentConfig> cfgs;
+  for (int seed = 1; seed <= kSeeds; ++seed) {
     ExperimentConfig cfg = base_config(opts);
     cfg.params.seed = static_cast<std::uint64_t>(seed);
-    return cfg;
-  };
-  Runner runner(runner_opts(opts));
-  for (const std::string name : {"labyrinth", "ssca2", "vacation"}) {
-    for (int seed = 1; seed <= kSeeds; ++seed) {
-      const ExperimentConfig cfg = seeded_config(seed);
-      runner.submit(name, cfg.with(DetectorKind::kBaseline));
-      runner.submit(name, cfg.with(DetectorKind::kSubBlock, 4));
-    }
+    cfgs.push_back(cfg.with(DetectorKind::kBaseline));
+    cfgs.push_back(cfg.with(DetectorKind::kSubBlock, 4));
   }
-  for (const std::string name : {"labyrinth", "ssca2", "vacation"}) {
+  const auto res = run_cells(
+      opts, grid({"labyrinth", "ssca2", "vacation"}, cfgs), os, &status);
+  for (std::size_t b = 0; b < res.size(); b += cfgs.size()) {
+    const std::string& name = res[b].workload;
     std::vector<double> red;
     double base_conf = 0;
-    for (int seed = 1; seed <= kSeeds; ++seed) {
-      const ExperimentConfig cfg = seeded_config(seed);
-      const auto b = checked_run(runner, name,
-                                 cfg.with(DetectorKind::kBaseline), os,
-                                 &status);
-      const auto s = checked_run(runner, name,
-                                 cfg.with(DetectorKind::kSubBlock, 4), os,
-                                 &status);
+    for (std::size_t i = b; i < b + cfgs.size(); i += 2) {
+      const auto& base = res[i].stats;
       red.push_back(
-          reduction(b.stats.conflicts_total, s.stats.conflicts_total));
-      base_conf += static_cast<double>(b.stats.conflicts_total);
+          reduction(base.conflicts_total, res[i + 1].stats.conflicts_total));
+      base_conf += static_cast<double>(base.conflicts_total);
     }
     double mean = 0, lo = red[0], hi = red[0];
     for (const double v : red) {
@@ -872,15 +840,11 @@ int ablation_overhead(const CliOptions& opts, std::ostream& os) {
                "Piggy-back share"});
   CsvWriter csv(opts.csv_dir, "ablation_overhead");
   csv.row({"benchmark", "probes", "piggyback", "dirty_refetches"});
-  const ExperimentConfig ecfg = base_config(opts);
-  Runner runner(runner_opts(opts));
-  for (const auto& name : paper_benchmarks()) {
-    runner.submit(name, ecfg.with(DetectorKind::kSubBlock, 4));
-  }
-  for (const auto& name : paper_benchmarks()) {
-    const auto r = checked_run(runner, name,
-                               ecfg.with(DetectorKind::kSubBlock, 4), os,
-                               &status);
+  const ExperimentConfig tcfg =
+      base_config(opts).with(DetectorKind::kSubBlock, 4);
+  for (const auto& r :
+       run_cells(opts, grid(paper_benchmarks(), {tcfg}), os, &status)) {
+    const std::string& name = r.workload;
     const double share =
         r.stats.probes_sent == 0
             ? 0.0
@@ -902,7 +866,6 @@ int ablation_overhead(const CliOptions& opts, std::ostream& os) {
   // deterministic form of "zero simulated overhead"; the host wall times
   // printed alongside bound the real-time cost of each sink.
   os << "\nTracing overhead (vacation, sub-block/4):\n";
-  const ExperimentConfig tcfg = ecfg.with(DetectorKind::kSubBlock, 4);
   const auto tmp =
       std::filesystem::temp_directory_path() / "asfsim-trace-ablation";
   TextTable tt({"Tracing", "Cycles", "Host ms", "Stats vs off"});
@@ -945,15 +908,12 @@ int ablation_capacity(const CliOptions& opts, std::ostream& os) {
            "conflict_aborts"});
   TextTable t({"Benchmark", "Commits", "Capacity aborts", "Fallback runs",
                "Conflict aborts"});
-  const ExperimentConfig cfg = base_config(opts);
-  Runner runner(runner_opts(opts));
-  for (const std::string name : {"yada", "vacation", "genome", "kmeans"}) {
-    runner.submit(name, cfg.with(DetectorKind::kBaseline));
-  }
-  for (const std::string name : {"yada", "vacation", "genome", "kmeans"}) {
-    const auto r = checked_run(runner, name,
-                               cfg.with(DetectorKind::kBaseline), os,
-                               &status);
+  for (const auto& r : run_cells(
+           opts,
+           grid({"yada", "vacation", "genome", "kmeans"},
+                {base_config(opts).with(DetectorKind::kBaseline)}),
+           os, &status)) {
+    const std::string& name = r.workload;
     t.add_row({name, std::to_string(r.stats.tx_commits),
                std::to_string(r.stats.aborts_by_cause[1]),
                std::to_string(r.stats.fallback_runs),
@@ -985,34 +945,29 @@ int ablation_l1_geometry(const CliOptions& opts, std::ostream& os) {
   csv.row({"benchmark", "l1_kb", "ways", "capacity_aborts", "fallbacks",
            "cycles"});
   TextTable t({"Benchmark", "L1", "Capacity aborts", "Fallbacks", "Cycles"});
-  const auto geom_config = [&opts](std::uint32_t kb, std::uint32_t ways) {
+  std::vector<ExperimentConfig> cfgs;
+  for (const auto& [kb, ways] : {std::pair{16u, 1u}, std::pair{64u, 2u},
+                                 std::pair{64u, 8u}}) {
     ExperimentConfig cfg = base_config(opts);
     cfg.sim.l1.size_bytes = kb * 1024;
     cfg.sim.l1.ways = ways;
-    return cfg.with(DetectorKind::kBaseline);
-  };
-  constexpr std::array<std::pair<std::uint32_t, std::uint32_t>, 3> kGeoms{
-      std::pair{16u, 1u}, std::pair{64u, 2u}, std::pair{64u, 8u}};
-  Runner runner(runner_opts(opts));
-  for (const std::string name : {"vacation", "genome", "yada"}) {
-    for (const auto& [kb, ways] : kGeoms) {
-      runner.submit(name, geom_config(kb, ways));
-    }
+    cfgs.push_back(cfg.with(DetectorKind::kBaseline));
   }
-  for (const std::string name : {"vacation", "genome", "yada"}) {
-    for (const auto& [kb, ways] : kGeoms) {
-      const auto r = checked_run(runner, name, geom_config(kb, ways), os,
-                                 &status);
-      const std::string geom =
-          std::to_string(kb) + "KB/" + std::to_string(ways) + "w";
-      t.add_row({name, geom, std::to_string(r.stats.aborts_by_cause[1]),
-                 std::to_string(r.stats.fallback_runs),
-                 std::to_string(r.stats.total_cycles)});
-      csv.row({name, std::to_string(kb), std::to_string(ways),
-               std::to_string(r.stats.aborts_by_cause[1]),
+  const auto cells = grid({"vacation", "genome", "yada"}, cfgs);
+  const auto res = run_cells(opts, cells, os, &status);
+  for (std::size_t i = 0; i < res.size(); ++i) {
+    const auto& r = res[i];
+    const std::uint32_t kb = cells[i].cfg.sim.l1.size_bytes / 1024;
+    const std::uint32_t ways = cells[i].cfg.sim.l1.ways;
+    const std::string geom =
+        std::to_string(kb) + "KB/" + std::to_string(ways) + "w";
+    t.add_row({r.workload, geom, std::to_string(r.stats.aborts_by_cause[1]),
                std::to_string(r.stats.fallback_runs),
                std::to_string(r.stats.total_cycles)});
-    }
+    csv.row({r.workload, std::to_string(kb), std::to_string(ways),
+             std::to_string(r.stats.aborts_by_cause[1]),
+             std::to_string(r.stats.fallback_runs),
+             std::to_string(r.stats.total_cycles)});
   }
   t.print(os);
   os << "(a direct-mapped 16KB L1 forces even the evaluated benchmarks "
@@ -1035,28 +990,21 @@ int ablation_scale(const CliOptions& opts, std::ostream& os) {
   CsvWriter csv(opts.csv_dir, "ablation_scale");
   csv.row({"benchmark", "scale", "conflicts", "false_rate"});
   TextTable t({"Benchmark", "Scale", "Conflicts", "False rate"});
-  const auto scale_config = [&opts](double scale) {
+  std::vector<ExperimentConfig> cfgs;
+  for (const double scale : {0.5, 1.0, 2.0, 4.0}) {
     ExperimentConfig cfg = base_config(opts);
     cfg.params.scale = opts.scale * scale;
-    return cfg.with(DetectorKind::kBaseline);
-  };
-  Runner runner(runner_opts(opts));
-  for (const std::string name : {"ssca2", "vacation", "kmeans"}) {
-    for (const double scale : {0.5, 1.0, 2.0, 4.0}) {
-      runner.submit(name, scale_config(scale));
-    }
+    cfgs.push_back(cfg.with(DetectorKind::kBaseline));
   }
-  for (const std::string name : {"ssca2", "vacation", "kmeans"}) {
-    for (const double scale : {0.5, 1.0, 2.0, 4.0}) {
-      const ExperimentConfig cfg = scale_config(scale);
-      const auto r = checked_run(runner, name, cfg, os, &status);
-      t.add_row({name, TextTable::num(cfg.params.scale, 2),
-                 std::to_string(r.stats.conflicts_total),
-                 TextTable::pct(r.stats.false_conflict_rate())});
-      csv.row({name, TextTable::num(cfg.params.scale, 2),
-               std::to_string(r.stats.conflicts_total),
-               TextTable::num(r.stats.false_conflict_rate(), 4)});
-    }
+  const auto cells = grid({"ssca2", "vacation", "kmeans"}, cfgs);
+  const auto res = run_cells(opts, cells, os, &status);
+  for (std::size_t i = 0; i < res.size(); ++i) {
+    const auto& r = res[i];
+    const std::string scale = TextTable::num(cells[i].cfg.params.scale, 2);
+    t.add_row({r.workload, scale, std::to_string(r.stats.conflicts_total),
+               TextTable::pct(r.stats.false_conflict_rate())});
+    csv.row({r.workload, scale, std::to_string(r.stats.conflicts_total),
+             TextTable::num(r.stats.false_conflict_rate(), 4)});
   }
   t.print(os);
   return status;
@@ -1077,30 +1025,23 @@ int ablation_timing(const CliOptions& opts, std::ostream& os) {
   csv.row({"benchmark", "probe_delay", "conflicts", "false_rate", "cycles"});
   TextTable t({"Benchmark", "Probe delay", "Conflicts", "False rate",
                "Cycles"});
-  const auto delay_config = [&opts](Cycle delay) {
+  std::vector<ExperimentConfig> cfgs;
+  for (const Cycle delay : {Cycle{0}, Cycle{20}, Cycle{50}}) {
     ExperimentConfig cfg = base_config(opts);
     cfg.sim.probe_delay = delay;
-    return cfg.with(DetectorKind::kBaseline);
-  };
-  Runner runner(runner_opts(opts));
-  for (const std::string name : {"ssca2", "vacation", "kmeans", "genome"}) {
-    for (const Cycle delay : {Cycle{0}, Cycle{20}, Cycle{50}}) {
-      runner.submit(name, delay_config(delay));
-    }
+    cfgs.push_back(cfg.with(DetectorKind::kBaseline));
   }
-  for (const std::string name : {"ssca2", "vacation", "kmeans", "genome"}) {
-    for (const Cycle delay : {Cycle{0}, Cycle{20}, Cycle{50}}) {
-      const auto r = checked_run(runner, name, delay_config(delay), os,
-                                 &status);
-      t.add_row({name, std::to_string(delay),
-                 std::to_string(r.stats.conflicts_total),
-                 TextTable::pct(r.stats.false_conflict_rate()),
-                 std::to_string(r.stats.total_cycles)});
-      csv.row({name, std::to_string(delay),
-               std::to_string(r.stats.conflicts_total),
-               TextTable::num(r.stats.false_conflict_rate(), 4),
+  const auto cells = grid({"ssca2", "vacation", "kmeans", "genome"}, cfgs);
+  const auto res = run_cells(opts, cells, os, &status);
+  for (std::size_t i = 0; i < res.size(); ++i) {
+    const auto& r = res[i];
+    const std::string delay = std::to_string(cells[i].cfg.sim.probe_delay);
+    t.add_row({r.workload, delay, std::to_string(r.stats.conflicts_total),
+               TextTable::pct(r.stats.false_conflict_rate()),
                std::to_string(r.stats.total_cycles)});
-    }
+    csv.row({r.workload, delay, std::to_string(r.stats.conflicts_total),
+             TextTable::num(r.stats.false_conflict_rate(), 4),
+             std::to_string(r.stats.total_cycles)});
   }
   t.print(os);
   os << "(false-conflict rates are stable across probe timing; only the "
@@ -1129,50 +1070,43 @@ int fig11_throughput_vs_skew(const CliOptions& opts, std::ostream& os) {
       std::pair{DetectorKind::kBaseline, 1u},
       std::pair{DetectorKind::kSubBlock, 4u},
       std::pair{DetectorKind::kPerfect, 1u}};
-  const auto cell_config = [&opts](double theta, std::uint32_t cores,
-                                   DetectorKind det, std::uint32_t nsub) {
-    ExperimentConfig cfg = base_config(opts);
-    cfg.params.threads = cores;
-    cfg.sim.ncores = cores;
-    cfg.params.oltp.theta = theta;
-    return cfg.with(det, nsub);
-  };
-  Runner runner(runner_opts(opts));
+  std::vector<Cell> cells;
   for (const double theta : kThetas) {
     for (const std::uint32_t cores : kCores) {
       for (const auto& [det, nsub] : kDets) {
-        runner.submit("oltp", cell_config(theta, cores, det, nsub));
+        ExperimentConfig cfg = base_config(opts);
+        cfg.params.threads = cores;
+        cfg.sim.ncores = cores;
+        cfg.params.oltp.theta = theta;
+        cells.push_back({"oltp", cfg.with(det, nsub)});
       }
     }
   }
   TextTable t({"theta", "cores", "detector", "commits/s", "p50", "p95", "p99",
                "abort%", "fallbacks"});
-  for (const double theta : kThetas) {
-    for (const std::uint32_t cores : kCores) {
-      for (const auto& [det, nsub] : kDets) {
-        const ExperimentConfig cfg = cell_config(theta, cores, det, nsub);
-        const auto r = checked_run(runner, "oltp", cfg, os, &status);
-        const double abort_rate =
-            r.stats.tx_attempts == 0
-                ? 0.0
-                : double(r.stats.tx_aborts) / double(r.stats.tx_attempts);
-        t.add_row({TextTable::num(theta, 2), std::to_string(cores),
-                   r.detector, TextTable::num(r.stats.commits_per_simsec(), 0),
-                   TextTable::num(r.stats.latency_percentile(0.50), 0),
-                   TextTable::num(r.stats.latency_percentile(0.95), 0),
-                   TextTable::num(r.stats.latency_percentile(0.99), 0),
-                   TextTable::pct(abort_rate),
-                   std::to_string(r.stats.fallback_runs)});
-        csv.row({TextTable::num(theta, 2), std::to_string(cores), r.detector,
-                 std::to_string(r.stats.tx_commits),
-                 TextTable::num(r.stats.commits_per_simsec(), 1),
-                 TextTable::num(r.stats.latency_percentile(0.50), 1),
-                 TextTable::num(r.stats.latency_percentile(0.95), 1),
-                 TextTable::num(r.stats.latency_percentile(0.99), 1),
-                 TextTable::num(abort_rate, 4),
-                 std::to_string(r.stats.fallback_runs)});
-      }
-    }
+  const auto res = run_cells(opts, cells, os, &status);
+  for (std::size_t i = 0; i < res.size(); ++i) {
+    const auto& r = res[i];
+    const std::string theta = TextTable::num(cells[i].cfg.params.oltp.theta, 2);
+    const std::string cores = std::to_string(cells[i].cfg.sim.ncores);
+    const double abort_rate =
+        r.stats.tx_attempts == 0
+            ? 0.0
+            : double(r.stats.tx_aborts) / double(r.stats.tx_attempts);
+    t.add_row({theta, cores, r.detector,
+               TextTable::num(r.stats.commits_per_simsec(), 0),
+               TextTable::num(r.stats.latency_percentile(0.50), 0),
+               TextTable::num(r.stats.latency_percentile(0.95), 0),
+               TextTable::num(r.stats.latency_percentile(0.99), 0),
+               TextTable::pct(abort_rate),
+               std::to_string(r.stats.fallback_runs)});
+    csv.row({theta, cores, r.detector, std::to_string(r.stats.tx_commits),
+             TextTable::num(r.stats.commits_per_simsec(), 1),
+             TextTable::num(r.stats.latency_percentile(0.50), 1),
+             TextTable::num(r.stats.latency_percentile(0.95), 1),
+             TextTable::num(r.stats.latency_percentile(0.99), 1),
+             TextTable::num(abort_rate, 4),
+             std::to_string(r.stats.fallback_runs)});
   }
   t.print(os);
   os << "(skew concentrates traffic on adjacent hot records -> false "
@@ -1198,67 +1132,60 @@ int fig_conflict_attribution(const CliOptions& opts, std::ostream& os) {
   constexpr std::array<std::pair<DetectorKind, std::uint32_t>, 2> kDets{
       std::pair{DetectorKind::kBaseline, 1u},
       std::pair{DetectorKind::kSubBlock, 4u}};
-  const auto cell_config = [&opts](const std::string& name, DetectorKind det,
-                                   std::uint32_t nsub) {
+  std::vector<Cell> cells;
+  for (const std::string name : kBenches) {
     ExperimentConfig cfg = base_config(opts);
     cfg.sim.provenance = true;  // the figure IS the attribution
     if (name == "oltp") {
       // Contended regime: skewed traffic over unpadded adjacent records.
       cfg.params.oltp.theta = std::max(cfg.params.oltp.theta, 0.9);
     }
-    return cfg.with(det, nsub);
-  };
-  Runner runner(runner_opts(opts));
-  for (const char* name : kBenches) {
     for (const auto& [det, nsub] : kDets) {
-      runner.submit(name, cell_config(name, det, nsub));
+      cells.push_back({name, cfg.with(det, nsub)});
     }
   }
   TextTable t({"Benchmark", "Detector", "Site", "Objects", "False", "Share",
                "True", "Avoided", "Wasted"});
-  for (const char* name : kBenches) {
-    for (const auto& [det, nsub] : kDets) {
-      const ExperimentConfig cfg = cell_config(name, det, nsub);
-      const auto r = checked_run(runner, name, cfg, os, &status);
-      const auto& tab = r.stats.prov_site_table;
-      const std::size_t nsites = tab.size() / prov::kSiteStride;
-      std::uint64_t total_false = 0;
-      std::vector<std::size_t> order(nsites);
-      for (std::size_t i = 0; i < nsites; ++i) {
-        order[i] = i;
-        const std::uint64_t* row = &tab[i * prov::kSiteStride];
-        total_false += row[3] + row[4] + row[5];
-      }
-      std::sort(order.begin(), order.end(), [&tab](std::size_t a,
-                                                   std::size_t b) {
-        const std::uint64_t* ra = &tab[a * prov::kSiteStride];
-        const std::uint64_t* rb = &tab[b * prov::kSiteStride];
-        const std::uint64_t fa = ra[3] + ra[4] + ra[5];
-        const std::uint64_t fb = rb[3] + rb[4] + rb[5];
-        if (fa != fb) return fa > fb;
-        return a < b;
-      });
-      std::size_t shown = 0;
-      for (const std::size_t i : order) {
-        const std::uint64_t* row = &tab[i * prov::kSiteStride];
-        const std::uint64_t f = row[3] + row[4] + row[5];
-        const std::uint64_t tr = row[6] + row[7] + row[8];
-        if (f + tr + row[9] == 0) continue;  // never conflicted
-        if (shown >= 4) break;  // top offenders only; CSV has them all too
-        ++shown;
-        const double share =
-            total_false == 0 ? 0.0
-                             : static_cast<double>(f) /
-                                   static_cast<double>(total_false);
-        t.add_row({name, r.detector, r.stats.prov_site_names[i],
-                   std::to_string(row[1]), std::to_string(f),
-                   TextTable::pct(share), std::to_string(tr),
-                   std::to_string(row[9]), std::to_string(row[10])});
-        csv.row({name, r.detector, r.stats.prov_site_names[i],
+  for (const auto& r : run_cells(opts, cells, os, &status)) {
+    const std::string& name = r.workload;
+    const auto& tab = r.stats.prov_site_table;
+    const std::size_t nsites = tab.size() / prov::kSiteStride;
+    std::uint64_t total_false = 0;
+    std::vector<std::size_t> order(nsites);
+    for (std::size_t i = 0; i < nsites; ++i) {
+      order[i] = i;
+      const std::uint64_t* row = &tab[i * prov::kSiteStride];
+      total_false += row[3] + row[4] + row[5];
+    }
+    std::sort(order.begin(), order.end(), [&tab](std::size_t a,
+                                                 std::size_t b) {
+      const std::uint64_t* ra = &tab[a * prov::kSiteStride];
+      const std::uint64_t* rb = &tab[b * prov::kSiteStride];
+      const std::uint64_t fa = ra[3] + ra[4] + ra[5];
+      const std::uint64_t fb = rb[3] + rb[4] + rb[5];
+      if (fa != fb) return fa > fb;
+      return a < b;
+    });
+    std::size_t shown = 0;
+    for (const std::size_t i : order) {
+      const std::uint64_t* row = &tab[i * prov::kSiteStride];
+      const std::uint64_t f = row[3] + row[4] + row[5];
+      const std::uint64_t tr = row[6] + row[7] + row[8];
+      if (f + tr + row[9] == 0) continue;  // never conflicted
+      if (shown >= 4) break;  // top offenders only; CSV has them all too
+      ++shown;
+      const double share =
+          total_false == 0 ? 0.0
+                           : static_cast<double>(f) /
+                                 static_cast<double>(total_false);
+      t.add_row({name, r.detector, r.stats.prov_site_names[i],
                  std::to_string(row[1]), std::to_string(f),
-                 TextTable::num(share, 4), std::to_string(tr),
+                 TextTable::pct(share), std::to_string(tr),
                  std::to_string(row[9]), std::to_string(row[10])});
-      }
+      csv.row({name, r.detector, r.stats.prov_site_names[i],
+               std::to_string(row[1]), std::to_string(f),
+               TextTable::num(share, 4), std::to_string(tr),
+               std::to_string(row[9]), std::to_string(row[10])});
     }
   }
   t.print(os);
@@ -1283,46 +1210,38 @@ int ablation_fault_sweep(const CliOptions& opts, std::ostream& os) {
   constexpr std::array<std::pair<DetectorKind, std::uint32_t>, 2> kDets{
       std::pair{DetectorKind::kBaseline, 1u},
       std::pair{DetectorKind::kSubBlock, 4u}};
-  const auto sweep_config = [&opts](double rate, DetectorKind det,
-                                    std::uint32_t nsub) {
-    ExperimentConfig cfg = base_config(opts);
-    cfg.sim.fault.spurious_abort_rate = rate;
-    return cfg.with(det, nsub);
-  };
-  Runner runner(runner_opts(opts));
-  for (const std::string name : {"vacation", "oltp"}) {
-    for (const auto& [det, nsub] : kDets) {
-      for (const double rate : kRates) {
-        runner.submit(name, sweep_config(rate, det, nsub));
-      }
+  std::vector<ExperimentConfig> cfgs;
+  for (const auto& [det, nsub] : kDets) {
+    for (const double rate : kRates) {
+      ExperimentConfig cfg = base_config(opts);
+      cfg.sim.fault.spurious_abort_rate = rate;
+      cfgs.push_back(cfg.with(det, nsub));
     }
   }
   TextTable t({"Workload", "Detector", "Spurious", "Commit rate",
                "Wasted cycles", "Commits/s"});
   std::vector<std::pair<std::string, FaultCounters>> audits;
-  for (const std::string name : {"vacation", "oltp"}) {
-    for (const auto& [det, nsub] : kDets) {
-      for (const double rate : kRates) {
-        const ExperimentConfig cfg = sweep_config(rate, det, nsub);
-        const auto r = checked_run(runner, name, cfg, os, &status);
-        const double commit_rate =
-            r.stats.tx_attempts == 0
-                ? 0.0
-                : double(r.stats.tx_commits) / double(r.stats.tx_attempts);
-        t.add_row({name, r.detector, TextTable::num(rate, 3),
-                   TextTable::pct(commit_rate),
-                   std::to_string(r.stats.wasted_cycles),
-                   TextTable::num(r.stats.commits_per_simsec(), 0)});
-        csv.row({name, r.detector, TextTable::num(rate, 4),
-                 TextTable::num(commit_rate, 4),
-                 std::to_string(r.stats.wasted_cycles),
-                 TextTable::num(r.stats.commits_per_simsec(), 1)});
-        if (r.has_fault_counters) {
-          audits.emplace_back(
-              name + " [" + r.detector + "] rate " + TextTable::num(rate, 3),
-              r.fault_counters);
-        }
-      }
+  const auto cells = grid({"vacation", "oltp"}, cfgs);
+  const auto res = run_cells(opts, cells, os, &status);
+  for (std::size_t i = 0; i < res.size(); ++i) {
+    const auto& r = res[i];
+    const double rate = cells[i].cfg.sim.fault.spurious_abort_rate;
+    const double commit_rate =
+        r.stats.tx_attempts == 0
+            ? 0.0
+            : double(r.stats.tx_commits) / double(r.stats.tx_attempts);
+    t.add_row({r.workload, r.detector, TextTable::num(rate, 3),
+               TextTable::pct(commit_rate),
+               std::to_string(r.stats.wasted_cycles),
+               TextTable::num(r.stats.commits_per_simsec(), 0)});
+    csv.row({r.workload, r.detector, TextTable::num(rate, 4),
+             TextTable::num(commit_rate, 4),
+             std::to_string(r.stats.wasted_cycles),
+             TextTable::num(r.stats.commits_per_simsec(), 1)});
+    if (r.has_fault_counters) {
+      audits.emplace_back(r.workload + " [" + r.detector + "] rate " +
+                              TextTable::num(rate, 3),
+                          r.fault_counters);
     }
   }
   t.print(os);
@@ -1362,65 +1281,56 @@ int fig10_policy_sweep(const CliOptions& opts, std::ostream& os) {
   constexpr std::array<std::uint32_t, 3> kCores{2u, 4u, 8u};
   constexpr std::array<const char*, 3> kWorkloads{"livelock", "oltp",
                                                   "intruder"};
-  const auto cell_config = [&opts](const char* wl, CmPolicyKind pol,
-                                   std::uint32_t cores, DetectorKind det,
-                                   std::uint32_t nsub) {
-    ExperimentConfig cfg = base_config(opts);
-    cfg.params.threads = cores;
-    cfg.sim.ncores = cores;
-    cfg.sim.cm.policy = pol;
-    cfg.sim.cm.stats = true;  // fairness columns need the v5 accounting
-    if (std::string_view(wl) == "oltp") {
-      // The contended variant: a hot 256-record table under strong skew.
-      cfg.params.oltp.records = 256;
-      cfg.params.oltp.theta = 1.1;
-    }
-    return cfg.with(det, nsub);
-  };
-  Runner runner(runner_opts(opts));
-  for (const char* wl : kWorkloads) {
+  std::vector<Cell> cells;
+  for (const std::string wl : kWorkloads) {
     for (const CmPolicyKind pol : kPolicies) {
       for (const std::uint32_t cores : kCores) {
+        ExperimentConfig cfg = base_config(opts);
+        cfg.params.threads = cores;
+        cfg.sim.ncores = cores;
+        cfg.sim.cm.policy = pol;
+        cfg.sim.cm.stats = true;  // fairness columns need the v5 accounting
+        if (wl == "oltp") {
+          // The contended variant: a hot 256-record table under strong skew.
+          cfg.params.oltp.records = 256;
+          cfg.params.oltp.theta = 1.1;
+        }
         for (const auto& [det, nsub] : kDets) {
-          runner.submit(wl, cell_config(wl, pol, cores, det, nsub));
+          cells.push_back({wl, cfg.with(det, nsub)});
         }
       }
     }
   }
   TextTable t({"workload", "policy", "detector", "cores", "cycles", "abort%",
                "fallbacks", "req-losses", "max-streak", "gini"});
-  for (const char* wl : kWorkloads) {
-    for (const CmPolicyKind pol : kPolicies) {
-      for (const std::uint32_t cores : kCores) {
-        for (const auto& [det, nsub] : kDets) {
-          const ExperimentConfig cfg = cell_config(wl, pol, cores, det, nsub);
-          const auto r = checked_run(runner, wl, cfg, os, &status);
-          const double abort_rate =
-              r.stats.tx_attempts == 0
-                  ? 0.0
-                  : double(r.stats.tx_aborts) / double(r.stats.tx_attempts);
-          const std::uint64_t streak =
-              r.stats.cm_max_consec_aborts.empty()
-                  ? 0
-                  : *std::max_element(r.stats.cm_max_consec_aborts.begin(),
-                                      r.stats.cm_max_consec_aborts.end());
-          t.add_row({wl, to_string(pol), r.detector, std::to_string(cores),
-                     std::to_string(r.stats.total_cycles),
-                     TextTable::pct(abort_rate),
-                     std::to_string(r.stats.fallback_runs),
-                     std::to_string(r.stats.cm_requester_losses),
-                     std::to_string(streak),
-                     TextTable::num(r.stats.cm_wasted_gini(), 3)});
-          csv.row({wl, to_string(pol), r.detector, std::to_string(cores),
-                   std::to_string(r.stats.total_cycles),
-                   TextTable::num(abort_rate, 4),
-                   std::to_string(r.stats.fallback_runs),
-                   std::to_string(r.stats.cm_requester_losses),
-                   std::to_string(streak),
-                   TextTable::num(r.stats.cm_wasted_gini(), 4)});
-        }
-      }
-    }
+  const auto res = run_cells(opts, cells, os, &status);
+  for (std::size_t i = 0; i < res.size(); ++i) {
+    const auto& r = res[i];
+    const char* policy = to_string(cells[i].cfg.sim.cm.policy);
+    const std::string cores = std::to_string(cells[i].cfg.sim.ncores);
+    const double abort_rate =
+        r.stats.tx_attempts == 0
+            ? 0.0
+            : double(r.stats.tx_aborts) / double(r.stats.tx_attempts);
+    const std::uint64_t streak =
+        r.stats.cm_max_consec_aborts.empty()
+            ? 0
+            : *std::max_element(r.stats.cm_max_consec_aborts.begin(),
+                                r.stats.cm_max_consec_aborts.end());
+    t.add_row({r.workload, policy, r.detector, cores,
+               std::to_string(r.stats.total_cycles),
+               TextTable::pct(abort_rate),
+               std::to_string(r.stats.fallback_runs),
+               std::to_string(r.stats.cm_requester_losses),
+               std::to_string(streak),
+               TextTable::num(r.stats.cm_wasted_gini(), 3)});
+    csv.row({r.workload, policy, r.detector, cores,
+             std::to_string(r.stats.total_cycles),
+             TextTable::num(abort_rate, 4),
+             std::to_string(r.stats.fallback_runs),
+             std::to_string(r.stats.cm_requester_losses),
+             std::to_string(streak),
+             TextTable::num(r.stats.cm_wasted_gini(), 4)});
   }
   t.print(os);
   os << "(requester-wins is the throughput baseline; polite trades wasted "
@@ -1429,6 +1339,83 @@ int fig10_policy_sweep(const CliOptions& opts, std::ostream& os) {
         "serialize caps every streak at its retry bound via the fallback "
         "lock)\n";
   return status;
+}
+
+constexpr Figure kFigures[] = {
+    {"table1_states", table1_states},
+    {"table2_config", table2_config},
+    {"table3_benchmarks", table3_benchmarks},
+    {"fig1_false_conflict_rate", fig1_false_conflict_rate},
+    {"fig2_conflict_type_breakdown", fig2_conflict_type_breakdown},
+    {"fig3_time_distribution", fig3_time_distribution},
+    {"fig4_line_distribution", fig4_line_distribution},
+    {"fig5_intra_line_access", fig5_intra_line_access},
+    {"fig8_subblock_sensitivity", fig8_subblock_sensitivity},
+    {"fig9_overall_conflict_reduction", fig9_overall_conflict_reduction},
+    {"fig10_execution_time", fig10_execution_time},
+    {"fig10_policy_sweep", fig10_policy_sweep},
+    {"fig11_throughput_vs_skew", fig11_throughput_vs_skew},
+    {"fig_conflict_attribution", fig_conflict_attribution},
+    {"ablation_waronly", ablation_waronly},
+    {"ablation_ats", ablation_ats},
+    {"ablation_cores", ablation_cores},
+    {"ablation_variance", ablation_variance},
+    {"ablation_capacity", ablation_capacity},
+    {"ablation_l1_geometry", ablation_l1_geometry},
+    {"ablation_scale", ablation_scale},
+    {"ablation_timing", ablation_timing},
+    {"ablation_waw_rule", ablation_waw_rule},
+    {"ablation_overhead", ablation_overhead},
+    {"ablation_fault_sweep", ablation_fault_sweep},
+};
+
+}  // namespace
+
+std::span<const Figure> registry() { return kFigures; }
+
+const Figure* find(std::string_view name) {
+  for (const Figure& f : kFigures) {
+    if (name == f.name) return &f;
+  }
+  return nullptr;
+}
+
+int cli_main(int argc, char** argv, std::ostream& os) {
+  const Figure* figure = nullptr;
+  bool list = false;
+  CliExtras extras;
+  extras.usage = " <figure>|--list";
+  extras.flag = [&](CliArgs& a) {
+    if (a.arg() == "--list") {
+      list = true;
+    } else if (figure == nullptr && !a.arg().starts_with("-")) {
+      figure = find(a.arg());
+      if (figure == nullptr) {
+        a.fail("unknown figure '" + std::string(a.arg()) + "' (see --list)");
+      }
+    } else {
+      return false;
+    }
+    return true;
+  };
+  const CliOptions opts = parse_cli(argc, argv, extras);
+  if (list) {
+    for (const Figure& f : kFigures) os << f.name << "\n";
+    return 0;
+  }
+  if (figure == nullptr) {
+    std::fprintf(stderr, "%s: name a figure (see --list)\n", argv[0]);
+    return 2;
+  }
+  try {
+    return figure->run(opts, os);
+  } catch (const std::exception& e) {
+    // One line; a failed job's full diagnostic is in the run manifest.
+    const std::string what = e.what();
+    std::fprintf(stderr, "%s: %s: %s\n", argv[0], figure->name,
+                 what.substr(0, what.find('\n')).c_str());
+    return 1;
+  }
 }
 
 }  // namespace asfsim::figures

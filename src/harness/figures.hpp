@@ -1,59 +1,38 @@
-// Per-figure/table reproduction logic (one bench binary per entry point).
+// The paper's tables, figures and the ablations, one function each, looked
+// up by name. The asfsim_fig driver (bench/asfsim_fig.cpp) runs them:
+//
+//   $ build/bench/asfsim_fig fig1_false_conflict_rate --scale 0.25
+//   $ build/bench/asfsim_fig --list
 //
 // Every function prints the paper's rows/series to `os`, optionally mirrors
 // them as CSV into opts.csv_dir, and returns 0 on success (non-zero when a
 // sanity expectation fails badly enough that the figure is meaningless,
-// e.g. a workload failed validation).
+// e.g. a workload failed validation). DESIGN.md §4 indexes them.
 #pragma once
 
 #include <iostream>
+#include <span>
+#include <string_view>
 
 #include "harness/args.hpp"
 
 namespace asfsim::figures {
 
-// ---- tables ----------------------------------------------------------------
-int table1_states(const CliOptions& opts, std::ostream& os);       // Table I + Fig 6/7
-int table2_config(const CliOptions& opts, std::ostream& os);       // Table II
-int table3_benchmarks(const CliOptions& opts, std::ostream& os);   // Table III
+struct Figure {
+  const char* name;
+  int (*run)(const CliOptions& opts, std::ostream& os);
+};
 
-// ---- characterization figures ----------------------------------------------
-int fig1_false_conflict_rate(const CliOptions& opts, std::ostream& os);
-int fig2_conflict_type_breakdown(const CliOptions& opts, std::ostream& os);
-int fig3_time_distribution(const CliOptions& opts, std::ostream& os);
-int fig4_line_distribution(const CliOptions& opts, std::ostream& os);
-int fig5_intra_line_access(const CliOptions& opts, std::ostream& os);
+/// Every figure, in the order `asfsim_fig --list` prints them.
+[[nodiscard]] std::span<const Figure> registry();
 
-// ---- evaluation figures ------------------------------------------------------
-int fig8_subblock_sensitivity(const CliOptions& opts, std::ostream& os);
-int fig9_overall_conflict_reduction(const CliOptions& opts, std::ostream& os);
-int fig10_execution_time(const CliOptions& opts, std::ostream& os);
-/// OLTP extension: commits/simulated-second and latency percentiles over a
-/// zipf-theta x core-count x detector sweep (docs/workloads.md).
-int fig11_throughput_vs_skew(const CliOptions& opts, std::ostream& os);
-/// Provenance extension: share of false conflicts by allocation site per
-/// detector, over a contended OLTP run plus two STAMP-style programs
-/// (docs/observability.md, "Conflict provenance").
-int fig_conflict_attribution(const CliOptions& opts, std::ostream& os);
-/// Contention-management extension: execution time and fairness
-/// (abort rate, fallback runs, max consecutive aborts, wasted-cycle Gini)
-/// over a policy x detector x core-count grid on the livelock storm,
-/// a contended OLTP mix and intruder (docs/contention.md).
-int fig10_policy_sweep(const CliOptions& opts, std::ostream& os);
+/// The figure called `name`, or null.
+[[nodiscard]] const Figure* find(std::string_view name);
 
-// ---- ablations / overhead (paper §II and §IV-E) ------------------------------
-int ablation_waronly(const CliOptions& opts, std::ostream& os);
-int ablation_ats(const CliOptions& opts, std::ostream& os);
-int ablation_cores(const CliOptions& opts, std::ostream& os);
-int ablation_variance(const CliOptions& opts, std::ostream& os);
-int ablation_waw_rule(const CliOptions& opts, std::ostream& os);
-int ablation_overhead(const CliOptions& opts, std::ostream& os);
-int ablation_capacity(const CliOptions& opts, std::ostream& os);
-int ablation_l1_geometry(const CliOptions& opts, std::ostream& os);
-int ablation_scale(const CliOptions& opts, std::ostream& os);
-int ablation_timing(const CliOptions& opts, std::ostream& os);
-/// Commit rate and wasted work vs injected spurious-abort rate, per
-/// detector (docs/robustness.md fault-injection knobs).
-int ablation_fault_sweep(const CliOptions& opts, std::ostream& os);
+/// The asfsim_fig command line: `<name> [common flags]` runs one figure
+/// into `os`, `--list` prints every name. Returns the exit status: the
+/// figure's own, 1 when a job throws (one line on stderr), 2 on usage
+/// errors.
+int cli_main(int argc, char** argv, std::ostream& os);
 
 }  // namespace asfsim::figures

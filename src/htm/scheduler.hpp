@@ -9,8 +9,8 @@
 // for an end to abort storms. The scheduler is runtime metadata (as in the
 // original proposal), so it lives host-side; the *waiting* is simulated.
 //
-// This is an optional extension (SimConfig::enable_ats); bench/ablation_ats
-// measures how it composes with sub-blocking.
+// This is an optional extension (SimConfig::enable_ats); `asfsim_fig
+// ablation_ats` measures how it composes with sub-blocking.
 #pragma once
 
 #include <cstdint>

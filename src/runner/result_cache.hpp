@@ -32,7 +32,7 @@ class ResultCache {
   [[nodiscard]] const std::string& dir() const { return dir_; }
 
   /// Default cache root: $ASFSIM_CACHE_DIR, else build/.asfsim-cache
-  /// (relative to the CWD — bench binaries are run from the repo root).
+  /// (relative to the CWD — figures are run from the repo root).
   [[nodiscard]] static std::string default_dir();
 
  private:

@@ -1,8 +1,8 @@
 // Experiment runner: parallel job execution + content-addressed caching.
 //
-// The harness and every bench binary submit (workload × config) jobs here
-// instead of looping over run_experiment inline. Three layers fold away
-// repeated work:
+// The figure harness (src/harness/figures.cpp) submits (workload × config)
+// jobs here instead of looping over run_experiment inline. Three layers
+// fold away repeated work:
 //
 //   1. in-process dedup — identical specs submitted twice share one future
 //      (fig8 re-running each baseline per sub-block count costs nothing);
@@ -15,8 +15,8 @@
 // byte-identical regardless of --jobs, ordering, or cache state; output
 // code consumes futures in submission order and prints the same bytes the
 // serial harness did. Per-job wall time and provenance (executed / cache /
-// deduped) land in a machine-readable JSON manifest for CI and
-// scripts/bench_snapshot.sh. See docs/runner.md.
+// deduped) land in a machine-readable JSON manifest for CI and the
+// repository benchmark. See docs/runner.md.
 #pragma once
 
 #include <chrono>

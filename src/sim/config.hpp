@@ -49,7 +49,7 @@ struct SimConfig {
   // Delayed-probe mode (0 = atomic-at-issue, the default): an access that
   // needs a broadcast stalls this many cycles BEFORE the probe executes, so
   // conflict checks see the machine state at delivery time rather than at
-  // issue time. Used by bench/ablation_timing to validate the
+  // issue time. Used by asfsim_fig ablation_timing to validate the
   // atomic-at-issue substitution (DESIGN.md §2).
   Cycle probe_delay = 0;
 

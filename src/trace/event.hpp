@@ -1,12 +1,11 @@
 // TraceEvent: one record in the full-timeline trace stream.
 //
-// The trace layer widens the legacy five-kind TxTrace ring into a rich
-// event vocabulary: transaction spans carry retry counts, read/write-set
+// A rich event vocabulary: transaction spans carry retry counts, read/write-set
 // footprints and wasted cycles; conflict instants carry the victim's and
 // requester's byte masks; counter samples snapshot run-level rates every
 // K cycles. Events are emitted by AsfRuntime/MemorySystem through a
-// TraceHub (trace/sink.hpp) and consumed by pluggable sinks — the bounded
-// TxTrace ring, the streaming JSONL sink, and the Perfetto exporter.
+// TraceHub (trace/sink.hpp) and consumed by pluggable sinks — the
+// streaming JSONL sink and the Perfetto exporter.
 // See docs/observability.md for the format contract.
 #pragma once
 

@@ -25,7 +25,10 @@ class LabyrinthWorkload final : public Workload {
     side_ = 24 + static_cast<std::uint32_t>(8 * p.scale);
     nroutes_ = p.scaled(48);
     threads_ = p.threads;
-    nroutes_ -= nroutes_ % threads_;
+    // Whole routes per thread, at least one each (tiny scales would
+    // otherwise round down to no routes at all).
+    nroutes_ =
+        std::max<std::uint64_t>(threads_, nroutes_ - nroutes_ % threads_);
 
     grid_ = GArray32::alloc(m.galloc(), side_ * side_, 4, "labyrinth.grid");
     for (std::uint64_t i = 0; i < side_ * side_; ++i) grid_.poke(m, i, 0);

@@ -4,7 +4,7 @@
 // that exclusion: each refinement transaction rewrites a large cavity of
 // triangle records whose footprint overflows the 2-way L1's speculative
 // capacity, so the run is dominated by capacity aborts resolved through the
-// serializing software fallback. bench/ablation_capacity quantifies it.
+// serializing software fallback. asfsim_fig ablation_capacity quantifies it.
 //
 // The mesh is modeled as a pool of triangle records (quality flag + three
 // vertex ids + three neighbor links); a refinement transaction picks a

@@ -5,6 +5,7 @@
 
 #include "guest/grbtree.hpp"
 #include "harness/experiment.hpp"
+#include "trace/event.hpp"
 
 namespace asfsim {
 namespace {
@@ -109,7 +110,7 @@ TEST(Names, EnumToStringRoundTrips) {
   EXPECT_STREQ(to_string(AbortCause::kLockWait), "lock-wait");
   EXPECT_STREQ(to_string(DetectorKind::kSubBlockWawLine), "subblock-wawline");
   EXPECT_STREQ(to_string(SubBlockState::kSpecWrite), "S-WR");
-  EXPECT_STREQ(to_string(TxEventKind::kFallback), "fallback");
+  EXPECT_STREQ(to_string(trace::TraceEventKind::kFallback), "fallback");
 }
 
 TEST(MachineApi, PokePeekRoundTripAllSizes) {

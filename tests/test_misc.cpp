@@ -1,11 +1,14 @@
 // Unit tests: GRing, GuestBarrier, Stats hooks, TextTable/CsvWriter, CLI
-// parsing, logging.
+// parsing and its diagnostics, logging.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <deque>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "guest/barrier.hpp"
 #include "guest/glist.hpp"
@@ -13,7 +16,6 @@
 #include "harness/args.hpp"
 #include "sim/log.hpp"
 #include "stats/report.hpp"
-#include "stats/txtrace.hpp"
 
 namespace asfsim {
 namespace {
@@ -220,10 +222,16 @@ TEST(CsvWriter, InactiveWithoutDirActiveWithIt) {
 
 // ---- CLI parsing ----------------------------------------------------------------
 
+/// parse_cli over `args`, with "prog" as argv[0].
+CliOptions parse(std::vector<const char*> args, const CliExtras& extras = {}) {
+  args.insert(args.begin(), "prog");
+  return parse_cli(static_cast<int>(args.size()),
+                   const_cast<char**>(args.data()), extras);
+}
+
 TEST(Cli, ParsesAllFlags) {
-  const char* argv[] = {"prog",      "--scale", "2.5",  "--threads", "4",
-                        "--seed",    "99",      "--csv", "/tmp/x"};
-  const CliOptions o = parse_cli(9, const_cast<char**>(argv));
+  const CliOptions o = parse({"--scale", "2.5", "--threads", "4", "--seed",
+                              "99", "--csv", "/tmp/x"});
   EXPECT_DOUBLE_EQ(o.scale, 2.5);
   EXPECT_EQ(o.threads, 4u);
   EXPECT_EQ(o.seed, 99u);
@@ -231,70 +239,60 @@ TEST(Cli, ParsesAllFlags) {
 }
 
 TEST(Cli, DefaultsApply) {
-  const char* argv[] = {"prog"};
-  const CliOptions o = parse_cli(1, const_cast<char**>(argv), 0.5);
-  EXPECT_DOUBLE_EQ(o.scale, 0.5);
+  const CliOptions o = parse({});
+  EXPECT_DOUBLE_EQ(o.scale, 1.0);
   EXPECT_EQ(o.threads, 8u);
   EXPECT_EQ(o.seed, 1u);
   EXPECT_TRUE(o.csv_dir.empty());
 }
 
-// ---- TxTrace ----------------------------------------------------------------
-
-TEST(TxTrace, RingKeepsTheMostRecentEvents) {
-  TxTrace tr(4);
-  for (std::uint32_t i = 0; i < 10; ++i) {
-    tr.record({TxEventKind::kBegin, i, kInvalidCore, Cycle{i} * 10,
-               AbortCause::kConflict, ConflictType::kWAR, false, 0});
+TEST(Cli, MalformedNumbersExitTwoWithOneLine) {
+  for (const auto& [flag, text] :
+       {std::pair{"--scale", "abc"}, {"--seed", "12x"}, {"--jobs", "-1"},
+        {"--threads", "x"}, {"--threads", "0"}, {"--scale", "nan"},
+        {"--fault-spurious", "1.5"}, {"--seed", "99999999999999999999999"},
+        {"--oltp-theta", "-0.5"}, {"--watchdog", ""}}) {
+    EXPECT_EXIT((void)parse({flag, text}), ::testing::ExitedWithCode(2),
+                std::string("^prog: bad value for ") + flag + ": '" + text +
+                    "'\n$")
+        << flag << " " << text;
   }
-  EXPECT_EQ(tr.total_recorded(), 10u);
-  const auto evs = tr.events();
-  ASSERT_EQ(evs.size(), 4u);
-  EXPECT_EQ(evs.front().core, 6u);
-  EXPECT_EQ(evs.back().core, 9u);
-  EXPECT_EQ(evs.back().cycle, 90u);
 }
 
-TEST(TxTrace, MachineIntegrationRecordsLifecycle) {
-  SimConfig cfg;
-  cfg.ncores = 2;
-  Machine m(cfg, DetectorKind::kBaseline);
-  TxTrace& tr = m.enable_trace(256);
-  const Addr cell = m.galloc().alloc(64, 64);
-  auto worker = [](GuestCtx& c, Addr a) -> Task<void> {
-    for (int i = 0; i < 5; ++i) {
-      co_await c.run_tx([&]() -> Task<void> {
-        const std::uint64_t v = co_await c.load_u64(a);
-        co_await c.store_u64(a, v + 1);
-      });
-    }
+TEST(Cli, UsageErrorsExitTwo) {
+  EXPECT_EXIT((void)parse({"--seed"}), ::testing::ExitedWithCode(2),
+              "^prog: missing value for --seed\n$");
+  EXPECT_EXIT((void)parse({"--bogus"}), ::testing::ExitedWithCode(2),
+              "^prog: unknown flag --bogus");
+  EXPECT_EXIT((void)parse({"--trace-format", "xml"}),
+              ::testing::ExitedWithCode(2), "must be jsonl or perfetto");
+}
+
+TEST(Cli, ToolHookSeesOnlyUnknownFlags) {
+  std::uint32_t nsub = 0;
+  CliExtras extras;
+  extras.flag = [&nsub](CliArgs& a) {
+    if (a.arg() != "--nsub") return false;
+    nsub = a.number<std::uint32_t>(1, 16);
+    return true;
   };
-  m.spawn(0, worker(m.ctx(0), cell));
-  m.spawn(1, worker(m.ctx(1), cell));
-  m.run();
-  int begins = 0, commits = 0, aborts = 0, conflicts = 0;
-  for (const auto& ev : tr.events()) {
-    switch (ev.kind) {
-      case TxEventKind::kBegin: ++begins; break;
-      case TxEventKind::kCommit: ++commits; break;
-      case TxEventKind::kAbort: ++aborts; break;
-      case TxEventKind::kConflict: ++conflicts; break;
-      default: break;
-    }
-  }
-  EXPECT_EQ(commits, 10);
-  EXPECT_EQ(begins, commits + aborts);
-  EXPECT_EQ(aborts, conflicts) << "every abort here is conflict-caused";
-  std::ostringstream os;
-  tr.print(os);
-  EXPECT_NE(os.str().find("commit"), std::string::npos);
+  const CliOptions o = parse({"--nsub", "8", "--seed", "3"}, extras);
+  EXPECT_EQ(nsub, 8u);
+  EXPECT_EQ(o.seed, 3u);
+  EXPECT_EXIT((void)parse({"--nsub", "32"}, extras),
+              ::testing::ExitedWithCode(2),
+              "^prog: bad value for --nsub: '32'\n$");
 }
 
-TEST(TxTrace, DisabledTraceHasNoEffect) {
-  SimConfig cfg;
-  cfg.ncores = 1;
-  Machine m(cfg, DetectorKind::kBaseline);
-  EXPECT_EQ(m.trace(), nullptr);
+TEST(Cli, RunnerFlagsAreRejectedWhenDisabled) {
+  CliExtras extras;
+  extras.runner_flags = false;
+  EXPECT_EQ(parse({"--scale", "0.5"}, extras).scale, 0.5);
+  for (const char* flag : {"--csv", "--jobs", "--no-cache"}) {
+    EXPECT_EXIT((void)parse({flag, "1"}, extras), ::testing::ExitedWithCode(2),
+                std::string("^prog: ") + flag + " is not supported")
+        << flag;
+  }
 }
 
 // ---- logging ----------------------------------------------------------------

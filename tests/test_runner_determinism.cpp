@@ -107,12 +107,14 @@ TEST_F(RunnerDeterminism, Fig2TextAndCsvBytesAreIdenticalUnderJobs8) {
   opts.jobs = 1;
   opts.csv_dir = serial_dir.string();
   std::ostringstream serial_text;
-  ASSERT_EQ(figures::fig2_conflict_type_breakdown(opts, serial_text), 0);
+  const figures::Figure* fig2 = figures::find("fig2_conflict_type_breakdown");
+  ASSERT_NE(fig2, nullptr);
+  ASSERT_EQ(fig2->run(opts, serial_text), 0);
 
   opts.jobs = 8;
   opts.csv_dir = parallel_dir.string();
   std::ostringstream parallel_text;
-  ASSERT_EQ(figures::fig2_conflict_type_breakdown(opts, parallel_text), 0);
+  ASSERT_EQ(fig2->run(opts, parallel_text), 0);
 
   EXPECT_EQ(serial_text.str(), parallel_text.str());
 

@@ -1,5 +1,5 @@
 // Unit + integration tests for the ATS extension (adaptive transaction
-// scheduling, DESIGN.md extension; bench/ablation_ats).
+// scheduling, DESIGN.md extension; asfsim_fig ablation_ats).
 #include <gtest/gtest.h>
 
 #include "harness/experiment.hpp"

@@ -1,6 +1,6 @@
-// Tests for the full-timeline tracing subsystem (src/trace/): the TxTrace
-// golden output, JSONL round-trips, trace↔Stats cross-checks, Perfetto
-// structure, the sim-cycle log prefix, and the new Stats histograms.
+// Tests for the full-timeline tracing subsystem (src/trace/): JSONL
+// round-trips, trace↔Stats cross-checks, Perfetto structure, the sim-cycle
+// log prefix, and the new Stats histograms.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -10,7 +10,6 @@
 #include "guest/machine.hpp"
 #include "sim/log.hpp"
 #include "stats/serialize.hpp"
-#include "stats/txtrace.hpp"
 #include "trace/clock.hpp"
 #include "trace/jsonl.hpp"
 #include "trace/perfetto_sink.hpp"
@@ -19,52 +18,6 @@
 
 namespace asfsim {
 namespace {
-
-// ---- TxTrace golden output --------------------------------------------------
-
-TEST(TxTrace, ToStringCoversEveryKind) {
-  EXPECT_STREQ(to_string(TxEventKind::kBegin), "begin");
-  EXPECT_STREQ(to_string(TxEventKind::kCommit), "commit");
-  EXPECT_STREQ(to_string(TxEventKind::kAbort), "abort");
-  EXPECT_STREQ(to_string(TxEventKind::kConflict), "conflict");
-  EXPECT_STREQ(to_string(TxEventKind::kFallback), "fallback");
-}
-
-TEST(TxTrace, PrintGoldenOutput) {
-  TxTrace tr(8);
-  tr.record({TxEventKind::kBegin, 0, kInvalidCore, 100});
-  TxEvent conflict;
-  conflict.kind = TxEventKind::kConflict;
-  conflict.core = 0;
-  conflict.other = 1;
-  conflict.cycle = 150;
-  conflict.type = ConflictType::kRAW;
-  conflict.is_false = true;
-  conflict.line = 0x1c0;
-  tr.record(conflict);
-  TxEvent abort;
-  abort.kind = TxEventKind::kAbort;
-  abort.core = 0;
-  abort.cycle = 155;
-  abort.cause = AbortCause::kConflict;
-  tr.record(abort);
-  tr.record({TxEventKind::kCommit, 1, kInvalidCore, 200});
-  TxEvent fb;
-  fb.kind = TxEventKind::kFallback;
-  fb.core = 2;
-  fb.cycle = 300;
-  fb.cause = AbortCause::kCapacity;
-  tr.record(fb);
-
-  std::ostringstream os;
-  tr.print(os);
-  EXPECT_EQ(os.str(),
-            "cycle 100  core 0  begin\n"
-            "cycle 150  core 0  conflict FALSE RAW by core 1 on line 0x1c0\n"
-            "cycle 155  core 0  abort (conflict)\n"
-            "cycle 200  core 1  commit\n"
-            "cycle 300  core 2  fallback\n");
-}
 
 // ---- JSONL round-trip -------------------------------------------------------
 

@@ -3,50 +3,36 @@
 //
 //   $ asfsim_explore --workload vacation --detector subblock --nsub 4
 //   $ asfsim_explore --workload ssca2 --detector perfect --scale 2 --seed 9
+//   $ asfsim_explore --workload oltp --prov --trace-dir traces
 //   $ asfsim_explore --list
 //
-// Flags beyond the common set (--scale/--threads/--seed/--csv):
+// Tool flags:
 //   --workload <name>   workload to run (default: counter)
 //   --detector <name>   baseline | subblock | subblock-wawline |
 //                       subblock-nodirty | perfect | war-only
 //   --nsub <n>          sub-blocks per line for the sub-block detectors
 //   --ats               enable adaptive transaction scheduling
-//   --trace <n>         print the last n transaction events after the run
 //   --list              list registered workloads and exit
 //
-// Robustness knobs (docs/robustness.md):
-//   --fault-spurious p / --fault-commit p / --fault-evict p
-//   --fault-probe-jitter n / --fault-sched-jitter n
-//   --mutate <name>     deliberately break one sub-block protocol rule
-//   --watchdog <n>      livelock watchdog: abort + diagnose after n
-//                       cycles without a commit
-//
-// OLTP/KV workload family knobs (docs/workloads.md; only the `oltp`
-// workload reads them): --oltp-records/--oltp-payload/--oltp-tx-len/
-// --oltp-tx/--oltp-theta/--oltp-read-ratio/--oltp-rmw-ratio/
-// --oltp-scan-ratio/--oltp-scan-len/--oltp-hot-window/
-// --oltp-mix <a..f|custom>
-//
-// Contention management (docs/contention.md):
-//   --cm-policy <name>  requester-wins | polite | timestamp | serialize
-//   --cm-max-retries n  serialize policy's bounded-retry threshold
-//   --cm-karma <n>      timestamp policy's per-abort priority credit
-//   --cm-stats          print the per-core starvation/fairness section
-//
-// Observability (docs/observability.md):
-//   --prov              conflict provenance: per-site conflict attribution
-//                       in the printed report
+// Everything else is a common flag of src/harness/args.hpp (--help lists
+// them): --scale/--threads/--seed, the robustness knobs (--fault-*,
+// --mutate, --watchdog, --job-timeout; docs/robustness.md), the OLTP knobs
+// (--oltp-*; docs/workloads.md), contention management (--cm-*;
+// docs/contention.md), --prov, and --trace-dir/--trace-format, which write
+// the run's full event timeline (docs/observability.md). The runner flags
+// (--csv, --jobs, --no-cache) are rejected: the tool runs one experiment
+// in-process.
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
-#include <sstream>
+#include <cstdlib>
+#include <exception>
 #include <string>
 #include <vector>
 
 #include "harness/args.hpp"
-#include "guest/machine.hpp"
 #include "harness/experiment.hpp"
 #include "prov/collector.hpp"
+#include "runner/job_spec.hpp"
 #include "stats/report.hpp"
 #include "workloads/workload.hpp"
 
@@ -54,15 +40,17 @@ using namespace asfsim;
 
 namespace {
 
-DetectorKind parse_detector(const std::string& name) {
+DetectorKind parse_detector(CliArgs& a) {
+  const std::string name = a.value();
   if (name == "baseline" || name == "baseline-asf") return DetectorKind::kBaseline;
   if (name == "subblock") return DetectorKind::kSubBlock;
   if (name == "subblock-wawline") return DetectorKind::kSubBlockWawLine;
   if (name == "subblock-nodirty") return DetectorKind::kSubBlockNoDirty;
   if (name == "perfect") return DetectorKind::kPerfect;
   if (name == "war-only" || name == "waronly") return DetectorKind::kWarOnly;
-  std::fprintf(stderr, "unknown detector '%s'\n", name.c_str());
-  std::exit(2);
+  a.fail("unknown --detector " + name +
+         " (try baseline, subblock, subblock-wawline, subblock-nodirty, "
+         "perfect, war-only)");
 }
 
 void print_report(const ExperimentResult& r, std::uint32_t threads) {
@@ -190,123 +178,36 @@ void print_report(const ExperimentResult& r, std::uint32_t threads) {
 
 int main(int argc, char** argv) {
   std::string workload = "counter";
-  std::string detector = "baseline";
+  DetectorKind detector = DetectorKind::kBaseline;
   std::uint32_t nsub = 4;
   bool ats = false;
-  std::size_t trace_depth = 0;
-  CliOptions common;
-
-  for (int i = 1; i < argc; ++i) {
-    auto need = [&](const char* flag) -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "missing value for %s\n", flag);
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (!std::strcmp(argv[i], "--workload")) {
-      workload = need("--workload");
-    } else if (!std::strcmp(argv[i], "--detector")) {
-      detector = need("--detector");
-    } else if (!std::strcmp(argv[i], "--nsub")) {
-      nsub = static_cast<std::uint32_t>(std::atoi(need("--nsub")));
-    } else if (!std::strcmp(argv[i], "--ats")) {
+  CliExtras extras;
+  extras.runner_flags = false;
+  extras.usage =
+      " [--workload name] [--detector name] [--nsub n] [--ats] [--list]";
+  extras.flag = [&](CliArgs& a) {
+    if (a.arg() == "--workload") {
+      workload = a.value();
+    } else if (a.arg() == "--detector") {
+      detector = parse_detector(a);
+    } else if (a.arg() == "--nsub") {
+      nsub = a.number<std::uint32_t>(1, 64);
+    } else if (a.arg() == "--ats") {
       ats = true;
-    } else if (!std::strcmp(argv[i], "--trace")) {
-      trace_depth = static_cast<std::size_t>(std::atoll(need("--trace")));
-    } else if (!std::strcmp(argv[i], "--scale")) {
-      common.scale = std::atof(need("--scale"));
-    } else if (!std::strcmp(argv[i], "--threads")) {
-      common.threads = static_cast<std::uint32_t>(std::atoi(need("--threads")));
-    } else if (!std::strcmp(argv[i], "--seed")) {
-      common.seed = static_cast<std::uint64_t>(std::atoll(need("--seed")));
-    } else if (!std::strcmp(argv[i], "--fault-spurious")) {
-      common.fault_spurious = std::atof(need("--fault-spurious"));
-    } else if (!std::strcmp(argv[i], "--fault-commit")) {
-      common.fault_commit = std::atof(need("--fault-commit"));
-    } else if (!std::strcmp(argv[i], "--fault-evict")) {
-      common.fault_evict = std::atof(need("--fault-evict"));
-    } else if (!std::strcmp(argv[i], "--fault-probe-jitter")) {
-      common.fault_probe_jitter =
-          static_cast<std::uint64_t>(std::atoll(need("--fault-probe-jitter")));
-    } else if (!std::strcmp(argv[i], "--fault-sched-jitter")) {
-      common.fault_sched_jitter =
-          static_cast<std::uint64_t>(std::atoll(need("--fault-sched-jitter")));
-    } else if (!std::strcmp(argv[i], "--mutate")) {
-      common.mutate = need("--mutate");
-      ProtocolMutation mut = ProtocolMutation::kNone;
-      if (!parse_mutation(common.mutate, mut)) {
-        std::fprintf(stderr, "unknown --mutate %s (try --help)\n",
-                     common.mutate.c_str());
-        return 2;
-      }
-    } else if (!std::strcmp(argv[i], "--watchdog")) {
-      common.watchdog =
-          static_cast<std::uint64_t>(std::atoll(need("--watchdog")));
-    } else if (!std::strcmp(argv[i], "--oltp-records")) {
-      common.oltp.records =
-          static_cast<std::uint64_t>(std::atoll(need("--oltp-records")));
-    } else if (!std::strcmp(argv[i], "--oltp-payload")) {
-      common.oltp.payload_bytes =
-          static_cast<std::uint32_t>(std::atoi(need("--oltp-payload")));
-    } else if (!std::strcmp(argv[i], "--oltp-tx-len")) {
-      common.oltp.tx_len =
-          static_cast<std::uint32_t>(std::atoi(need("--oltp-tx-len")));
-    } else if (!std::strcmp(argv[i], "--oltp-tx")) {
-      common.oltp.tx_per_thread =
-          static_cast<std::uint64_t>(std::atoll(need("--oltp-tx")));
-    } else if (!std::strcmp(argv[i], "--oltp-theta")) {
-      common.oltp.theta = std::atof(need("--oltp-theta"));
-    } else if (!std::strcmp(argv[i], "--oltp-read-ratio")) {
-      common.oltp.read_ratio = std::atof(need("--oltp-read-ratio"));
-    } else if (!std::strcmp(argv[i], "--oltp-rmw-ratio")) {
-      common.oltp.rmw_ratio = std::atof(need("--oltp-rmw-ratio"));
-    } else if (!std::strcmp(argv[i], "--oltp-scan-ratio")) {
-      common.oltp.scan_ratio = std::atof(need("--oltp-scan-ratio"));
-    } else if (!std::strcmp(argv[i], "--oltp-scan-len")) {
-      common.oltp.scan_len =
-          static_cast<std::uint32_t>(std::atoi(need("--oltp-scan-len")));
-    } else if (!std::strcmp(argv[i], "--oltp-hot-window")) {
-      common.oltp.hot_window =
-          static_cast<std::uint64_t>(std::atoll(need("--oltp-hot-window")));
-    } else if (!std::strcmp(argv[i], "--prov")) {
-      common.prov = true;
-    } else if (!std::strcmp(argv[i], "--cm-policy")) {
-      const char* name = need("--cm-policy");
-      if (!parse_cm_policy(name, common.cm.policy)) {
-        std::fprintf(stderr, "unknown --cm-policy %s (try --help)\n", name);
-        return 2;
-      }
-    } else if (!std::strcmp(argv[i], "--cm-max-retries")) {
-      common.cm.max_retries =
-          static_cast<std::uint32_t>(std::atoi(need("--cm-max-retries")));
-    } else if (!std::strcmp(argv[i], "--cm-karma")) {
-      common.cm.karma =
-          static_cast<std::uint32_t>(std::atoi(need("--cm-karma")));
-    } else if (!std::strcmp(argv[i], "--cm-stats")) {
-      common.cm.stats = true;
-    } else if (!std::strcmp(argv[i], "--oltp-mix")) {
-      const char* name = need("--oltp-mix");
-      if (!parse_oltp_mix(name, common.oltp.mix)) {
-        std::fprintf(stderr, "unknown --oltp-mix %s (try --help)\n", name);
-        return 2;
-      }
-    } else if (!std::strcmp(argv[i], "--list")) {
+    } else if (a.arg() == "--list") {
       for (const auto& w : workload_registry()) {
         std::printf("%-14s %s\n", w.name, w.make()->description());
       }
-      return 0;
-    } else if (!std::strcmp(argv[i], "--help")) {
-      std::printf("see the comment block at the top of tools/asfsim_explore.cpp\n");
-      return 0;
+      std::exit(0);
     } else {
-      std::fprintf(stderr, "unknown flag %s (try --help)\n", argv[i]);
-      return 2;
+      return false;
     }
-  }
+    return true;
+  };
+  const CliOptions common = parse_cli(argc, argv, extras);
 
   ExperimentConfig cfg;
-  cfg.detector = parse_detector(detector);
+  cfg.detector = detector;
   cfg.nsub = nsub;
   cfg.params.threads = common.threads;
   cfg.params.seed = common.seed;
@@ -315,31 +216,25 @@ int main(int argc, char** argv) {
   cfg.sim.enable_ats = ats;
   apply_robustness_options(common, cfg);
 
-  if (trace_depth == 0) {
-    const ExperimentResult r = run_experiment(workload, cfg);
-    print_report(r, common.threads);
-    return r.ok() ? 0 : 1;
+  // --trace-dir: one full-timeline trace, named like the runner's
+  // (<workload>-<jobspec hash>.<ext>); read it with asfsim_trace.
+  TraceOptions trace;
+  if (!common.trace_dir.empty()) {
+    trace.format = common.trace_format == "perfetto" ? TraceFormat::kPerfetto
+                                                     : TraceFormat::kJsonl;
+    trace.path = common.trace_dir + "/" + workload + "-" +
+                 runner::make_job_spec(workload, cfg).hash_hex +
+                 trace_file_extension(trace.format);
   }
-
-  // Traced run: drive the Machine directly so the event ring is reachable.
-  SimConfig sim = cfg.sim;
-  sim.seed = cfg.params.seed;
-  Machine m(sim, cfg.detector, cfg.nsub);
-  TxTrace& trace = m.enable_trace(trace_depth);
-  auto wl = make_workload(workload);
-  wl->setup(m, cfg.params);
-  m.run(cfg.max_cycles);
-  ExperimentResult r;
-  r.workload = workload;
-  r.detector = m.detector().name();
-  r.validation_error = wl->validate(m);
-  r.stats = m.stats();
-  print_report(r, common.threads);
-  std::printf("\n-- last %zu of %llu transaction events --\n",
-              trace.events().size(),
-              (unsigned long long)trace.total_recorded());
-  std::ostringstream os;
-  trace.print(os);
-  std::fputs(os.str().c_str(), stdout);
-  return r.ok() ? 0 : 1;
+  try {
+    const ExperimentResult r = run_experiment(workload, cfg, trace);
+    print_report(r, common.threads);
+    if (trace.enabled()) std::printf("\ntrace      : %s\n", trace.path.c_str());
+    return r.ok() ? 0 : 1;
+  } catch (const std::exception& e) {
+    const std::string what = e.what();
+    std::fprintf(stderr, "%s: %s\n", argv[0],
+                 what.substr(0, what.find('\n')).c_str());
+    return 1;
+  }
 }
