@@ -1,10 +1,7 @@
 #!/usr/bin/env bash
 # Golden-file test for asfsim_lint: every *_flag.cpp fixture must produce
 # exactly its seeded diagnostics (right rule, right count, nonzero exit);
-# every *_pass.cpp fixture must come back clean. Model-consistency rules
-# are exercised on fixture *directories* (tests/lint_fixtures/model/*):
-# each *_flag dir must yield exactly one finding of its rule, each *_pass
-# dir must come back clean.
+# every *_pass.cpp fixture must come back clean.
 #
 # usage: check_lint_fixtures.sh <asfsim_lint-binary> <fixtures-dir>
 set -u
@@ -34,15 +31,6 @@ expected_count() {
     r5_flag.cpp) echo 3 ;;
     r6_flag.cpp) echo 3 ;;
     *)           echo 1 ;;
-  esac
-}
-
-# Cross-TU model rules are keyed off directory names under model/.
-model_rule_of() {
-  case "$(basename "$1")" in
-    hash_*)  echo "hash-completeness" ;;
-    stats_*) echo "stats-blob-completeness" ;;
-    *)       echo "" ;;
   esac
 }
 
@@ -78,36 +66,6 @@ for f in $(find "$DIR" -name '*_pass.cpp' | sort); do
     echo "ok:   $f (clean)"
   fi
 done
-
-# Model-consistency fixture directories: whole-dir lint so the cross-TU
-# passes see the config header and the serializer together.
-if [ -d "$DIR/model" ]; then
-  for d in $(find "$DIR/model" -mindepth 1 -maxdepth 1 -type d -name '*_flag' | sort); do
-    out=$("$LINT" "$d" 2>/dev/null)
-    rc=$?
-    rule=$(model_rule_of "$d")
-    got=$(printf '%s\n' "$out" | grep -c ": ${rule}: ")
-    total=$(printf '%s\n' "$out" | grep -c ":[0-9]*: [a-z-]*: ")
-    if [ "$rc" -eq 0 ]; then
-      echo "FAIL: $d: expected nonzero exit, got 0"; fail=1
-    elif [ "$got" -ne 1 ] || [ "$total" -ne 1 ]; then
-      echo "FAIL: $d: expected exactly 1 '$rule' finding, got $got ($total total):"; fail=1
-      printf '%s\n' "$out"
-    else
-      echo "ok:   $d (1 x $rule)"
-    fi
-  done
-  for d in $(find "$DIR/model" -mindepth 1 -maxdepth 1 -type d -name '*_pass' | sort); do
-    out=$("$LINT" "$d" 2>/dev/null)
-    rc=$?
-    if [ "$rc" -ne 0 ]; then
-      echo "FAIL: $d: expected clean run, exit $rc:"; fail=1
-      printf '%s\n' "$out"
-    else
-      echo "ok:   $d (clean)"
-    fi
-  done
-fi
 
 # --fix-hints must print a hoisting rewrite for R1.
 hint=$("$LINT" --fix-hints "$DIR/r1_flag.cpp" 2>/dev/null | grep -c "fix: hoist")

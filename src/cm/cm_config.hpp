@@ -5,12 +5,15 @@
 // resolution side: which ContentionPolicy the runtime consults when a
 // detector reports a conflict, plus the knobs the policies share. It lives
 // below sim/ so both SimConfig and the policy objects can include it without
-// a cycle; SimConfig embeds it as `SimConfig::cm` and folds every field into
-// the jobspec hash (runner cache key).
+// a cycle; SimConfig embeds it as `SimConfig::cm`, and the jobspec hash
+// (runner cache key) and the --cm-* flags walk its field table below, whose
+// static_assert makes an unlisted field a compile error.
 #pragma once
 
 #include <cstdint>
 #include <string_view>
+
+#include "sim/fields.hpp"
 
 namespace asfsim {
 
@@ -62,5 +65,18 @@ struct CmConfig {
     return policy != CmPolicyKind::kRequesterWins || stats;
   }
 };
+
+template <>
+struct FieldTable<CmConfig> {
+  static constexpr auto fields = std::tuple{
+      field(&CmConfig::policy, {.key = "policy", .flag = "--cm-policy"}),
+      field(&CmConfig::max_retries,
+            {.key = "max_retries", .flag = "--cm-max-retries"}),
+      field(&CmConfig::karma, {.key = "karma", .flag = "--cm-karma"}),
+      field(&CmConfig::stats, {.key = "stats", .flag = "--cm-stats"}),
+  };
+};
+static_assert(table_complete<CmConfig>(),
+              "every CmConfig member needs an entry");
 
 }  // namespace asfsim

@@ -1,10 +1,11 @@
 // Fault-injection and protocol-mutation configuration (docs/robustness.md).
 //
-// FaultConfig is embedded in SimConfig, so every knob participates in the
-// runner's canonical JobSpec serialization: a faulted run can never alias a
-// clean run in the result cache. Injection itself (FaultPlan) is derived
-// from the simulation seed, so fault runs are byte-deterministic across
-// --jobs values and repeat runs.
+// FaultConfig is embedded in SimConfig, so every knob in its field table
+// (below) participates in the runner's canonical JobSpec serialization: a
+// faulted run can never alias a clean run in the result cache. The same
+// table defines the --fault-* / --mutate flags. Injection itself
+// (FaultPlan) is derived from the simulation seed, so fault runs are
+// byte-deterministic across --jobs values and repeat runs.
 //
 // Mutations are different from faults: a fault is a legal-but-unlucky event
 // (real ASF hardware aborts spuriously and under capacity pressure), while
@@ -16,6 +17,7 @@
 #include <cstdint>
 #include <string_view>
 
+#include "sim/fields.hpp"
 #include "sim/types.hpp"
 
 namespace asfsim {
@@ -110,5 +112,27 @@ struct FaultConfig {
     return any_injection() || mutation != ProtocolMutation::kNone;
   }
 };
+
+template <>
+struct FieldTable<FaultConfig> {
+  static constexpr auto fields = std::tuple{
+      field(&FaultConfig::spurious_abort_rate,
+            {.key = "spurious_abort_rate", .flag = "--fault-spurious",
+             .lo = 0.0, .hi = 1.0}),
+      field(&FaultConfig::commit_abort_rate,
+            {.key = "commit_abort_rate", .flag = "--fault-commit", .lo = 0.0,
+             .hi = 1.0}),
+      field(&FaultConfig::evict_rate,
+            {.key = "evict_rate", .flag = "--fault-evict", .lo = 0.0,
+             .hi = 1.0}),
+      field(&FaultConfig::probe_jitter,
+            {.key = "probe_jitter", .flag = "--fault-probe-jitter"}),
+      field(&FaultConfig::sched_jitter,
+            {.key = "sched_jitter", .flag = "--fault-sched-jitter"}),
+      field(&FaultConfig::mutation, {.key = "mutation", .flag = "--mutate"}),
+  };
+};
+static_assert(table_complete<FaultConfig>(),
+              "every FaultConfig member needs an entry");
 
 }  // namespace asfsim

@@ -30,6 +30,22 @@ struct FaultCounters {
   Cycle sched_jitter_cycles = 0;
 };
 
+/// Manifest / report order (runner/runner.cpp, stats/report.cpp).
+template <>
+struct FieldTable<FaultCounters> {
+  static constexpr auto fields = std::tuple{
+      field(&FaultCounters::spurious_aborts, {"spurious_aborts"}),
+      field(&FaultCounters::commit_aborts, {"commit_aborts"}),
+      field(&FaultCounters::forced_evictions, {"forced_evictions"}),
+      field(&FaultCounters::probe_jitter_events, {"probe_jitter_events"}),
+      field(&FaultCounters::probe_jitter_cycles, {"probe_jitter_cycles"}),
+      field(&FaultCounters::sched_jitter_events, {"sched_jitter_events"}),
+      field(&FaultCounters::sched_jitter_cycles, {"sched_jitter_cycles"}),
+  };
+};
+static_assert(table_complete<FaultCounters>(),
+              "every FaultCounters member needs an entry");
+
 class FaultPlan {
  public:
   FaultPlan(const FaultConfig& cfg, std::uint64_t seed, std::uint32_t ncores);

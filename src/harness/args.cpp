@@ -2,11 +2,91 @@
 
 #include <cstdio>
 #include <cstdlib>
-
-#include "cm/cm_config.hpp"
-#include "fault/fault_config.hpp"
+#include <type_traits>
 
 namespace asfsim {
+
+namespace {
+
+// Flag readers and --help metavariables by field type: a config table names
+// the flag, the field's type picks how its value is parsed.
+
+template <typename T>
+void read_value(CliArgs& a, const FieldInfo& f, T& v) {
+  if constexpr (std::is_same_v<T, bool>) {
+    v = true;  // a switch: takes no value
+  } else if constexpr (std::is_floating_point_v<T>) {
+    v = a.number(f.lo, f.hi);
+  } else {
+    v = a.number<T>();
+  }
+}
+
+void read_value(CliArgs& a, const FieldInfo&, ProtocolMutation& v) {
+  const char* name = a.value();
+  if (!parse_mutation(name, v)) {
+    a.fail(std::string("unknown --mutate ") + name +
+           " (try drop-dirty-subblock, forget-invalidated-specinfo, "
+           "skip-written-mask, skip-commit-validation)");
+  }
+}
+
+void read_value(CliArgs& a, const FieldInfo&, CmPolicyKind& v) {
+  const char* name = a.value();
+  if (!parse_cm_policy(name, v)) {
+    a.fail(std::string("unknown --cm-policy ") + name +
+           " (try requester-wins, polite, timestamp, serialize)");
+  }
+}
+
+void read_value(CliArgs& a, const FieldInfo&, OltpMix& v) {
+  const char* name = a.value();
+  if (!parse_oltp_mix(name, v)) {
+    a.fail(std::string("unknown --oltp-mix ") + name +
+           " (try a..f or custom)");
+  }
+}
+
+template <typename T>
+const char* metavar(const T&) {
+  if constexpr (std::is_same_v<T, bool>) {
+    return nullptr;  // a switch
+  } else {
+    return std::is_floating_point_v<T> ? "f" : "n";
+  }
+}
+const char* metavar(const ProtocolMutation&) { return "name"; }
+const char* metavar(const CmPolicyKind&) {
+  return "requester-wins|polite|timestamp|serialize";
+}
+const char* metavar(const OltpMix&) { return "a..f|custom"; }
+
+template <typename R>
+bool parse_table_flag(CliArgs& a, R& r) {
+  bool hit = false;
+  for_each_field(r, [&](const FieldInfo& f, auto& v) {
+    if (hit || f.flag == nullptr || a.arg() != f.flag) return;
+    read_value(a, f, v);
+    hit = true;
+  });
+  return hit;
+}
+
+/// " [--flag metavar]..." over a record's flagged fields.
+template <typename R>
+std::string table_usage() {
+  std::string out;
+  const R defaults{};
+  for_each_field(defaults, [&](const FieldInfo& f, const auto& v) {
+    if (f.flag == nullptr) return;
+    out += std::string(" [") + f.flag;
+    if (const char* m = metavar(v)) out += std::string(" ") + m;
+    out += ']';
+  });
+  return out;
+}
+
+}  // namespace
 
 const char* CliArgs::value() {
   if (i_ + 1 >= argc_) fail(std::string("missing value for ") + argv_[i_]);
@@ -17,6 +97,10 @@ void CliArgs::fail(const std::string& msg) const {
   std::fprintf(stderr, "%s: %s\n", argv_[0], msg.c_str());
   std::exit(2);
 }
+
+bool parse_flag(CliArgs& a, FaultConfig& c) { return parse_table_flag(a, c); }
+bool parse_flag(CliArgs& a, OltpConfig& c) { return parse_table_flag(a, c); }
+bool parse_flag(CliArgs& a, CmConfig& c) { return parse_table_flag(a, c); }
 
 CliOptions parse_cli(int argc, char** argv, const CliExtras& extras) {
   CliOptions o;
@@ -46,64 +130,8 @@ CliOptions parse_cli(int argc, char** argv, const CliExtras& extras) {
       if (o.trace_format != "jsonl" && o.trace_format != "perfetto") {
         a.fail("--trace-format must be jsonl or perfetto");
       }
-    } else if (f == "--fault-spurious") {
-      o.fault_spurious = a.number(0.0, 1.0);
-    } else if (f == "--fault-commit") {
-      o.fault_commit = a.number(0.0, 1.0);
-    } else if (f == "--fault-evict") {
-      o.fault_evict = a.number(0.0, 1.0);
-    } else if (f == "--fault-probe-jitter") {
-      o.fault_probe_jitter = a.number<std::uint64_t>();
-    } else if (f == "--fault-sched-jitter") {
-      o.fault_sched_jitter = a.number<std::uint64_t>();
-    } else if (f == "--mutate") {
-      o.mutate = a.value();
-      ProtocolMutation mut;
-      if (!parse_mutation(o.mutate, mut)) {
-        a.fail("unknown --mutate " + o.mutate +
-               " (try drop-dirty-subblock, forget-invalidated-specinfo, "
-               "skip-written-mask, skip-commit-validation)");
-      }
-    } else if (f == "--oltp-records") {
-      o.oltp.records = a.number<std::uint64_t>();
-    } else if (f == "--oltp-payload") {
-      o.oltp.payload_bytes = a.number<std::uint32_t>();
-    } else if (f == "--oltp-tx-len") {
-      o.oltp.tx_len = a.number<std::uint32_t>();
-    } else if (f == "--oltp-tx") {
-      o.oltp.tx_per_thread = a.number<std::uint64_t>();
-    } else if (f == "--oltp-theta") {
-      o.oltp.theta = a.number(0.0);
-    } else if (f == "--oltp-read-ratio") {
-      o.oltp.read_ratio = a.number(0.0, 1.0);
-    } else if (f == "--oltp-rmw-ratio") {
-      o.oltp.rmw_ratio = a.number(0.0, 1.0);
-    } else if (f == "--oltp-scan-ratio") {
-      o.oltp.scan_ratio = a.number(0.0, 1.0);
-    } else if (f == "--oltp-scan-len") {
-      o.oltp.scan_len = a.number<std::uint32_t>();
-    } else if (f == "--oltp-hot-window") {
-      o.oltp.hot_window = a.number<std::uint64_t>();
     } else if (f == "--prov") {
       o.prov = true;
-    } else if (f == "--cm-policy") {
-      const char* name = a.value();
-      if (!parse_cm_policy(name, o.cm.policy)) {
-        a.fail(std::string("unknown --cm-policy ") + name +
-               " (try requester-wins, polite, timestamp, serialize)");
-      }
-    } else if (f == "--cm-max-retries") {
-      o.cm.max_retries = a.number<std::uint32_t>();
-    } else if (f == "--cm-karma") {
-      o.cm.karma = a.number<std::uint32_t>();
-    } else if (f == "--cm-stats") {
-      o.cm.stats = true;
-    } else if (f == "--oltp-mix") {
-      const char* name = a.value();
-      if (!parse_oltp_mix(name, o.oltp.mix)) {
-        a.fail(std::string("unknown --oltp-mix ") + name +
-               " (try a..f or custom)");
-      }
     } else if (f == "--watchdog") {
       o.watchdog = a.number<std::uint64_t>();
     } else if (f == "--job-timeout") {
@@ -112,21 +140,17 @@ CliOptions parse_cli(int argc, char** argv, const CliExtras& extras) {
       std::printf(
           "usage: %s%s [--scale f] [--threads n] [--seed n]%s "
           "[--trace-dir dir] [--trace-format jsonl|perfetto]\n"
-          "  robustness: [--fault-spurious p] [--fault-commit p] "
-          "[--fault-evict p] [--fault-probe-jitter n] "
-          "[--fault-sched-jitter n] [--mutate name] [--watchdog n] "
-          "[--job-timeout s]\n"
-          "  oltp: [--oltp-records n] [--oltp-payload n] [--oltp-tx-len n] "
-          "[--oltp-tx n] [--oltp-theta f] [--oltp-read-ratio f] "
-          "[--oltp-rmw-ratio f] [--oltp-scan-ratio f] [--oltp-scan-len n] "
-          "[--oltp-hot-window n] [--oltp-mix a..f|custom]\n"
-          "  contention: [--cm-policy requester-wins|polite|timestamp|"
-          "serialize] [--cm-max-retries n] [--cm-karma n] [--cm-stats]\n"
+          "  robustness:%s [--watchdog n] [--job-timeout s]\n"
+          "  oltp:%s\n"
+          "  contention:%s\n"
           "  observability: [--prov] (conflict provenance attribution)\n",
           argv[0], extras.usage.c_str(),
-          extras.runner_flags ? " [--csv dir] [--jobs n] [--no-cache]" : "");
+          extras.runner_flags ? " [--csv dir] [--jobs n] [--no-cache]" : "",
+          table_usage<FaultConfig>().c_str(), table_usage<OltpConfig>().c_str(),
+          table_usage<CmConfig>().c_str());
       std::exit(0);
-    } else if (!extras.flag || !extras.flag(a)) {
+    } else if (!parse_flag(a, o.fault) && !parse_flag(a, o.oltp) &&
+               !parse_flag(a, o.cm) && (!extras.flag || !extras.flag(a))) {
       a.fail("unknown flag " + std::string(f) + " (see --help)");
     }
   }

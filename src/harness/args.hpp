@@ -1,59 +1,10 @@
-// Tiny CLI parsing shared by the figure driver, asfsim_explore and examples.
-//
-// Common flags:
-//   --scale <f>    input-size multiplier (default 1.0)
-//   --threads <n>  guest threads (default 8, the paper's core count)
-//   --seed <n>     deterministic seed (default 1)
-//   --csv <dir>    also write CSV series into <dir>
-//   --jobs <n>     host worker threads for the experiment runner
-//                  (default 0 = hardware concurrency; results are
-//                  byte-identical for any value — see docs/runner.md)
-//   --no-cache     bypass the on-disk result cache (build/.asfsim-cache/)
-//   --trace-dir <dir>     write one full-timeline trace file per job
-//   --trace-format <fmt>  jsonl (default) or perfetto
-//                         (see docs/observability.md)
-//
-// Robustness flags (docs/robustness.md):
-//   --fault-spurious <p>      per-tx-access spurious-abort probability
-//   --fault-commit <p>        per-commit injected-abort probability
-//   --fault-evict <p>         per-tx-access forced speculative eviction prob.
-//   --fault-probe-jitter <n>  max extra cycles per probe broadcast
-//   --fault-sched-jitter <n>  max extra cycles per scheduled resume
-//   --mutate <name>           protocol mutation (chaos harness)
-//   --watchdog <n>            livelock watchdog threshold in cycles (0 = off)
-//   --job-timeout <s>         per-job wall-clock limit in seconds (0 = off)
-//
-// OLTP workload knobs (docs/workloads.md, "The OLTP/KV family"):
-//   --oltp-records <n>     table size in records
-//   --oltp-payload <n>     payload bytes per record (multiple of 8)
-//   --oltp-tx-len <n>      operations per transaction
-//   --oltp-tx <n>          transactions per guest thread (scaled by --scale)
-//   --oltp-theta <f>       zipf skew (0 = uniform; YCSB default 0.99)
-//   --oltp-read-ratio <f>  free-form mix: reads
-//   --oltp-rmw-ratio <f>   free-form mix: read-modify-writes
-//   --oltp-scan-ratio <f>  free-form mix: scans (rest = blind updates)
-//   --oltp-scan-len <n>    records per scan operation
-//   --oltp-hot-window <n>  YCSB-D "latest" sliding hot window (0 = whole
-//                          table; see docs/workloads.md)
-//   --oltp-mix <a..f>      YCSB preset (overrides the three ratios)
-//
-// Contention management (docs/contention.md):
-//   --cm-policy <name>     conflict-resolution policy: requester-wins
-//                          (default, the ASF hardware rule), polite
-//                          (requester-loses), timestamp (oldest-wins with
-//                          karma carry-over), serialize (bounded retries,
-//                          then the fallback lock guarantees progress)
-//   --cm-max-retries <n>   serialize policy: aborts before the transaction
-//                          escalates to the fallback lock (default 8)
-//   --cm-karma <n>         timestamp policy: cycles of priority credit per
-//                          prior abort (default 64)
-//   --cm-stats             record per-core starvation/fairness accounting
-//                          (adds the stats v5 section)
-//
-// Observability (docs/observability.md):
-//   --prov                 conflict provenance: attribute every conflict to
-//                          its allocation site (adds the stats v4 section
-//                          and provenance-tagged trace events)
+// Tiny CLI parsing shared by the figure driver, asfsim_explore, asfsim_chaos
+// and examples. `<prog> --help` lists every flag; the --fault-* / --mutate,
+// --oltp-* and --cm-* groups come straight from the FaultConfig, OltpConfig
+// and CmConfig field tables (flag spelling and accepted range), and the
+// knobs themselves are documented next to those fields. The flag groups'
+// background: docs/robustness.md, docs/workloads.md ("The OLTP/KV family"),
+// docs/contention.md and docs/observability.md (--prov).
 //
 // Every numeric value must parse completely and lie in the flag's range;
 // anything else ends in "<prog>: bad value for <flag>: '<text>'" and exit 2.
@@ -68,6 +19,7 @@
 #include <string_view>
 
 #include "cm/cm_config.hpp"
+#include "fault/fault_config.hpp"
 #include "oltp/oltp_config.hpp"
 
 namespace asfsim {
@@ -84,12 +36,7 @@ struct CliOptions {
 
   // Robustness knobs (apply_robustness_options folds them into the
   // ExperimentConfig; all defaults preserve the clean-run byte output).
-  double fault_spurious = 0.0;
-  double fault_commit = 0.0;
-  double fault_evict = 0.0;
-  std::uint64_t fault_probe_jitter = 0;
-  std::uint64_t fault_sched_jitter = 0;
-  std::string mutate;        // validated by parse_cli (parse_mutation)
+  FaultConfig fault;
   std::uint64_t watchdog = 0;
   double job_timeout = 0.0;  // seconds; env ASFSIM_JOB_TIMEOUT also works
 
@@ -140,6 +87,13 @@ class CliArgs {
   char** argv_;
   int i_ = 0;
 };
+
+/// When the current argument is one of the record's flags (FieldInfo::flag),
+/// parse its value into that field — exiting 2 on a bad value — and return
+/// true; otherwise return false and consume nothing.
+bool parse_flag(CliArgs& a, FaultConfig& c);
+bool parse_flag(CliArgs& a, OltpConfig& c);
+bool parse_flag(CliArgs& a, CmConfig& c);
 
 /// What a binary accepts beyond the common flags.
 struct CliExtras {

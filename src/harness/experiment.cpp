@@ -65,16 +65,7 @@ ExperimentResult run_machine(const std::string& workload,
 }  // namespace
 
 void apply_robustness_options(const CliOptions& opts, ExperimentConfig& cfg) {
-  FaultConfig& f = cfg.sim.fault;
-  f.spurious_abort_rate = opts.fault_spurious;
-  f.commit_abort_rate = opts.fault_commit;
-  f.evict_rate = opts.fault_evict;
-  f.probe_jitter = opts.fault_probe_jitter;
-  f.sched_jitter = opts.fault_sched_jitter;
-  if (!parse_mutation(opts.mutate, f.mutation)) {
-    // parse_cli already rejected unknown names; belt and braces.
-    throw std::invalid_argument("unknown --mutate " + opts.mutate);
-  }
+  cfg.sim.fault = opts.fault;
   cfg.sim.watchdog_cycles = opts.watchdog;
   cfg.wall_limit_s = opts.job_timeout;
   cfg.params.oltp = opts.oltp;

@@ -34,6 +34,22 @@ struct ExperimentConfig {
   }
 };
 
+template <>
+struct FieldTable<ExperimentConfig> {
+  static constexpr auto fields = std::tuple{
+      field(&ExperimentConfig::detector, {"detector"}),
+      field(&ExperimentConfig::nsub, {"nsub"}),
+      field(&ExperimentConfig::sim, {"sim"}),
+      field(&ExperimentConfig::params, {"params"}),
+      field(&ExperimentConfig::timeseries, {"timeseries"}),
+      field(&ExperimentConfig::max_cycles, {"max_cycles"}),
+      field(&ExperimentConfig::wall_limit_s,
+            {.key = "wall_limit_s", .role = FieldRole::kHostOnly}),
+  };
+};
+static_assert(table_complete<ExperimentConfig>(),
+              "every ExperimentConfig member needs an entry");
+
 /// On-disk format for a full-timeline trace (docs/observability.md).
 enum class TraceFormat : std::uint8_t { kNone = 0, kJsonl, kPerfetto };
 

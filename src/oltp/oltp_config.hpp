@@ -3,14 +3,17 @@
 //
 // OltpConfig is embedded in WorkloadParams, so every knob reaches the
 // workload through the normal setup() plumbing AND participates in the
-// runner's canonical JobSpec serialization (runner/job_spec.cpp, enforced
-// by asfsim_lint's hash-completeness rule): two OLTP runs differing in any
-// knob can never alias in the result cache.
+// runner's canonical JobSpec serialization (runner/job_spec.cpp walks the
+// field table below, whose static_assert makes an unlisted knob a compile
+// error): two OLTP runs differing in any knob can never alias in the result
+// cache. The same table defines the --oltp-* flags.
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <string_view>
+
+#include "sim/fields.hpp"
 
 namespace asfsim {
 
@@ -75,5 +78,35 @@ struct OltpConfig {
   /// Checked at workload setup, before any guest memory is allocated.
   [[nodiscard]] std::string validate() const;
 };
+
+template <>
+struct FieldTable<OltpConfig> {
+  static constexpr auto fields = std::tuple{
+      field(&OltpConfig::records, {.key = "records", .flag = "--oltp-records"}),
+      field(&OltpConfig::payload_bytes,
+            {.key = "payload_bytes", .flag = "--oltp-payload"}),
+      field(&OltpConfig::tx_len, {.key = "tx_len", .flag = "--oltp-tx-len"}),
+      field(&OltpConfig::tx_per_thread,
+            {.key = "tx_per_thread", .flag = "--oltp-tx"}),
+      field(&OltpConfig::theta,
+            {.key = "theta", .flag = "--oltp-theta", .lo = 0.0}),
+      field(&OltpConfig::read_ratio,
+            {.key = "read_ratio", .flag = "--oltp-read-ratio",
+             .lo = 0.0, .hi = 1.0}),
+      field(&OltpConfig::rmw_ratio,
+            {.key = "rmw_ratio", .flag = "--oltp-rmw-ratio",
+             .lo = 0.0, .hi = 1.0}),
+      field(&OltpConfig::scan_ratio,
+            {.key = "scan_ratio", .flag = "--oltp-scan-ratio",
+             .lo = 0.0, .hi = 1.0}),
+      field(&OltpConfig::scan_len,
+            {.key = "scan_len", .flag = "--oltp-scan-len"}),
+      field(&OltpConfig::hot_window,
+            {.key = "hot_window", .flag = "--oltp-hot-window"}),
+      field(&OltpConfig::mix, {.key = "mix", .flag = "--oltp-mix"}),
+  };
+};
+static_assert(table_complete<OltpConfig>(),
+              "every OltpConfig member needs an entry");
 
 }  // namespace asfsim

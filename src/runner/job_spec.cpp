@@ -7,30 +7,40 @@ namespace asfsim::runner {
 
 namespace {
 
-template <typename UInt>
-void kv(std::string& out, const char* key, UInt v) {
-  static_assert(std::is_unsigned_v<UInt> || std::is_same_v<UInt, int>);
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%s %llu\n", key,
-                static_cast<unsigned long long>(v));
-  out += buf;
-}
+/// Table visitor appending one `<path> <value>` line per results-role leaf
+/// field; nested records extend the dotted path ("sim.l1.ways").
+class Canonical {
+ public:
+  explicit Canonical(std::string& out) : out_(out) {}
 
-// %a is exact (no rounding on round trip) and independent of print
-// precision, so double-valued knobs cannot alias across specs.
-void kv(std::string& out, const char* key, double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%s %a\n", key, v);
-  out += buf;
-}
+  template <typename T>
+  void operator()(const FieldInfo& f, const T& v) {
+    if (f.role == FieldRole::kHostOnly) return;
+    const std::size_t outer = path_.size();
+    path_ += f.key;
+    if constexpr (Tabled<T>) {
+      path_ += '.';
+      for_each_field(v, *this);
+    } else {
+      char buf[32];
+      if constexpr (std::is_floating_point_v<T>) {
+        // %a is exact (no rounding on round trip) and independent of print
+        // precision, so double-valued knobs cannot alias across specs.
+        std::snprintf(buf, sizeof(buf), " %a\n", v);
+      } else {
+        std::snprintf(buf, sizeof(buf), " %llu\n",
+                      static_cast<unsigned long long>(v));
+      }
+      out_ += path_;
+      out_ += buf;
+    }
+    path_.resize(outer);
+  }
 
-void kv_cache(std::string& out, const char* key, const CacheLevelConfig& c) {
-  char buf[96];
-  std::snprintf(buf, sizeof(buf), "%s %u %u %u %llu\n", key, c.size_bytes,
-                c.line_bytes, c.ways,
-                static_cast<unsigned long long>(c.latency));
-  out += buf;
-}
+ private:
+  std::string& out_;
+  std::string path_;
+};
 
 }  // namespace
 
@@ -51,72 +61,11 @@ JobSpec make_job_spec(const std::string& workload,
   // Mirror run_experiment: the effective sim seed is the params seed.
   spec.config.sim.seed = cfg.params.seed;
 
-  const SimConfig& sim = spec.config.sim;
   std::string& s = spec.canonical;
-  s.reserve(768);
-  s += "asfsim-jobspec v5\n";
+  s.reserve(2048);
+  s += "asfsim-jobspec v6\n";
   s += "workload " + workload + "\n";
-  kv(s, "detector", static_cast<std::uint64_t>(cfg.detector));
-  kv(s, "nsub", cfg.nsub);
-  kv(s, "timeseries", cfg.timeseries ? 1 : 0);
-  kv(s, "max_cycles", cfg.max_cycles);
-  kv(s, "threads", cfg.params.threads);
-  kv(s, "seed", cfg.params.seed);
-  kv(s, "scale", cfg.params.scale);
-  kv(s, "ncores", sim.ncores);
-  kv_cache(s, "l1", sim.l1);
-  kv_cache(s, "l2", sim.l2);
-  kv_cache(s, "l3", sim.l3);
-  kv(s, "mem_latency", sim.mem_latency);
-  kv(s, "cache2cache_latency", sim.cache2cache_latency);
-  kv(s, "upgrade_latency", sim.upgrade_latency);
-  kv(s, "bus_occupancy", sim.bus_occupancy);
-  kv(s, "probe_delay", sim.probe_delay);
-  kv(s, "commit_latency", sim.commit_latency);
-  kv(s, "abort_latency", sim.abort_latency);
-  kv(s, "backoff_base", sim.backoff_base);
-  kv(s, "backoff_cap_shift", sim.backoff_cap_shift);
-  kv(s, "enable_ats", sim.enable_ats ? 1 : 0);
-  kv(s, "ats_alpha", sim.ats_alpha);
-  kv(s, "ats_threshold", sim.ats_threshold);
-  // v2: robustness knobs that change simulation output. The host-side
-  // wall-clock limit (ExperimentConfig::wall_limit_s) is deliberately
-  // excluded — it never changes the result, only whether the host waits.
-  kv(s, "max_tx_retries", sim.max_tx_retries);
-  kv(s, "max_capacity_aborts", sim.max_capacity_aborts);
-  kv(s, "watchdog_cycles", sim.watchdog_cycles);
-  kv(s, "fault_spurious", sim.fault.spurious_abort_rate);
-  kv(s, "fault_commit", sim.fault.commit_abort_rate);
-  kv(s, "fault_evict", sim.fault.evict_rate);
-  kv(s, "fault_probe_jitter", sim.fault.probe_jitter);
-  kv(s, "fault_sched_jitter", sim.fault.sched_jitter);
-  kv(s, "mutation", static_cast<std::uint64_t>(sim.fault.mutation));
-  // v3: the OLTP workload family's knobs (oltp/oltp_config.hpp). Serialized
-  // unconditionally — non-oltp workloads ignore them, and constant defaults
-  // cannot cause cache aliasing.
-  const OltpConfig& oltp = cfg.params.oltp;
-  kv(s, "oltp_records", oltp.records);
-  kv(s, "oltp_payload_bytes", oltp.payload_bytes);
-  kv(s, "oltp_tx_len", oltp.tx_len);
-  kv(s, "oltp_tx_per_thread", oltp.tx_per_thread);
-  kv(s, "oltp_theta", oltp.theta);
-  kv(s, "oltp_read_ratio", oltp.read_ratio);
-  kv(s, "oltp_rmw_ratio", oltp.rmw_ratio);
-  kv(s, "oltp_scan_ratio", oltp.scan_ratio);
-  kv(s, "oltp_scan_len", oltp.scan_len);
-  kv(s, "oltp_mix", static_cast<std::uint64_t>(oltp.mix));
-  // v4: YCSB-D "latest" sliding hot window, and conflict provenance (which
-  // changes the cached stats blob — it gains the opt-in v4 section — even
-  // though simulated outcomes are identical).
-  kv(s, "oltp_hot_window", oltp.hot_window);
-  kv(s, "provenance", sim.provenance ? 1 : 0);
-  // v5: contention-management knobs (cm/cm_config.hpp). cm_stats changes
-  // only the stats blob (it gains the opt-in v5 section), the rest change
-  // simulated outcomes.
-  kv(s, "cm_policy", static_cast<std::uint64_t>(sim.cm.policy));
-  kv(s, "cm_max_retries", sim.cm.max_retries);
-  kv(s, "cm_karma", sim.cm.karma);
-  kv(s, "cm_stats", sim.cm.stats ? 1 : 0);
+  for_each_field(cfg, Canonical(s));
 
   char buf[24];
   std::snprintf(buf, sizeof(buf), "%016llx",

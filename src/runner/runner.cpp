@@ -299,23 +299,14 @@ void Runner::write_manifest() {
       }
     }
     if (opts_.manifest_fault_counters && e.has_fault_counters) {
-      const FaultCounters& fc = e.fault_counters;
-      char fcbuf[512];
-      std::snprintf(fcbuf, sizeof(fcbuf),
-                    ", \"fault_counters\": {\"spurious_aborts\": %llu, "
-                    "\"commit_aborts\": %llu, \"forced_evictions\": %llu, "
-                    "\"probe_jitter_events\": %llu, "
-                    "\"probe_jitter_cycles\": %llu, "
-                    "\"sched_jitter_events\": %llu, "
-                    "\"sched_jitter_cycles\": %llu}",
-                    static_cast<unsigned long long>(fc.spurious_aborts),
-                    static_cast<unsigned long long>(fc.commit_aborts),
-                    static_cast<unsigned long long>(fc.forced_evictions),
-                    static_cast<unsigned long long>(fc.probe_jitter_events),
-                    static_cast<unsigned long long>(fc.probe_jitter_cycles),
-                    static_cast<unsigned long long>(fc.sched_jitter_events),
-                    static_cast<unsigned long long>(fc.sched_jitter_cycles));
-      out << fcbuf;
+      out << ", \"fault_counters\": {";
+      const char* sep = "";
+      for_each_field(e.fault_counters,
+                     [&](const FieldInfo& f, std::uint64_t v) {
+                       out << sep << '"' << f.key << "\": " << v;
+                       sep = ", ";
+                     });
+      out << "}";
     }
     if (!e.trace.empty()) {
       out << ", \"trace\": \"" << json_escape(e.trace) << "\"";

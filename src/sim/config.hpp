@@ -10,6 +10,7 @@
 
 #include "cm/cm_config.hpp"
 #include "fault/fault_config.hpp"
+#include "sim/fields.hpp"
 #include "sim/types.hpp"
 
 namespace asfsim {
@@ -35,7 +36,7 @@ struct SimConfig {
   // Private L2: 512KB, 16-way, 15-cycle load-to-use.
   CacheLevelConfig l2{512 * 1024, 64, 16, 15};
   // Private L3: 2MB, 16-way, 50-cycle load-to-use.
-  CacheLevelConfig l3{2 * 1024 * 1024, 16 * 64 * 4, 50};  // fixed below
+  CacheLevelConfig l3{2 * 1024 * 1024, 64, 16, 50};
   // Main memory load-to-use latency.
   Cycle mem_latency = 210;
   // Remote-L1 cache-to-cache transfer latency (HyperTransport-ish).
@@ -101,18 +102,56 @@ struct SimConfig {
 
   std::uint64_t seed = 1;
 
-  SimConfig() {
-    l3.size_bytes = 2 * 1024 * 1024;
-    l3.line_bytes = 64;
-    l3.ways = 16;
-    l3.latency = 50;
-  }
-
   /// Sanity-check the configuration. `nsub` is the conflict detector's
   /// sub-block count (1 for per-line detectors). Returns an empty string
   /// when valid, else a description of the first problem. Machine rejects
   /// invalid configs at construction (std::invalid_argument).
   [[nodiscard]] std::string validate(std::uint32_t nsub = 1) const;
 };
+
+template <>
+struct FieldTable<CacheLevelConfig> {
+  static constexpr auto fields = std::tuple{
+      field(&CacheLevelConfig::size_bytes, {"size_bytes"}),
+      field(&CacheLevelConfig::line_bytes, {"line_bytes"}),
+      field(&CacheLevelConfig::ways, {"ways"}),
+      field(&CacheLevelConfig::latency, {"latency"}),
+  };
+};
+static_assert(table_complete<CacheLevelConfig>(),
+              "every CacheLevelConfig member needs an entry");
+
+template <>
+struct FieldTable<SimConfig> {
+  static constexpr auto fields = std::tuple{
+      field(&SimConfig::ncores, {"ncores"}),
+      field(&SimConfig::l1, {"l1"}),
+      field(&SimConfig::l2, {"l2"}),
+      field(&SimConfig::l3, {"l3"}),
+      field(&SimConfig::mem_latency, {"mem_latency"}),
+      field(&SimConfig::cache2cache_latency, {"cache2cache_latency"}),
+      field(&SimConfig::upgrade_latency, {"upgrade_latency"}),
+      field(&SimConfig::bus_occupancy, {"bus_occupancy"}),
+      field(&SimConfig::probe_delay, {"probe_delay"}),
+      field(&SimConfig::commit_latency, {"commit_latency"}),
+      field(&SimConfig::abort_latency, {"abort_latency"}),
+      field(&SimConfig::backoff_base, {"backoff_base"}),
+      field(&SimConfig::backoff_cap_shift, {"backoff_cap_shift"}),
+      field(&SimConfig::max_tx_retries, {"max_tx_retries"}),
+      field(&SimConfig::max_capacity_aborts, {"max_capacity_aborts"}),
+      field(&SimConfig::watchdog_cycles, {"watchdog_cycles"}),
+      field(&SimConfig::fault, {"fault"}),
+      field(&SimConfig::enable_ats, {"enable_ats"}),
+      field(&SimConfig::ats_alpha, {"ats_alpha"}),
+      field(&SimConfig::ats_threshold, {"ats_threshold"}),
+      field(&SimConfig::cm, {"cm"}),
+      field(&SimConfig::provenance, {"provenance"}),
+      // run_experiment overwrites it with WorkloadParams::seed, so in an
+      // ExperimentConfig it never reaches the simulation on its own.
+      field(&SimConfig::seed, {.key = "seed", .role = FieldRole::kHostOnly}),
+  };
+};
+static_assert(table_complete<SimConfig>(),
+              "every SimConfig member needs an entry");
 
 }  // namespace asfsim

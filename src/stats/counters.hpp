@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "core/conflict.hpp"
+#include "sim/fields.hpp"
 #include "sim/types.hpp"
 
 namespace asfsim {
@@ -177,5 +178,74 @@ class alignas(64) Stats {
   /// section is off or fewer than two cores reported.
   [[nodiscard]] double cm_wasted_gini() const;
 };
+
+/// The stats blob's field list, in blob order (stats/serialize.cpp).
+template <>
+struct FieldTable<Stats> {
+  static constexpr auto fields = std::tuple{
+      field(&Stats::tx_attempts, {"tx_attempts"}),
+      field(&Stats::tx_commits, {"tx_commits"}),
+      field(&Stats::tx_aborts, {"tx_aborts"}),
+      field(&Stats::fallback_runs, {"fallback_runs"}),
+      field(&Stats::ats_serialized, {"ats_serialized"}),
+      field(&Stats::aborts_by_cause, {"aborts_by_cause"}),
+      field(&Stats::conflicts_total, {"conflicts_total"}),
+      field(&Stats::conflicts_false, {"conflicts_false"}),
+      field(&Stats::false_by_type, {"false_by_type"}),
+      field(&Stats::true_by_type, {"true_by_type"}),
+      field(&Stats::false_conflicts_avoided, {"false_conflicts_avoided"}),
+      field(&Stats::accesses, {"accesses"}),
+      field(&Stats::tx_accesses, {"tx_accesses"}),
+      field(&Stats::l1_hits, {"l1_hits"}),
+      field(&Stats::l2_hits, {"l2_hits"}),
+      field(&Stats::l3_hits, {"l3_hits"}),
+      field(&Stats::mem_fetches, {"mem_fetches"}),
+      field(&Stats::c2c_transfers, {"c2c_transfers"}),
+      field(&Stats::probes_sent, {"probes_sent"}),
+      field(&Stats::piggyback_messages, {"piggyback_messages"}),
+      field(&Stats::dirty_refetches, {"dirty_refetches"}),
+      field(&Stats::upgrades, {"upgrades"}),
+      field(&Stats::bus_wait_cycles, {"bus_wait_cycles"}),
+      field(&Stats::false_surviving_at, {"false_surviving_at"}),
+      field(&Stats::false_by_line, {"false_by_line"}),
+      field(&Stats::tx_access_by_offset, {"tx_access_by_offset"}),
+      field(&Stats::record_timeseries, {"record_timeseries"}),
+      field(&Stats::tx_start_cycles, {"tx_start_cycles"}),
+      field(&Stats::false_conflict_cycles, {"false_conflict_cycles"}),
+      field(&Stats::total_cycles, {"total_cycles"}),
+      field(&Stats::tx_busy_cycles, {"tx_busy_cycles"}),
+      field(&Stats::tx_duration_hist, {"tx_duration_hist"}),
+      field(&Stats::tx_read_lines_hist, {"tx_read_lines_hist"}),
+      field(&Stats::tx_write_lines_hist, {"tx_write_lines_hist"}),
+      field(&Stats::wasted_cycles, {"wasted_cycles"}),
+      field(&Stats::backoff_cycles, {"backoff_cycles"}),
+      field(&Stats::tx_latency_hist, {"tx_latency_hist"}),
+      field(&Stats::prov_enabled,
+            {.key = "prov_enabled", .section = BlobSection::kProv}),
+      field(&Stats::prov_site_names,
+            {.key = "prov_site_names", .section = BlobSection::kProv}),
+      field(&Stats::prov_site_table,
+            {.key = "prov_site_table", .section = BlobSection::kProv}),
+      field(&Stats::prov_hot_lines,
+            {.key = "prov_hot_lines", .section = BlobSection::kProv}),
+      field(&Stats::prov_pairs,
+            {.key = "prov_pairs", .section = BlobSection::kProv}),
+      field(&Stats::cm_enabled,
+            {.key = "cm_enabled", .section = BlobSection::kCm}),
+      field(&Stats::cm_max_consec_aborts,
+            {.key = "cm_max_consec_aborts", .section = BlobSection::kCm}),
+      field(&Stats::cm_wasted_by_core,
+            {.key = "cm_wasted_by_core", .section = BlobSection::kCm}),
+      field(&Stats::cm_first_commit_cycle,
+            {.key = "cm_first_commit_cycle", .section = BlobSection::kCm}),
+      field(&Stats::cm_policy_decisions,
+            {.key = "cm_policy_decisions", .section = BlobSection::kCm}),
+      field(&Stats::cm_requester_losses,
+            {.key = "cm_requester_losses", .section = BlobSection::kCm}),
+      field(&Stats::cm_fallback_acquisitions,
+            {.key = "cm_fallback_acquisitions", .section = BlobSection::kCm}),
+  };
+};
+static_assert(table_complete<Stats>(), "every Stats member needs an entry");
 
 }  // namespace asfsim

@@ -1,6 +1,8 @@
 #include "stats/report.hpp"
 
+#include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <utility>
 
 namespace asfsim {
@@ -51,12 +53,27 @@ std::string TextTable::num(double v, int decimals) {
 }
 
 void print_fault_counters(std::ostream& os, const FaultCounters& fc) {
-  os << "  injected faults: spurious aborts " << fc.spurious_aborts
-     << ", commit aborts " << fc.commit_aborts << ", forced evictions "
-     << fc.forced_evictions << "\n  timing perturbation: probe jitter "
-     << fc.probe_jitter_events << " events / " << fc.probe_jitter_cycles
-     << " cycles, sched jitter " << fc.sched_jitter_events << " events / "
-     << fc.sched_jitter_cycles << " cycles\n";
+  // Counted injections first ("spurious aborts 3"), then one "<source>
+  // jitter N events / M cycles" entry per *_events/*_cycles pair.
+  const char* sep = "  injected faults: ";
+  bool timing = false;
+  for_each_field(fc, [&](const FieldInfo& f, std::uint64_t v) {
+    std::string key = f.key;
+    if (key.ends_with("_cycles")) {
+      os << " / " << v << " cycles";
+      return;
+    }
+    const bool events = key.ends_with("_events");
+    if (events) {
+      key.resize(key.size() - std::strlen("_events"));
+      if (!timing) sep = "\n  timing perturbation: ";
+      timing = true;
+    }
+    std::replace(key.begin(), key.end(), '_', ' ');
+    os << sep << key << ' ' << v << (events ? " events" : "");
+    sep = ", ";
+  });
+  os << '\n';
 }
 
 CsvWriter::CsvWriter(const std::string& dir, const std::string& name) {

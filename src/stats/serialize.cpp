@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -10,6 +11,10 @@ namespace asfsim {
 
 namespace {
 
+// The blob is the Stats field table (stats/counters.hpp) written in order:
+// the core section, then the opt-in provenance and contention-management
+// sections, each opening with its bool presence flag.
+//
 // v2: appended the per-attempt profile fields (trace subsystem).
 // v3: appended tx_latency_hist (per-transaction latency, OLTP reporting).
 // v4: appended the opt-in conflict-provenance section. The v4 header is
@@ -22,11 +27,21 @@ namespace {
 // v5: appended the opt-in contention-management section (--cm-stats). Like
 // v4, the v5 header is only written when its section is present, so cm-off
 // blobs remain byte-identical to v4 (or v3 when provenance is off too). A
-// v5 blob always carries an explicit prov_present flag so the two opt-in
+// v5 blob always carries an explicit prov_enabled flag so the two opt-in
 // sections compose in every combination.
-constexpr const char* kHeaderV3 = "asfsim-stats v3";
-constexpr const char* kHeaderV4 = "asfsim-stats v4";
-constexpr const char* kHeaderV5 = "asfsim-stats v5";
+//
+// Hence the header is "v" + (3 + the last section present), every section
+// up to that one carries its flag, and the last one's flag is always 1.
+constexpr std::string_view kHeader = "asfsim-stats v";
+constexpr char kFirstVersion = '3';
+
+int section_index(const FieldInfo& f) { return static_cast<int>(f.section); }
+
+int last_section(const Stats& s) {
+  return static_cast<int>(s.cm_enabled     ? BlobSection::kCm
+                          : s.prov_enabled ? BlobSection::kProv
+                                           : BlobSection::kCore);
+}
 
 // Charset of serialized site-name tokens; matches the sanitizer in
 // prov/site_registry.cpp so round-trips are exact.
@@ -56,6 +71,68 @@ void put_seq(std::string& out, const char* key, const Range& values) {
   out += '\n';
 }
 
+template <std::size_t N>
+void put(std::string& out, const char* key,
+         const std::array<std::uint64_t, N>& values) {
+  put_seq(out, key, values);
+}
+
+void put(std::string& out, const char* key,
+         const std::vector<std::uint64_t>& values) {
+  put_seq(out, key, values);
+}
+
+void put(std::string& out, const char* key,
+         const std::vector<std::string>& names) {
+  out += key;
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), " %zu", names.size());
+  out += buf;
+  for (const std::string& name : names) {
+    out += ' ';
+    out += name;
+  }
+  out += '\n';
+}
+
+/// The per-line map flattens to addr/count pairs sorted by address.
+void put(std::string& out, const char* key,
+         const std::unordered_map<Addr, std::uint64_t>& by_line) {
+  std::vector<std::pair<Addr, std::uint64_t>> sorted(by_line.begin(),
+                                                     by_line.end());
+  std::sort(sorted.begin(), sorted.end());
+  std::vector<std::uint64_t> flat;
+  flat.reserve(sorted.size() * 2);
+  for (const auto& [addr, count] : sorted) {
+    flat.push_back(addr);
+    flat.push_back(count);
+  }
+  put_seq(out, key, flat);
+}
+
+/// Table visitor writing each field of the sections up to `last`.
+class Writer {
+ public:
+  Writer(std::string& out, int last) : out_(out), last_(last) {}
+
+  template <typename T>
+  void operator()(const FieldInfo& f, const T& v) {
+    const int section = section_index(f);
+    if (section > last_) return;
+    if constexpr (std::is_same_v<T, bool>) {
+      if (section != 0) on_ = v;  // an opt-in section's presence flag
+      put(out_, f.key, v ? 1 : 0);
+    } else if (on_) {
+      put(out_, f.key, v);
+    }
+  }
+
+ private:
+  std::string& out_;
+  int last_;
+  bool on_ = true;  // is the current section present?
+};
+
 /// Cursor over the blob; every read checks syntax so corruption surfaces
 /// as a false return from deserialize_stats, never as garbage stats.
 class Reader {
@@ -65,6 +142,14 @@ class Reader {
   bool literal(std::string_view text) {
     if (rest_.substr(0, text.size()) != text) return false;
     rest_.remove_prefix(text.size());
+    return true;
+  }
+
+  /// One character in [lo, hi], stored in `c`.
+  bool one_of(char lo, char hi, char& c) {
+    if (rest_.empty() || rest_[0] < lo || rest_[0] > hi) return false;
+    c = rest_[0];
+    rest_.remove_prefix(1);
     return true;
   }
 
@@ -85,22 +170,21 @@ class Reader {
     return true;
   }
 
-  bool field(std::string_view key, std::uint64_t& v) {
+  bool read(std::string_view key, std::uint64_t& v) {
     return literal(key) && u64(v) && literal("\n");
   }
 
-  template <typename Range>
-  bool fixed_seq(std::string_view key, Range& values) {
+  template <std::size_t N>
+  bool read(std::string_view key, std::array<std::uint64_t, N>& values) {
     std::uint64_t n = 0;
-    if (!literal(key) || !u64(n)) return false;
-    if (n != static_cast<std::uint64_t>(std::size(values))) return false;
+    if (!literal(key) || !u64(n) || n != N) return false;
     for (auto& v : values) {
       if (!u64(v)) return false;
     }
     return literal("\n");
   }
 
-  bool var_seq(std::string_view key, std::vector<Cycle>& values) {
+  bool read(std::string_view key, std::vector<std::uint64_t>& values) {
     std::uint64_t n = 0;
     if (!literal(key) || !u64(n)) return false;
     // Each value needs >= 2 bytes of input (" 0"), so a count larger than
@@ -118,10 +202,10 @@ class Reader {
   }
 
   /// Whitespace-delimited name tokens (site names; restricted charset).
-  bool name_seq(std::string_view key, std::vector<std::string>& values) {
+  bool read(std::string_view key, std::vector<std::string>& values) {
     std::uint64_t n = 0;
     if (!literal(key) || !u64(n)) return false;
-    if (n > rest_.size() / 2) return false;  // same bound as var_seq
+    if (n > rest_.size() / 2) return false;  // same bound as the numbers
     values.clear();
     values.reserve(n);
     for (std::uint64_t i = 0; i < n; ++i) {
@@ -135,10 +219,55 @@ class Reader {
     return literal("\n");
   }
 
+  bool read(std::string_view key,
+            std::unordered_map<Addr, std::uint64_t>& by_line) {
+    std::vector<std::uint64_t> flat;
+    if (!read(key, flat) || flat.size() % 2 != 0) return false;
+    for (std::size_t i = 0; i < flat.size(); i += 2) {
+      // Canonical blobs are sorted by address with no duplicates; anything
+      // else is corruption (a duplicate would silently merge two entries).
+      if (i > 0 && flat[i] <= flat[i - 2]) return false;
+      by_line[flat[i]] = flat[i + 1];
+    }
+    return true;
+  }
+
   [[nodiscard]] bool done() const { return rest_.empty(); }
 
  private:
   std::string_view rest_;
+};
+
+/// Table visitor parsing each field of the sections up to `last`; fields
+/// of absent sections keep their Stats{} defaults.
+class Parser {
+ public:
+  Parser(Reader& r, int last) : r_(r), last_(last) {}
+
+  template <typename T>
+  void operator()(const FieldInfo& f, T& v) {
+    const int section = section_index(f);
+    if (!ok_ || section > last_) return;
+    if constexpr (std::is_same_v<T, bool>) {
+      // 0/1; an opt-in section's flag must be 1 in the blob's last section
+      // (its header is only written when that section is present).
+      std::uint64_t flag = 0;
+      ok_ = r_.read(f.key, flag) && flag <= 1 &&
+            (section == 0 || section < last_ || flag == 1);
+      v = flag == 1;
+      if (section != 0) on_ = v;
+    } else if (on_) {
+      ok_ = r_.read(f.key, v);
+    }
+  }
+
+  [[nodiscard]] bool ok() const { return ok_; }
+
+ private:
+  Reader& r_;
+  int last_;
+  bool on_ = true;
+  bool ok_ = true;
 };
 
 }  // namespace
@@ -146,186 +275,33 @@ class Reader {
 std::string serialize_stats(const Stats& s) {
   std::string out;
   out.reserve(2048);
-  out += s.cm_enabled ? kHeaderV5
-                      : (s.prov_enabled ? kHeaderV4 : kHeaderV3);
+  const int last = last_section(s);
+  out += kHeader;
+  out += static_cast<char>(kFirstVersion + last);
   out += '\n';
-  put(out, "tx_attempts", s.tx_attempts);
-  put(out, "tx_commits", s.tx_commits);
-  put(out, "tx_aborts", s.tx_aborts);
-  put(out, "fallback_runs", s.fallback_runs);
-  put(out, "ats_serialized", s.ats_serialized);
-  put_seq(out, "aborts_by_cause", s.aborts_by_cause);
-  put(out, "conflicts_total", s.conflicts_total);
-  put(out, "conflicts_false", s.conflicts_false);
-  put_seq(out, "false_by_type", s.false_by_type);
-  put_seq(out, "true_by_type", s.true_by_type);
-  put(out, "false_conflicts_avoided", s.false_conflicts_avoided);
-  put(out, "accesses", s.accesses);
-  put(out, "tx_accesses", s.tx_accesses);
-  put(out, "l1_hits", s.l1_hits);
-  put(out, "l2_hits", s.l2_hits);
-  put(out, "l3_hits", s.l3_hits);
-  put(out, "mem_fetches", s.mem_fetches);
-  put(out, "c2c_transfers", s.c2c_transfers);
-  put(out, "probes_sent", s.probes_sent);
-  put(out, "piggyback_messages", s.piggyback_messages);
-  put(out, "dirty_refetches", s.dirty_refetches);
-  put(out, "upgrades", s.upgrades);
-  put(out, "bus_wait_cycles", s.bus_wait_cycles);
-  put_seq(out, "false_surviving_at", s.false_surviving_at);
-
-  std::vector<std::pair<Addr, std::uint64_t>> by_line(s.false_by_line.begin(),
-                                                      s.false_by_line.end());
-  std::sort(by_line.begin(), by_line.end());
-  std::vector<std::uint64_t> flat;
-  flat.reserve(by_line.size() * 2);
-  for (const auto& [addr, count] : by_line) {
-    flat.push_back(addr);
-    flat.push_back(count);
-  }
-  put_seq(out, "false_by_line", flat);
-
-  put_seq(out, "tx_access_by_offset", s.tx_access_by_offset);
-  put(out, "record_timeseries", s.record_timeseries ? 1 : 0);
-  put_seq(out, "tx_start_cycles", s.tx_start_cycles);
-  put_seq(out, "false_conflict_cycles", s.false_conflict_cycles);
-  put(out, "total_cycles", s.total_cycles);
-  put(out, "tx_busy_cycles", s.tx_busy_cycles);
-  put_seq(out, "tx_duration_hist", s.tx_duration_hist);
-  put_seq(out, "tx_read_lines_hist", s.tx_read_lines_hist);
-  put_seq(out, "tx_write_lines_hist", s.tx_write_lines_hist);
-  put(out, "wasted_cycles", s.wasted_cycles);
-  put(out, "backoff_cycles", s.backoff_cycles);
-  put_seq(out, "tx_latency_hist", s.tx_latency_hist);
-  if (s.prov_enabled || s.cm_enabled) {
-    // v4 wrote "prov_enabled 1" only when provenance was on; v5 writes the
-    // flag unconditionally so the cm section's position is unambiguous.
-    put(out, "prov_enabled", s.prov_enabled ? 1 : 0);
-  }
-  if (s.prov_enabled) {
-    out += "prov_site_names";
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), " %zu", s.prov_site_names.size());
-    out += buf;
-    for (const std::string& name : s.prov_site_names) {
-      out += ' ';
-      out += name;
-    }
-    out += '\n';
-    put_seq(out, "prov_site_table", s.prov_site_table);
-    put_seq(out, "prov_hot_lines", s.prov_hot_lines);
-    put_seq(out, "prov_pairs", s.prov_pairs);
-  }
-  if (s.cm_enabled) {
-    put(out, "cm_enabled", 1);
-    put_seq(out, "cm_max_consec_aborts", s.cm_max_consec_aborts);
-    put_seq(out, "cm_wasted_by_core", s.cm_wasted_by_core);
-    put_seq(out, "cm_first_commit_cycle", s.cm_first_commit_cycle);
-    put(out, "cm_policy_decisions", s.cm_policy_decisions);
-    put(out, "cm_requester_losses", s.cm_requester_losses);
-    put(out, "cm_fallback_acquisitions", s.cm_fallback_acquisitions);
-  }
+  for_each_field(s, Writer(out, last));
   return out;
 }
 
 bool deserialize_stats(std::string_view blob, Stats& out) {
   out = Stats{};
   Reader r(blob);
-  std::uint64_t flag = 0;
-  std::vector<Cycle> by_line_flat;
-  bool v4 = false;
-  bool v5 = false;
-  bool header_ok = false;
-  if (r.literal(kHeaderV3)) {
-    header_ok = true;
-  } else if (r.literal(kHeaderV4)) {
-    header_ok = true;
-    v4 = true;
-  } else if (r.literal(kHeaderV5)) {
-    header_ok = true;
-    v5 = true;
+  char version = 0;
+  if (!r.literal(kHeader) ||
+      !r.one_of(kFirstVersion, kFirstVersion + 2, version) ||
+      !r.literal("\n")) {
+    return false;
   }
-  bool ok =
-      header_ok && r.literal("\n") &&
-      r.field("tx_attempts", out.tx_attempts) &&
-      r.field("tx_commits", out.tx_commits) &&
-      r.field("tx_aborts", out.tx_aborts) &&
-      r.field("fallback_runs", out.fallback_runs) &&
-      r.field("ats_serialized", out.ats_serialized) &&
-      r.fixed_seq("aborts_by_cause", out.aborts_by_cause) &&
-      r.field("conflicts_total", out.conflicts_total) &&
-      r.field("conflicts_false", out.conflicts_false) &&
-      r.fixed_seq("false_by_type", out.false_by_type) &&
-      r.fixed_seq("true_by_type", out.true_by_type) &&
-      r.field("false_conflicts_avoided", out.false_conflicts_avoided) &&
-      r.field("accesses", out.accesses) &&
-      r.field("tx_accesses", out.tx_accesses) &&
-      r.field("l1_hits", out.l1_hits) && r.field("l2_hits", out.l2_hits) &&
-      r.field("l3_hits", out.l3_hits) &&
-      r.field("mem_fetches", out.mem_fetches) &&
-      r.field("c2c_transfers", out.c2c_transfers) &&
-      r.field("probes_sent", out.probes_sent) &&
-      r.field("piggyback_messages", out.piggyback_messages) &&
-      r.field("dirty_refetches", out.dirty_refetches) &&
-      r.field("upgrades", out.upgrades) &&
-      r.field("bus_wait_cycles", out.bus_wait_cycles) &&
-      r.fixed_seq("false_surviving_at", out.false_surviving_at) &&
-      r.var_seq("false_by_line", by_line_flat) &&
-      r.fixed_seq("tx_access_by_offset", out.tx_access_by_offset) &&
-      r.field("record_timeseries", flag) &&
-      r.var_seq("tx_start_cycles", out.tx_start_cycles) &&
-      r.var_seq("false_conflict_cycles", out.false_conflict_cycles) &&
-      r.field("total_cycles", out.total_cycles) &&
-      r.field("tx_busy_cycles", out.tx_busy_cycles) &&
-      r.fixed_seq("tx_duration_hist", out.tx_duration_hist) &&
-      r.fixed_seq("tx_read_lines_hist", out.tx_read_lines_hist) &&
-      r.fixed_seq("tx_write_lines_hist", out.tx_write_lines_hist) &&
-      r.field("wasted_cycles", out.wasted_cycles) &&
-      r.field("backoff_cycles", out.backoff_cycles) &&
-      r.fixed_seq("tx_latency_hist", out.tx_latency_hist);
-  if (ok && (v4 || v5)) {
-    // Opt-in provenance section. A v4 blob must carry it (the v4 header is
-    // only written when the section is); a v5 blob carries an explicit 0/1
-    // flag because either opt-in section can be present on its own.
-    std::uint64_t pflag = 0;
-    ok = r.field("prov_enabled", pflag) && pflag <= 1 && (v5 || pflag == 1);
-    if (ok && pflag == 1) {
-      ok = r.name_seq("prov_site_names", out.prov_site_names) &&
-           r.var_seq("prov_site_table", out.prov_site_table) &&
-           r.var_seq("prov_hot_lines", out.prov_hot_lines) &&
-           r.var_seq("prov_pairs", out.prov_pairs) &&
-           // Stride/shape checks (prov/collector.hpp layout constants).
-           out.prov_site_table.size() == out.prov_site_names.size() * 11 &&
-           out.prov_hot_lines.size() % 4 == 0 &&
-           out.prov_pairs.size() % 4 == 0;
-      out.prov_enabled = ok;
-    }
-  }
-  if (ok && v5) {
-    // Contention-management section: a v5 blob must carry it.
-    std::uint64_t cflag = 0;
-    ok = r.field("cm_enabled", cflag) && cflag == 1 &&
-         r.var_seq("cm_max_consec_aborts", out.cm_max_consec_aborts) &&
-         r.var_seq("cm_wasted_by_core", out.cm_wasted_by_core) &&
-         r.var_seq("cm_first_commit_cycle", out.cm_first_commit_cycle) &&
-         r.field("cm_policy_decisions", out.cm_policy_decisions) &&
-         r.field("cm_requester_losses", out.cm_requester_losses) &&
-         r.field("cm_fallback_acquisitions", out.cm_fallback_acquisitions) &&
-         // The three per-core vectors must agree on the core count.
+  Parser parser(r, version - kFirstVersion);
+  for_each_field(out, parser);
+  return parser.ok() && r.done() &&
+         // Stride/shape checks (prov/collector.hpp layout constants); they
+         // hold trivially for the empty vectors of an absent section.
+         out.prov_site_table.size() == out.prov_site_names.size() * 11 &&
+         out.prov_hot_lines.size() % 4 == 0 && out.prov_pairs.size() % 4 == 0 &&
+         // The three per-core cm vectors must agree on the core count.
          out.cm_wasted_by_core.size() == out.cm_max_consec_aborts.size() &&
          out.cm_first_commit_cycle.size() == out.cm_max_consec_aborts.size();
-    out.cm_enabled = ok;
-  }
-  ok = ok && r.done();
-  if (!ok || flag > 1 || by_line_flat.size() % 2 != 0) return false;
-  out.record_timeseries = flag == 1;
-  for (std::size_t i = 0; i < by_line_flat.size(); i += 2) {
-    // Canonical blobs are sorted by address with no duplicates; anything
-    // else is corruption (a duplicate would silently merge two entries).
-    if (i > 0 && by_line_flat[i] <= by_line_flat[i - 2]) return false;
-    out.false_by_line[by_line_flat[i]] = by_line_flat[i + 1];
-  }
-  return true;
 }
 
 }  // namespace asfsim

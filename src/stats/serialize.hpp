@@ -7,9 +7,11 @@
 // their serializations are byte-identical. The runner's result cache and the
 // determinism regression tests both rely on that property.
 //
-// Format: `key value...` lines; containers are `key <count> v0 v1 ...`
-// (the map flattens to addr/count pairs). A leading `asfsim-stats v1` line
-// versions the schema; deserialize() rejects anything it does not fully
+// Format: one `key value...` line per field of the Stats field table
+// (stats/counters.hpp), in table order; containers are
+// `key <count> v0 v1 ...` (the map flattens to addr/count pairs). A leading
+// `asfsim-stats v<N>` line versions the schema and says which opt-in
+// sections follow; deserialize_stats() rejects anything it does not fully
 // recognize, so a stale or truncated blob reads as "not a report" (the
 // cache treats that as a miss) rather than as zeroed statistics.
 #pragma once

@@ -30,6 +30,18 @@ struct WorkloadParams {
   }
 };
 
+template <>
+struct FieldTable<WorkloadParams> {
+  static constexpr auto fields = std::tuple{
+      field(&WorkloadParams::threads, {"threads"}),
+      field(&WorkloadParams::seed, {"seed"}),
+      field(&WorkloadParams::scale, {"scale"}),
+      field(&WorkloadParams::oltp, {"oltp"}),
+  };
+};
+static_assert(table_complete<WorkloadParams>(),
+              "every WorkloadParams member needs an entry");
+
 class Workload {
  public:
   virtual ~Workload() = default;

@@ -330,8 +330,8 @@ runner::RunnerOptions uncached_opts(unsigned jobs) {
   return o;
 }
 
-/// serialize_stats covers every Stats field (lint stats-blob-completeness),
-/// so string equality is full-report equality.
+/// serialize_stats walks the Stats field table, whose static_assert makes
+/// it cover every Stats field, so string equality is full-report equality.
 std::vector<std::string> run_policy_matrix(unsigned jobs) {
   runner::Runner r(uncached_opts(jobs));
   std::vector<std::shared_future<ExperimentResult>> futs;

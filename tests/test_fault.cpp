@@ -248,7 +248,7 @@ TEST(FaultDeterminism, InjectionActuallyChangesTheRun) {
 TEST(JobSpecV2, EveryRobustnessKnobChangesTheHash) {
   ExperimentConfig base;
   const auto base_spec = runner::make_job_spec("counter", base);
-  EXPECT_NE(base_spec.canonical.find("asfsim-jobspec v5"), std::string::npos);
+  EXPECT_NE(base_spec.canonical.find("asfsim-jobspec v6"), std::string::npos);
 
   std::vector<runner::JobSpec> variants;
   {

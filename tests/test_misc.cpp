@@ -7,6 +7,9 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <tuple>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -282,6 +285,50 @@ TEST(Cli, ToolHookSeesOnlyUnknownFlags) {
   EXPECT_EXIT((void)parse({"--nsub", "32"}, extras),
               ::testing::ExitedWithCode(2),
               "^prog: bad value for --nsub: '32'\n$");
+}
+
+/// Passes the flag of table entry `f` of record `R` (CliOptions::*rec) a
+/// non-default value and expects exactly that field to take it.
+template <typename R, typename F>
+void expect_flag_sets_its_field(R CliOptions::*rec, const F& f) {
+  const R defaults{};
+  using T = std::remove_cvref_t<decltype(defaults.*f.member)>;
+  std::vector<const char*> args{f.info.flag};
+  if constexpr (std::is_same_v<T, double>) {
+    args.push_back("0.25");
+  } else if constexpr (std::is_same_v<T, ProtocolMutation>) {
+    args.push_back("skip-written-mask");
+  } else if constexpr (std::is_same_v<T, CmPolicyKind>) {
+    args.push_back("polite");
+  } else if constexpr (std::is_same_v<T, OltpMix>) {
+    args.push_back("d");
+  } else if constexpr (!std::is_same_v<T, bool>) {
+    args.push_back("7");
+  }
+  const CliOptions o = parse(args);
+  const R& parsed = o.*rec;
+  const auto check = [&](const auto& g) {
+    if (std::string_view(g.info.key) == f.info.key) {
+      EXPECT_NE(parsed.*g.member, defaults.*g.member) << f.info.flag;
+    } else {
+      EXPECT_EQ(parsed.*g.member, defaults.*g.member)
+          << f.info.flag << " also set " << g.info.key;
+    }
+  };
+  std::apply([&](const auto&... g) { (check(g), ...); },
+             FieldTable<R>::fields);
+}
+
+TEST(Cli, EveryTableFlagSetsItsField) {
+  const auto each = [](auto rec) {
+    using R = std::remove_cvref_t<decltype(CliOptions{}.*rec)>;
+    std::apply(
+        [&](const auto&... f) { (expect_flag_sets_its_field(rec, f), ...); },
+        FieldTable<R>::fields);
+  };
+  each(&CliOptions::fault);
+  each(&CliOptions::oltp);
+  each(&CliOptions::cm);
 }
 
 TEST(Cli, RunnerFlagsAreRejectedWhenDisabled) {

@@ -3,9 +3,15 @@
 // behaviour when a SimConfig field changes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
+#include <set>
+#include <tuple>
+#include <type_traits>
 
 #include "runner/job_spec.hpp"
 #include "runner/result_cache.hpp"
@@ -64,49 +70,133 @@ TEST(JobSpec, IdenticalConfigsHashIdentically) {
   EXPECT_EQ(a.hash_hex.size(), 16u);
 }
 
+/// Table visitor that perturbs the `target`-th leaf field of a config
+/// (depth-first table order) by the smallest step its type allows, and
+/// records that leaf's dotted path and role.
+struct LeafPerturber {
+  std::size_t target;
+  std::size_t index = 0;
+  std::string prefix{};
+  std::string path{};  // empty: fewer than target + 1 leaves
+  FieldRole role = FieldRole::kResult;
+
+  template <typename T>
+  void operator()(const FieldInfo& f, T& v) {
+    if constexpr (Tabled<T>) {
+      const std::size_t outer = prefix.size();
+      prefix += std::string(f.key) + ".";
+      for_each_field(v, *this);
+      prefix.resize(outer);
+    } else if (index++ == target) {
+      path = prefix + f.key;
+      role = f.role;
+      if constexpr (std::is_same_v<T, bool>) {
+        v = !v;
+      } else if constexpr (std::is_floating_point_v<T>) {
+        v = std::nextafter(v, std::numeric_limits<T>::infinity());
+      } else if constexpr (std::is_enum_v<T>) {
+        v = static_cast<T>(static_cast<std::underlying_type_t<T>>(v) + 1);
+      } else {
+        v = static_cast<T>(v + 1);
+      }
+    }
+  }
+};
+
+// Table-driven: every results-role leaf of every config record changes the
+// hash, every host-only leaf leaves it alone.
 TEST(JobSpec, EveryKnobChangesTheHash) {
-  const auto base = make_job_spec("counter", small_config());
-  std::vector<JobSpec> variants;
-  variants.push_back(make_job_spec("bank", small_config()));
-  {
-    auto c = small_config();
-    c.detector = DetectorKind::kSubBlock;
-    variants.push_back(make_job_spec("counter", c));
+  const ExperimentConfig base = small_config();
+  const JobSpec base_spec = make_job_spec("counter", base);
+  EXPECT_NE(make_job_spec("bank", base).hash_hex, base_spec.hash_hex);
+
+  std::set<std::string> host_only;
+  std::size_t leaves = 0;
+  for (;; ++leaves) {
+    ExperimentConfig c = base;
+    LeafPerturber p{.target = leaves};
+    for_each_field(c, p);
+    if (p.path.empty()) break;
+    const std::string hash = make_job_spec("counter", c).hash_hex;
+    if (p.role == FieldRole::kHostOnly) {
+      host_only.insert(p.path);
+      EXPECT_EQ(hash, base_spec.hash_hex) << p.path;
+    } else {
+      EXPECT_NE(hash, base_spec.hash_hex) << p.path;
+    }
   }
-  {
-    auto c = small_config();
-    c.nsub = 8;
-    variants.push_back(make_job_spec("counter", c));
-  }
-  {
-    auto c = small_config();
-    c.params.seed = 2;
-    variants.push_back(make_job_spec("counter", c));
-  }
-  {
-    auto c = small_config();
-    c.params.scale = 0.250001;
-    variants.push_back(make_job_spec("counter", c));
-  }
-  {
-    auto c = small_config();
-    c.sim.l1.latency += 1;  // a Table II latency
-    variants.push_back(make_job_spec("counter", c));
-  }
-  {
-    auto c = small_config();
-    c.sim.enable_ats = true;
-    variants.push_back(make_job_spec("counter", c));
-  }
-  {
-    auto c = small_config();
-    c.timeseries = true;
-    variants.push_back(make_job_spec("counter", c));
-  }
-  for (const auto& v : variants) {
-    EXPECT_NE(v.canonical, base.canonical);
-    EXPECT_NE(v.hash_hex, base.hash_hex) << v.canonical;
-  }
+  // The host-side wall-clock budget never changes a result, and
+  // run_experiment overwrites sim.seed with params.seed.
+  EXPECT_EQ(host_only, (std::set<std::string>{"sim.seed", "wall_limit_s"}));
+  // One canonical line per results-role leaf, after the two header lines.
+  const auto lines = static_cast<std::size_t>(std::count(
+      base_spec.canonical.begin(), base_spec.canonical.end(), '\n'));
+  EXPECT_EQ(lines - 2, leaves - host_only.size());
+}
+
+TEST(JobSpec, DefaultCanonicalTextIsPinned) {
+  const JobSpec spec = make_job_spec("counter", ExperimentConfig{});
+  EXPECT_EQ(spec.canonical, R"(asfsim-jobspec v6
+workload counter
+detector 0
+nsub 4
+sim.ncores 8
+sim.l1.size_bytes 65536
+sim.l1.line_bytes 64
+sim.l1.ways 2
+sim.l1.latency 3
+sim.l2.size_bytes 524288
+sim.l2.line_bytes 64
+sim.l2.ways 16
+sim.l2.latency 15
+sim.l3.size_bytes 2097152
+sim.l3.line_bytes 64
+sim.l3.ways 16
+sim.l3.latency 50
+sim.mem_latency 210
+sim.cache2cache_latency 60
+sim.upgrade_latency 20
+sim.bus_occupancy 4
+sim.probe_delay 0
+sim.commit_latency 5
+sim.abort_latency 50
+sim.backoff_base 32
+sim.backoff_cap_shift 8
+sim.max_tx_retries 24
+sim.max_capacity_aborts 3
+sim.watchdog_cycles 0
+sim.fault.spurious_abort_rate 0x0p+0
+sim.fault.commit_abort_rate 0x0p+0
+sim.fault.evict_rate 0x0p+0
+sim.fault.probe_jitter 0
+sim.fault.sched_jitter 0
+sim.fault.mutation 0
+sim.enable_ats 0
+sim.ats_alpha 0x1.3333333333333p-2
+sim.ats_threshold 0x1p-1
+sim.cm.policy 0
+sim.cm.max_retries 8
+sim.cm.karma 64
+sim.cm.stats 0
+sim.provenance 0
+params.threads 8
+params.seed 1
+params.scale 0x1p+0
+params.oltp.records 1024
+params.oltp.payload_bytes 16
+params.oltp.tx_len 4
+params.oltp.tx_per_thread 400
+params.oltp.theta 0x1.fae147ae147aep-1
+params.oltp.read_ratio 0x1p-1
+params.oltp.rmw_ratio 0x0p+0
+params.oltp.scan_ratio 0x0p+0
+params.oltp.scan_len 8
+params.oltp.hot_window 0
+params.oltp.mix 0
+timeseries 0
+max_cycles 68719476736
+)");
+  EXPECT_EQ(spec.hash_hex, "b327aed7df987af7");
 }
 
 TEST(JobSpec, MirrorsRunExperimentSeedOverride) {
@@ -124,19 +214,25 @@ TEST(JobSpec, MirrorsRunExperimentSeedOverride) {
 
 TEST(StatsSerialize, RoundTripsEveryField) {
   ExperimentConfig cfg = small_config();
-  cfg.timeseries = true;  // exercise the vector fields too
+  cfg.timeseries = true;       // exercise the vector fields too
+  cfg.sim.provenance = true;   // ... and both opt-in blob sections
+  cfg.sim.cm.stats = true;
   const ExperimentResult r = run_experiment("counter", cfg);
   ASSERT_TRUE(r.ok()) << r.validation_error;
   ASSERT_GT(r.stats.tx_commits, 0u);
+  ASSERT_FALSE(r.stats.prov_site_names.empty());
+  ASSERT_FALSE(r.stats.cm_max_consec_aborts.empty());
 
   const std::string blob = serialize_stats(r.stats);
+  EXPECT_EQ(blob.rfind("asfsim-stats v5\n", 0), 0u);
   Stats back;
   ASSERT_TRUE(deserialize_stats(blob, back));
   EXPECT_EQ(serialize_stats(back), blob);
-  EXPECT_EQ(back.tx_commits, r.stats.tx_commits);
-  EXPECT_EQ(back.conflicts_total, r.stats.conflicts_total);
-  EXPECT_EQ(back.false_by_line, r.stats.false_by_line);
-  EXPECT_EQ(back.tx_start_cycles, r.stats.tx_start_cycles);
+  const auto same = [&](const auto& f) {
+    EXPECT_EQ(back.*f.member, r.stats.*f.member) << f.info.key;
+  };
+  std::apply([&](const auto&... f) { (same(f), ...); },
+             FieldTable<Stats>::fields);
 }
 
 TEST(StatsSerialize, RejectsCorruptBlobs) {

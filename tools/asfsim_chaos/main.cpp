@@ -14,10 +14,14 @@
 //             runner to demonstrate JobError context propagation.
 //
 // See docs/robustness.md for the mutation catalog and triage guide.
+#include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "fault/chaos.hpp"
@@ -50,41 +54,33 @@ using namespace asfsim;
   std::exit(code);
 }
 
-std::uint64_t parse_u64(const char* s) {
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(s, &end, 10);
-  if (end == s || *end != '\0') {
-    std::fprintf(stderr, "asfsim_chaos: bad number '%s'\n", s);
-    std::exit(2);
-  }
-  return v;
-}
-
-const char* next_arg(int argc, char** argv, int& i) {
-  if (i + 1 >= argc) {
-    std::fprintf(stderr, "asfsim_chaos: %s needs a value\n", argv[i]);
-    std::exit(2);
-  }
-  return argv[++i];
-}
+// matrix and cell get argv with the subcommand word replaced by the program
+// name (see main), so CliArgs diagnostics read
+// "<prog>: bad value for --ntx: '-1'".
 
 int cmd_matrix(int argc, char** argv) {
   KillMatrixOptions opt;
-  for (int i = 0; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--seeds") == 0) {
+  for (CliArgs a(argc, argv); a.next();) {
+    const std::string_view f = a.arg();
+    if (f == "--seeds") {
       opt.seeds.clear();
-      std::string list = next_arg(argc, argv, i);
-      for (std::size_t pos = 0; pos < list.size();) {
-        const std::size_t comma = list.find(',', pos);
-        const std::size_t end = comma == std::string::npos ? list.size() : comma;
-        opt.seeds.push_back(parse_u64(list.substr(pos, end - pos).c_str()));
+      const std::string_view list = a.value();
+      for (std::size_t pos = 0; pos <= list.size();) {
+        const std::size_t end = std::min(list.find(',', pos), list.size());
+        std::uint64_t seed = 0;
+        const auto [ptr, ec] =
+            std::from_chars(list.data() + pos, list.data() + end, seed);
+        if (ec != std::errc{} || ptr != list.data() + end || end == pos) {
+          a.fail("bad value for --seeds: '" + std::string(list) + "'");
+        }
+        opt.seeds.push_back(seed);
         pos = end + 1;
       }
-    } else if (std::strcmp(argv[i], "--ntx") == 0) {
-      opt.ntx = static_cast<int>(parse_u64(next_arg(argc, argv, i)));
-    } else if (std::strcmp(argv[i], "--audit") == 0) {
-      opt.audit_interval = parse_u64(next_arg(argc, argv, i));
-    } else if (std::strcmp(argv[i], "--verbose") == 0) {
+    } else if (f == "--ntx") {
+      opt.ntx = a.number<int>(1);
+    } else if (f == "--audit") {
+      opt.audit_interval = a.number<Cycle>();
+    } else if (f == "--verbose") {
       opt.verbose = true;
     } else {
       usage(2);
@@ -97,49 +93,35 @@ int cmd_matrix(int argc, char** argv) {
 
 int cmd_cell(int argc, char** argv) {
   ChaosCell cell;
-  for (int i = 0; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--mutate") == 0) {
-      const char* name = next_arg(argc, argv, i);
-      if (!parse_mutation(name, cell.fault.mutation)) {
-        std::fprintf(stderr, "asfsim_chaos: unknown mutation '%s'\n", name);
-        return 2;
-      }
-    } else if (std::strcmp(argv[i], "--detector") == 0) {
-      const char* d = next_arg(argc, argv, i);
-      if (std::strcmp(d, "baseline") == 0) {
+  for (CliArgs a(argc, argv); a.next();) {
+    const std::string_view f = a.arg();
+    if (f == "--detector") {
+      const std::string_view d = a.value();
+      if (d == "baseline") {
         cell.detector = DetectorKind::kBaseline;
         cell.nsub = 1;
-      } else if (std::strcmp(d, "subblock") == 0) {
+      } else if (d == "subblock") {
         cell.detector = DetectorKind::kSubBlock;
       } else {
-        std::fprintf(stderr, "asfsim_chaos: unknown detector '%s'\n", d);
-        return 2;
+        a.fail("unknown detector '" + std::string(d) + "'");
       }
-    } else if (std::strcmp(argv[i], "--nsub") == 0) {
-      cell.nsub = static_cast<std::uint32_t>(parse_u64(next_arg(argc, argv, i)));
-    } else if (std::strcmp(argv[i], "--seed") == 0) {
-      cell.seed = parse_u64(next_arg(argc, argv, i));
-    } else if (std::strcmp(argv[i], "--ntx") == 0) {
-      cell.ntx = static_cast<int>(parse_u64(next_arg(argc, argv, i)));
-    } else if (std::strcmp(argv[i], "--audit") == 0) {
-      cell.audit_interval = parse_u64(next_arg(argc, argv, i));
-    } else if (std::strcmp(argv[i], "--cm-policy") == 0) {
-      const char* name = next_arg(argc, argv, i);
-      if (!parse_cm_policy(name, cell.cm.policy)) {
-        std::fprintf(stderr, "asfsim_chaos: unknown policy '%s'\n", name);
-        return 2;
-      }
-    } else if (std::strcmp(argv[i], "--cm-max-retries") == 0) {
-      cell.cm.max_retries =
-          static_cast<std::uint32_t>(parse_u64(next_arg(argc, argv, i)));
-    } else if (std::strcmp(argv[i], "--cm-karma") == 0) {
-      cell.cm.karma =
-          static_cast<std::uint32_t>(parse_u64(next_arg(argc, argv, i)));
-    } else if (std::strcmp(argv[i], "--max-tx-retries") == 0) {
-      cell.max_tx_retries =
-          static_cast<std::int32_t>(parse_u64(next_arg(argc, argv, i)));
-    } else if (std::strcmp(argv[i], "--ncells") == 0) {
-      cell.ncells = parse_u64(next_arg(argc, argv, i));
+    } else if (f == "--nsub") {
+      cell.nsub = a.number<std::uint32_t>(1, 64);
+    } else if (f == "--seed") {
+      cell.seed = a.number<std::uint64_t>();
+    } else if (f == "--ntx") {
+      cell.ntx = a.number<int>(1);
+    } else if (f == "--audit") {
+      cell.audit_interval = a.number<Cycle>();
+    } else if (f == "--max-tx-retries") {
+      cell.max_tx_retries = a.number<std::int32_t>(-1);
+    } else if (f == "--ncells") {
+      // Ledger cell indices are 32-bit.
+      cell.ncells = a.number<std::uint64_t>(
+          1, std::numeric_limits<std::uint32_t>::max());
+    } else if ((f == "--mutate" && parse_flag(a, cell.fault)) ||
+               (f != "--cm-stats" && parse_flag(a, cell.cm))) {
+      // Table-resolved: the mutation under test and the policy knobs.
     } else {
       usage(2);
     }
@@ -242,14 +224,10 @@ int main(int argc, char** argv) {
   if (std::strcmp(argv[1], "--help") == 0 || std::strcmp(argv[1], "-h") == 0) {
     usage(0);
   }
-  if (std::strcmp(argv[1], "matrix") == 0) {
-    return cmd_matrix(argc - 2, argv + 2);
-  }
-  if (std::strcmp(argv[1], "cell") == 0) {
-    return cmd_cell(argc - 2, argv + 2);
-  }
-  if (std::strcmp(argv[1], "livelock") == 0) {
-    return cmd_livelock(argc - 2, argv + 2);
-  }
+  const std::string_view cmd = argv[1];
+  argv[1] = argv[0];
+  if (cmd == "matrix") return cmd_matrix(argc - 1, argv + 1);
+  if (cmd == "cell") return cmd_cell(argc - 1, argv + 1);
+  if (cmd == "livelock") return cmd_livelock(argc - 2, argv + 2);
   usage(2);
 }

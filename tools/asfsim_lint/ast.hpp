@@ -88,19 +88,6 @@ struct Ast {
     const FunctionDecl* f = function_at(tok);
     return f != nullptr && f->is_coroutine;
   }
-  [[nodiscard]] const StructDecl* find_struct(const std::string& name) const {
-    for (const StructDecl& s : structs) {
-      if (s.name == name) return &s;
-    }
-    return nullptr;
-  }
-  [[nodiscard]] const FunctionDecl* find_function(
-      const std::string& name) const {
-    for (const FunctionDecl& f : functions) {
-      if (f.name == name) return &f;
-    }
-    return nullptr;
-  }
 };
 
 }  // namespace asfsim_lint

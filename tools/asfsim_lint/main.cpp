@@ -28,7 +28,6 @@
 
 #include "fix.hpp"
 #include "lexer.hpp"
-#include "model_rules.hpp"
 #include "parser.hpp"
 #include "rules.hpp"
 #include "sarif.hpp"
@@ -113,18 +112,7 @@ void print_rules() {
       << "  (R6) range-for over an unordered container in simulator-\n"
       << "       affecting code: iteration order is unspecified and varies\n"
       << "       across stdlib implementations; order-sensitive effects\n"
-      << "       break run-to-run determinism.\n"
-      << kRuleHashCompleteness
-      << "  (M1) cross-TU: every SimConfig/CacheLevelConfig/FaultConfig\n"
-      << "       field must be serialized into JobSpec::canonical\n"
-      << "       (runner/job_spec.cpp), or the content-addressed result\n"
-      << "       cache returns stale results for configs differing in the\n"
-      << "       missing field.\n"
-      << kRuleStatsBlobCompleteness
-      << "  (M2) cross-TU: every Stats counter (stats/counters.hpp) must\n"
-      << "       appear in both serialize_stats and deserialize_stats\n"
-      << "       (stats/serialize.cpp), or the blob round-trip silently\n"
-      << "       drops it.\n";
+      << "       break run-to-run determinism.\n";
 }
 
 std::string finding_key(const Diagnostic& d) {
@@ -253,7 +241,6 @@ int main(int argc, char** argv) {
   for (const auto& pf : files) {
     for (auto& d : check_file(pf, ctx)) diags.push_back(std::move(d));
   }
-  for (auto& d : check_model(files)) diags.push_back(std::move(d));
   std::sort(diags.begin(), diags.end(),
             [](const Diagnostic& a, const Diagnostic& b) {
               if (a.path != b.path) return a.path < b.path;

@@ -13,7 +13,7 @@ namespace asfsim_lint {
 /// source the lexer accepts).
 Ast parse(const LexedFile& file);
 
-/// Shared token helpers (parser, rules, model_rules).
+/// Shared token helpers (parser, rules).
 inline bool tok_is(const Token& t, const char* s) { return t.text == s; }
 inline bool tok_ident(const Token& t) { return t.kind == TokKind::kIdent; }
 

@@ -20,9 +20,6 @@
 //   R6 unordered-iteration     range-for over an unordered container in
 //                              simulator-affecting code — iteration order
 //                              varies across stdlib implementations and runs
-//
-// The cross-TU model-consistency rules (hash-completeness,
-// stats-blob-completeness) live in model_rules.{hpp,cpp}.
 #pragma once
 
 #include <cstdint>
@@ -43,9 +40,6 @@ inline constexpr const char* kRuleRawGuestAccess = "raw-guest-access";
 inline constexpr const char* kRuleNondeterministicSource =
     "nondeterministic-source";
 inline constexpr const char* kRuleUnorderedIteration = "unordered-iteration";
-inline constexpr const char* kRuleHashCompleteness = "hash-completeness";
-inline constexpr const char* kRuleStatsBlobCompleteness =
-    "stats-blob-completeness";
 
 /// One textual edit in the original source bytes: replace [begin, end) with
 /// `replacement`. Edits attached to one Diagnostic never overlap each other.

@@ -54,12 +54,6 @@ constexpr RuleMeta kRules[] = {
     {"unordered-iteration",
      "Range-for over an unordered container in simulator-affecting code; "
      "iteration order is unspecified"},
-    {"hash-completeness",
-     "Config field missing from JobSpec::canonical; the content-addressed "
-     "result cache cannot distinguish configs differing in this field"},
-    {"stats-blob-completeness",
-     "Stats counter missing from the stats blob serializer or parser; the "
-     "round-trip silently drops it"},
 };
 
 int rule_index(const std::string& id) {
