@@ -4,19 +4,17 @@
 // Every memory access and compute quantum is a leaf awaitable: it resolves
 // the access against the memory system at issue time, then suspends the
 // guest coroutine stack until the access's load-to-use latency has elapsed
-// on the simulated clock. Inside a transaction, a resume first checks
-// whether the transaction was doomed (by a remote conflict, a capacity
-// overflow, or a guest-requested abort) and throws TxAbort, which unwinds
-// the guest call chain to the run_tx retry loop.
+// on the simulated clock.
 //
-// Abort fast path (docs/performance.md): while an attempt body is running,
-// its retry-loop frame is registered as the core's abort scope, and a
-// remote doom() redirects the victim's pending kernel event straight to
-// that frame — at the same (cycle, seq) the leaf's TxAbort throw would
-// have surfaced — and the abandoned body chain is destroyed instead of
-// unwound one rethrow per nesting level. Self-inflicted aborts (capacity,
-// guest-requested, injected) still travel the classic throw path; both
-// paths converge in BodyAttempt::await_resume.
+// One abort path (docs/performance.md): while an attempt body is running,
+// its retry-loop frame is registered as the core's abort scope, and every
+// abort resumes that frame instead of the body. A remote doom() repoints
+// the victim's pending kernel event at the scope. A self-inflicted abort
+// (capacity, injected fault, policy nack, or a doom observed at issue
+// time) schedules the scope in place of the guest's own resume, at the
+// cycle the access would have completed. A guest-requested abort_tx()
+// transfers to the scope at once. The abandoned body chain is then
+// destroyed by its owning Task; no abort throws a C++ exception.
 //
 // Guest-private scratch data (loop counters, local buffers) lives in plain
 // C++ locals — the analogue of ASF's non-speculative stack accesses, which
@@ -24,6 +22,8 @@
 #pragma once
 
 #include <cstdint>
+#include <stdexcept>
+#include <string>
 
 #include "htm/asf_runtime.hpp"
 #include "mem/coherence.hpp"
@@ -78,43 +78,46 @@ class GuestCtx {
     std::uint64_t value;  // store value in; load value out
     std::uint8_t size;
     bool is_write;
-    bool self_abort = false;  // capacity abort triggered by this access
+    /// False only for the lock-subscription load, which runs before the
+    /// attempt registers its abort scope: it always resumes the guest,
+    /// and begin_subscribed checks doomed() itself.
+    bool observes_abort = true;
 
     bool await_ready() const noexcept { return false; }
 
     /// Perform the access atomically NOW and schedule the guest's resume
-    /// after its load-to-use latency.
+    /// after its load-to-use latency — or, when the access aborts its own
+    /// transaction, the retry loop's resume in its place.
     void execute(std::coroutine_handle<> h) {
       GuestCtx& c = *ctx;
       Cycle lat = 1;
-      if (c.rt_.doomed(c.core_)) {
-        // Already doomed while computing: surface the abort at resume.
-        self_abort = true;
-      } else {
+      bool aborted = true;  // already doomed while computing
+      if (!c.rt_.doomed(c.core_)) {
         const bool tx = c.rt_.in_tx(c.core_);
         const AccessResult r =
             c.mem_.access(c.core_, addr, size, is_write, tx);
         lat = r.latency;
         if (r.capacity_abort) {
           c.rt_.self_doom(c.core_, AbortCause::kCapacity);
-          self_abort = true;
         } else if (r.spurious_abort) {
           // Injected fault: ASF reserves the right to abort spuriously;
           // software must treat it like any transient conflict.
           c.rt_.self_doom(c.core_, AbortCause::kConflict);
-          self_abort = true;
         } else if (r.requester_lost) {
           // A contention policy ruled against this (requesting) side: the
           // probe was nacked, no machine state moved, and the requester's
           // own transaction aborts instead of the victim's.
           c.rt_.self_doom(c.core_, AbortCause::kConflict);
-          self_abort = true;
-        } else if (is_write) {
-          c.rt_.write_value(c.core_, addr, size, value);
         } else {
-          value = c.rt_.read_value(c.core_, addr, size);
+          aborted = false;
+          if (is_write) {
+            c.rt_.write_value(c.core_, addr, size, value);
+          } else {
+            value = c.rt_.read_value(c.core_, addr, size);
+          }
         }
       }
+      if (aborted && observes_abort) h = c.take_abort_scope();
       c.kernel_.schedule(c.core_, h, c.kernel_.now() + lat);
     }
 
@@ -134,18 +137,11 @@ class GuestCtx {
       execute(h);
     }
     std::uint64_t await_resume() const {
-      if (self_abort || ctx->rt_.doomed(ctx->core_)) {
-        throw TxAbort{ctx->rt_.doom_cause(ctx->core_)};
+      if (observes_abort && ctx->rt_.doomed(ctx->core_)) {
+        ctx->unscoped_abort();
       }
       return value;
     }
-  };
-
-  /// MemOp whose resume never throws: begin_subscribed uses it for the
-  /// lock-subscription load and checks doomed() itself, so the frequent
-  /// "doomed while subscribing" outcome costs no exception.
-  struct MemOpNoThrow : MemOp {
-    std::uint64_t await_resume() const noexcept { return value; }
   };
 
   /// A compute quantum of `n` cycles (abortable inside a transaction).
@@ -154,19 +150,33 @@ class GuestCtx {
     Cycle n;
     bool await_ready() const noexcept { return false; }
     void await_suspend(std::coroutine_handle<> h) {
-      ctx->kernel_.schedule(ctx->core_, h, ctx->kernel_.now() + n);
+      GuestCtx& c = *ctx;
+      if (c.rt_.doomed(c.core_)) h = c.take_abort_scope();
+      c.kernel_.schedule(c.core_, h, c.kernel_.now() + n);
     }
     void await_resume() const {
-      if (ctx->rt_.doomed(ctx->core_)) {
-        throw TxAbort{ctx->rt_.doom_cause(ctx->core_)};
-      }
+      if (ctx->rt_.doomed(ctx->core_)) ctx->unscoped_abort();
     }
   };
 
-  /// A plain wait (backoff); never throws. A wait never observes dooms, so
-  /// the abort scope is parked for its duration: doom() must not redirect
-  /// to the retry loop mid-wait — the abort keeps surfacing at the next
-  /// observing resume, exactly where the throw path would deliver it.
+  /// Guest-requested abort of the current transaction (STAMP's
+  /// TM_RESTART): dooms it and transfers straight to the retry loop, in
+  /// the same host step and without consuming a kernel event. Never
+  /// resumes the awaiting body.
+  struct AbortTxOp {
+    GuestCtx* ctx;
+    bool await_ready() const noexcept { return false; }
+    std::coroutine_handle<> await_suspend(std::coroutine_handle<>) {
+      ctx->rt_.self_doom(ctx->core_, AbortCause::kUser);
+      return ctx->take_abort_scope();
+    }
+    void await_resume() const noexcept {}
+  };
+
+  /// A plain wait (backoff). A wait never observes dooms, so the abort
+  /// scope is parked for its duration: doom() must not redirect to the
+  /// retry loop mid-wait — the abort surfaces at the next observing
+  /// access, at the cycle that access would have completed.
   struct WaitOp {
     GuestCtx* ctx;
     Cycle n;
@@ -205,7 +215,7 @@ class GuestCtx {
   /// Commit point of a transaction. Resuming yields true when the commit
   /// took effect, false when the transaction was doomed at the commit point
   /// (e.g. an injected commit-time abort) — the retry loops branch on the
-  /// value instead of catching TxAbort.
+  /// value.
   struct CommitOp {
     GuestCtx* ctx;
     bool await_ready() const noexcept { return false; }
@@ -223,10 +233,9 @@ class GuestCtx {
   /// One hardware attempt of a transaction body. await_suspend registers
   /// this frame as the core's abort scope and starts the body chain by
   /// symmetric transfer; resuming yields true when the attempt aborted —
-  /// either doom() redirected the pending event here (the body was
-  /// abandoned mid-flight and its suspended frames are destroyed by the
-  /// Task destructor, never unwound) or a self-inflicted TxAbort unwound
-  /// out of the body the classic way. Non-TxAbort exceptions propagate.
+  /// an abort resumed this frame while the body was still suspended (the
+  /// abandoned frames are destroyed by the Task destructor, never
+  /// unwound). Exceptions the body throws propagate: none is an abort.
   /// Holds the attempt Task by pointer: the Task itself lives as a named
   /// local in the retry loop's frame, keeping this awaiter trivially
   /// destructible like every other leaf awaitable (awaiter temporaries
@@ -244,11 +253,7 @@ class GuestCtx {
     bool await_resume() const {
       ctx->rt_.clear_abort_scope(ctx->core_);
       if (!body->done()) return true;  // redirected: attempt abandoned
-      try {
-        body->rethrow_if_error();
-      } catch (const TxAbort&) {
-        return true;
-      }
+      body->rethrow_if_error();
       return false;
     }
   };
@@ -270,6 +275,9 @@ class GuestCtx {
   WorkOp work(Cycle n) { return WorkOp{this, n}; }
   WorkOp yield() { return WorkOp{this, 1}; }
   WaitOp wait(Cycle n) { return WaitOp{this, n}; }
+  /// `co_await c.abort_tx()` inside a run_tx/try_tx body: abort this
+  /// attempt (run_tx retries it; try_tx returns false).
+  AbortTxOp abort_tx() { return AbortTxOp{this}; }
 
   // ---- transactions ---------------------------------------------------------
 
@@ -377,11 +385,11 @@ class GuestCtx {
     }
     rt_.begin(core_);
     // Subscribe: the lock word joins the read set, so a fallback acquirer
-    // aborts this transaction via the normal conflict path. The load's
-    // resume never throws; the doomed() check covers every abort source
-    // at the same cycle a TxAbort throw would have surfaced.
-    const std::uint64_t lk =
-        co_await MemOpNoThrow{{this, fallback_lock_, 0, 8, false}};
+    // aborts this transaction via the normal conflict path. No abort scope
+    // is registered yet, so the load always resumes here and the doomed()
+    // check covers every abort source.
+    const std::uint64_t lk = co_await MemOp{this, fallback_lock_, 0, 8, false,
+                                            /*observes_abort=*/false};
     bool aborted = rt_.doomed(core_);
     if (!aborted && lk != 0) {
       rt_.self_doom(core_, AbortCause::kLockWait);
@@ -417,13 +425,22 @@ class GuestCtx {
     }
   }
 
-  /// Guest-requested abort of the current transaction (retries via run_tx).
-  [[noreturn]] void user_abort() {
-    rt_.self_doom(core_, AbortCause::kUser);
-    throw TxAbort{AbortCause::kUser};
+ private:
+  /// The retry-loop frame an abort resumes instead of the body: the
+  /// attempt's abort scope, unregistered as it is taken.
+  std::coroutine_handle<> take_abort_scope() {
+    const std::coroutine_handle<> scope = rt_.exchange_abort_scope(core_, {});
+    if (!scope) unscoped_abort();
+    return scope;
+  }
+  /// A transaction aborted where no run_tx/try_tx attempt can take the
+  /// abort: a guest-program bug, never a silent wrong result.
+  [[noreturn]] void unscoped_abort() const {
+    throw std::logic_error("GuestCtx: core " + std::to_string(core_) +
+                           " aborted a transaction outside a run_tx/try_tx "
+                           "attempt");
   }
 
- private:
   Kernel& kernel_;
   MemorySystem& mem_;
   AsfRuntime& rt_;

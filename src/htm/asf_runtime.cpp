@@ -90,14 +90,14 @@ void AsfRuntime::doom(CoreId victim, const ConflictRecord& rec) {
   // speculative data and reset the bits (paper §IV-A).
   p.overlay.clear();
   mem_.clear_spec(victim, /*discard_written_lines=*/true);
-  // Abort fast path: the victim is suspended (requester-wins conflicts are
+  // Abort path: the victim is suspended (requester-wins conflicts are
   // resolved while processing the requester's access), and its registered
-  // scope guarantees the pending resume would observe the doom and throw
-  // TxAbort at exactly that (cycle, seq). Redirect the event to the
-  // retry-loop frame instead — same simulated instant, zero host-side
-  // exception unwinding (docs/performance.md). When the pending event is a
-  // delayed-probe callback, repoint() declines and the classic throw path
-  // delivers the abort.
+  // scope guarantees the pending resume observes the abort. Redirect the
+  // event to the retry-loop frame — same simulated instant, no host-side
+  // unwinding (docs/performance.md). When the pending event is a
+  // delayed-probe callback, repoint() declines and the scope stays
+  // registered: the callback's access finds the transaction doomed and
+  // schedules the scope itself.
   if (p.abort_scope && kernel_.repoint(victim, p.abort_scope)) {
     p.abort_scope = {};
   }

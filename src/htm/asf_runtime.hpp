@@ -11,7 +11,7 @@
 // Conflict resolution is requester-wins: the MemorySystem calls doom() on
 // the victim while processing the conflicting access; the victim's
 // speculative data and metadata are discarded immediately, and the victim's
-// coroutine observes the abort (TxAbort is thrown) at its next resume.
+// pending resume is redirected to its retry loop (set_abort_scope below).
 #pragma once
 
 #include <array>
@@ -37,12 +37,6 @@ namespace asfsim {
 class Kernel;
 class FaultPlan;
 
-/// Thrown inside guest coroutines to unwind an aborted transaction to its
-/// retry loop (GuestCtx::run_tx).
-struct TxAbort {
-  AbortCause cause = AbortCause::kConflict;
-};
-
 class AsfRuntime final : public ITxControl {
  public:
   AsfRuntime(Kernel& kernel, MemorySystem& mem, BackingStore& backing,
@@ -66,9 +60,11 @@ class AsfRuntime final : public ITxControl {
   /// Architectural commit: applies the overlay, clears speculative state.
   /// Pre-condition: !doomed(core).
   void commit(CoreId core);
-  /// Self-inflicted abort (capacity or guest-requested).
+  /// Self-inflicted abort (capacity, injected, policy nack, lock-wait or
+  /// guest-requested).
   void self_doom(CoreId core, AbortCause cause);
-  /// Called from the retry loop after TxAbort unwinds: final abort stats.
+  /// Called from the retry loop once the abort reached it: final abort
+  /// stats.
   /// Returns the retry count (1 = about to run the first retry).
   std::uint32_t finish_abort(CoreId core);
 
@@ -105,16 +101,17 @@ class AsfRuntime final : public ITxControl {
     return backoff_.wait_for(cores_[core].retries);
   }
 
-  // ---- abort fast path ----------------------------------------------------
+  // ---- abort path ---------------------------------------------------------
   /// Register the retry-loop frame of `core`'s current hardware attempt.
-  /// While a scope is registered, doom() redirects the victim's pending
-  /// kernel event straight to this frame (same cycle, same sequence) instead
-  /// of letting the leaf awaitable throw TxAbort through every nesting level
-  /// of the guest call chain; the abandoned attempt's coroutine frames are
-  /// destroyed by their owning Task handles (docs/performance.md). Only
-  /// frames suspended at an abort-observing awaitable may stay registered:
-  /// GuestCtx clears/restores the scope around non-observing waits so a
-  /// redirect never surfaces an abort earlier than a throw would have.
+  /// Every abort of the attempt resumes this frame instead of the body:
+  /// doom() redirects the victim's pending kernel event to it (same cycle,
+  /// same sequence), and GuestCtx's leaf awaitables take it (exchange) when
+  /// they abort their own transaction. The abandoned attempt's coroutine
+  /// frames are destroyed by their owning Task handles
+  /// (docs/performance.md). Only frames suspended at an abort-observing
+  /// awaitable may stay registered: GuestCtx clears/restores the scope
+  /// around non-observing waits, so a doom during a wait surfaces at the
+  /// next observing access rather than mid-wait.
   void set_abort_scope(CoreId core, std::coroutine_handle<> h) {
     cores_[core].abort_scope = h;
   }
@@ -219,7 +216,7 @@ class AsfRuntime final : public ITxControl {
     /// Footprint captured at doom time, before clear_spec discards the
     /// metadata; reported by the kAbort event in finish_abort.
     TxFootprint abort_fp;
-    /// Retry-loop frame of the current attempt (abort fast path), or null
+    /// Retry-loop frame of the current attempt (abort path), or null
     /// when the core is outside an attempt / suspended at a non-observing
     /// wait / already redirected.
     std::coroutine_handle<> abort_scope;

@@ -68,14 +68,13 @@ class Kernel {
   void schedule_callback(CoreId core, std::function<void()> fn, Cycle at);
 
   /// Swap the coroutine that `core`'s already-pending event will resume,
-  /// keeping its (cycle, sequence) slot. This is the abort fast path
-  /// (docs/performance.md): when a remote conflict dooms a suspended
+  /// keeping its (cycle, sequence) slot. This is the remote half of the
+  /// abort path (docs/performance.md): when a conflict dooms a suspended
   /// transaction, the runtime redirects the victim's resume straight to its
-  /// retry-loop frame — the abandoned attempt's coroutine chain is then
-  /// destroyed instead of unwound with one TxAbort throw per nesting level.
-  /// Returns false (and changes nothing) when the core has no plain pending
-  /// resume — e.g. a delayed-probe callback is queued — and the caller must
-  /// fall back to the exception path.
+  /// retry-loop frame, and the abandoned attempt's coroutine chain is then
+  /// destroyed. Returns false (and changes nothing) when the core has no
+  /// plain pending resume — e.g. a delayed-probe callback is queued, whose
+  /// access then observes the doom and schedules the retry loop itself.
   [[nodiscard]] bool repoint(CoreId core, std::coroutine_handle<> h) {
     auto& slot = cores_[core];
     if (!slot.pending) return false;

@@ -7,9 +7,11 @@
 // return Task<T> and are composed with co_await using symmetric transfer, so
 // arbitrarily deep guest call chains suspend/resume as a unit.
 //
-// Exceptions thrown inside a task (e.g. TxAbort on a transactional conflict)
-// propagate outward through the awaiting chain exactly like normal C++
-// exceptions, which is how transaction aborts unwind to the retry loop.
+// Exceptions thrown inside a task (guest bugs, e.g. an abort with no retry
+// loop to take it) propagate outward through the awaiting chain exactly like normal C++
+// exceptions. Transaction aborts never do: the kernel resumes the retry
+// loop's frame directly and the abandoned chain is destroyed by its Task
+// handles (docs/performance.md).
 //
 // TOOLCHAIN WARNING: with GCC 12, a co_await inside a condition expression
 // whose controlled branch also suspends is miscompiled (the frame's resume

@@ -119,7 +119,7 @@ class GenomeWorkload final : public Workload {
         // what usually lands on a freshly speculatively-written bucket
         // head (RAW, the dominant genome conflict type in Fig 2).
         const bool present = co_await w->segments_.contains(c, key);
-        if (!present) c.user_abort();  // impossible; keeps the read live
+        if (!present) co_await c.abort_tx();  // impossible; keeps the read live
         if (counted) co_await c.store_u64(w->nunique_, n + 1);
       });
       co_await c.work(kSegLen);  // encoding cost

@@ -165,7 +165,8 @@ class LabyrinthWorkload final : public Workload {
           for (const std::uint32_t cell : path) {
             const std::uint64_t v = co_await w->grid_.get(c, cell);
             if (v != 0 && v != id) {
-              c.user_abort();  // STAMP's TM_RESTART on validation failure
+              // STAMP's TM_RESTART on validation failure.
+              co_await c.abort_tx();
             }
             co_await w->grid_.set(c, cell, id);
           }

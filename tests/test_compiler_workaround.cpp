@@ -97,7 +97,7 @@ TEST(CompilerWorkaround, DeepTaskNestingPropagatesValues) {
   EXPECT_EQ(f.m.peek(f.cell, 8), 42u);
 }
 
-// Exception propagation (TxAbort analogue) through nested tasks.
+// Exception propagation (a guest bug's exception) through nested tasks.
 struct Boom {};
 Task<void> thrower(GuestCtx& c, Addr a) {
   co_await c.load_u64(a);

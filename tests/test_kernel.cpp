@@ -1,6 +1,8 @@
 // Unit tests: simulation kernel scheduling, determinism, failure modes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
 #include <vector>
 
 #include "sim/kernel.hpp"
@@ -108,6 +110,118 @@ TEST(Kernel, GuestExceptionSurfaces) {
   Kernel k(1);
   k.spawn(0, thrower(&k, 0));
   EXPECT_THROW(k.run(), Boom);
+}
+
+// ---- event order against a reference sort ----------------------------------
+
+/// Resume at an absolute cycle, which may lie in the past (then the kernel
+/// clamps it to now).
+struct SleepUntil {
+  Kernel* k;
+  CoreId core;
+  Cycle at;
+  bool await_ready() const noexcept { return false; }
+  void await_suspend(std::coroutine_handle<> h) { k->schedule(core, h, at); }
+  void await_resume() const noexcept {}
+};
+
+/// One scheduling step: `delta` cycles ahead, or `delta` cycles back.
+struct Step {
+  bool back;
+  Cycle delta;
+};
+
+Cycle target(Cycle now, const Step& s) {
+  if (!s.back) return now + s.delta;
+  return now >= s.delta ? now - s.delta : 0;
+}
+
+using ResumeLog = std::vector<std::pair<CoreId, Cycle>>;
+
+/// Logs every resume (the first one included) and follows its script.
+Task<void> scripted(Kernel* k, CoreId core, const std::vector<Step>* script,
+                    ResumeLog* log) {
+  log->emplace_back(core, k->now());
+  for (const Step& s : *script) {
+    co_await SleepUntil{k, core, target(k->now(), s)};
+    log->emplace_back(core, k->now());
+  }
+}
+
+/// The order the kernel must produce: every pending event in one list,
+/// the minimum (cycle, schedule order) taken by sorting, clamped as the
+/// kernel clamps.
+ResumeLog reference_order(const std::vector<CoreId>& spawned,
+                          const std::vector<Cycle>& starts,
+                          const std::vector<std::vector<Step>>& scripts) {
+  struct Pending {
+    Cycle at;
+    std::uint64_t seq;
+    CoreId core;
+  };
+  std::vector<Pending> pending;
+  std::uint64_t seq = 0;
+  for (const CoreId c : spawned) pending.push_back({starts[c], seq++, c});
+  std::vector<std::size_t> next(scripts.size(), 0);
+  Cycle now = 0;
+  ResumeLog log;
+  while (!pending.empty()) {
+    std::sort(pending.begin(), pending.end(),
+              [](const Pending& a, const Pending& b) {
+                return a.at != b.at ? a.at < b.at : a.seq < b.seq;
+              });
+    const Pending e = pending.front();
+    pending.erase(pending.begin());
+    now = std::max(now, e.at);
+    log.emplace_back(e.core, now);
+    if (next[e.core] < scripts[e.core].size()) {
+      const Cycle at = target(now, scripts[e.core][next[e.core]++]);
+      pending.push_back({std::max(at, now), seq++, e.core});
+    }
+  }
+  return log;
+}
+
+TEST(Kernel, ResumesFollowCycleThenScheduleOrder) {
+  // Randomized scripts on 1–64 cores: many equal cycles (small deltas),
+  // resumes scheduled in the past, cores never spawned and cores that
+  // finish early. Every resume must come in exact (cycle, seq) order.
+  for (const std::uint32_t ncores : {1u, 2u, 3u, 7u, 8u, 16u, 33u, 64u}) {
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+      std::mt19937_64 rng(seed * 1000 + ncores);
+      std::vector<std::vector<Step>> scripts(ncores);
+      std::vector<Cycle> starts(ncores, 0);
+      std::vector<CoreId> spawned;
+      for (CoreId c = 0; c < ncores; ++c) {
+        if (ncores > 1 && rng() % 5 == 0) continue;  // idle core
+        spawned.push_back(c);
+        starts[c] = rng() % 3 == 0 ? rng() % 8 : 0;
+        const std::size_t len = rng() % 40;
+        for (std::size_t i = 0; i < len; ++i) {
+          const std::uint64_t r = rng() % 16;
+          if (r < 2) {
+            scripts[c].push_back({true, rng() % 20});  // clamped to now
+          } else if (r < 12) {
+            scripts[c].push_back({false, rng() % 3});  // ties likely
+          } else {
+            scripts[c].push_back({false, rng() % 300});
+          }
+        }
+      }
+      // Spawn in a shuffled order: schedule order, not core id, breaks
+      // ties.
+      std::shuffle(spawned.begin(), spawned.end(), rng);
+      Kernel k(ncores);
+      ResumeLog log;
+      for (const CoreId c : spawned) {
+        k.spawn(c, scripted(&k, c, &scripts[c], &log), starts[c]);
+      }
+      k.run();
+      const ResumeLog want = reference_order(spawned, starts, scripts);
+      ASSERT_EQ(log, want) << ncores << " cores, seed " << seed;
+      EXPECT_EQ(k.events_processed(), want.size());
+    }
+  }
 }
 
 TEST(Kernel, CountsProcessedEvents) {
