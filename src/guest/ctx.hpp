@@ -4,7 +4,10 @@
 // Every memory access and compute quantum is a leaf awaitable: it resolves
 // the access against the memory system at issue time, then suspends the
 // guest coroutine stack until the access's load-to-use latency has elapsed
-// on the simulated clock.
+// on the simulated clock. The leaf awaitables ask for that resume through
+// Kernel::advance() from a bool await_suspend: when the resume is provably
+// the kernel's next event (it comes strictly before every other core's),
+// advance() consumes it in place and the awaiter does not suspend at all.
 //
 // One abort path (docs/performance.md): while an attempt body is running,
 // its retry-loop frame is registered as the core's abort scope, and every
@@ -85,43 +88,49 @@ class GuestCtx {
 
     bool await_ready() const noexcept { return false; }
 
-    /// Perform the access atomically NOW and schedule the guest's resume
-    /// after its load-to-use latency — or, when the access aborts its own
-    /// transaction, the retry loop's resume in its place.
+    /// Perform the access atomically NOW. Returns false when it aborted
+    /// its own transaction (or found it doomed) and the retry loop must
+    /// resume in the guest's place; `lat` is the load-to-use latency
+    /// either way.
+    bool perform(Cycle& lat) {
+      GuestCtx& c = *ctx;
+      lat = 1;
+      if (c.rt_.doomed(c.core_)) return !observes_abort;
+      const bool tx = c.rt_.in_tx(c.core_);
+      const AccessResult r = c.mem_.access(c.core_, addr, size, is_write, tx);
+      lat = r.latency;
+      if (r.capacity_abort) {
+        c.rt_.self_doom(c.core_, AbortCause::kCapacity);
+      } else if (r.spurious_abort) {
+        // Injected fault: ASF reserves the right to abort spuriously;
+        // software must treat it like any transient conflict.
+        c.rt_.self_doom(c.core_, AbortCause::kConflict);
+      } else if (r.requester_lost) {
+        // A contention policy ruled against this (requesting) side: the
+        // probe was nacked, no machine state moved, and the requester's
+        // own transaction aborts instead of the victim's.
+        c.rt_.self_doom(c.core_, AbortCause::kConflict);
+      } else {
+        if (is_write) {
+          c.rt_.write_value(c.core_, addr, size, value);
+        } else {
+          value = c.rt_.read_value(c.core_, addr, size);
+        }
+        return true;
+      }
+      return !observes_abort;
+    }
+
+    /// The access at probe-delivery time (delayed-probe callback), then the
+    /// guest's — or the retry loop's — resume after its latency.
     void execute(std::coroutine_handle<> h) {
       GuestCtx& c = *ctx;
-      Cycle lat = 1;
-      bool aborted = true;  // already doomed while computing
-      if (!c.rt_.doomed(c.core_)) {
-        const bool tx = c.rt_.in_tx(c.core_);
-        const AccessResult r =
-            c.mem_.access(c.core_, addr, size, is_write, tx);
-        lat = r.latency;
-        if (r.capacity_abort) {
-          c.rt_.self_doom(c.core_, AbortCause::kCapacity);
-        } else if (r.spurious_abort) {
-          // Injected fault: ASF reserves the right to abort spuriously;
-          // software must treat it like any transient conflict.
-          c.rt_.self_doom(c.core_, AbortCause::kConflict);
-        } else if (r.requester_lost) {
-          // A contention policy ruled against this (requesting) side: the
-          // probe was nacked, no machine state moved, and the requester's
-          // own transaction aborts instead of the victim's.
-          c.rt_.self_doom(c.core_, AbortCause::kConflict);
-        } else {
-          aborted = false;
-          if (is_write) {
-            c.rt_.write_value(c.core_, addr, size, value);
-          } else {
-            value = c.rt_.read_value(c.core_, addr, size);
-          }
-        }
-      }
-      if (aborted && observes_abort) h = c.take_abort_scope();
+      Cycle lat = 0;
+      if (!perform(lat)) h = c.take_abort_scope();
       c.kernel_.schedule(c.core_, h, c.kernel_.now() + lat);
     }
 
-    void await_suspend(std::coroutine_handle<> h) {
+    bool await_suspend(std::coroutine_handle<> h) {
       GuestCtx& c = *ctx;
       if (c.cfg_.probe_delay > 0 && !c.rt_.doomed(c.core_)) {
         const bool tx = c.rt_.in_tx(c.core_);
@@ -131,10 +140,16 @@ class GuestCtx {
           c.kernel_.schedule_callback(
               c.core_, [this, h] { execute(h); },
               c.kernel_.now() + c.cfg_.probe_delay);
-          return;
+          return true;
         }
       }
-      execute(h);
+      Cycle lat = 0;
+      if (!perform(lat)) {
+        c.kernel_.schedule(c.core_, c.take_abort_scope(),
+                           c.kernel_.now() + lat);
+        return true;
+      }
+      return !c.kernel_.advance(c.core_, h, c.kernel_.now() + lat);
     }
     std::uint64_t await_resume() const {
       if (observes_abort && ctx->rt_.doomed(ctx->core_)) {
@@ -149,10 +164,14 @@ class GuestCtx {
     GuestCtx* ctx;
     Cycle n;
     bool await_ready() const noexcept { return false; }
-    void await_suspend(std::coroutine_handle<> h) {
+    bool await_suspend(std::coroutine_handle<> h) {
       GuestCtx& c = *ctx;
-      if (c.rt_.doomed(c.core_)) h = c.take_abort_scope();
-      c.kernel_.schedule(c.core_, h, c.kernel_.now() + n);
+      if (c.rt_.doomed(c.core_)) {
+        c.kernel_.schedule(c.core_, c.take_abort_scope(),
+                           c.kernel_.now() + n);
+        return true;
+      }
+      return !c.kernel_.advance(c.core_, h, c.kernel_.now() + n);
     }
     void await_resume() const {
       if (ctx->rt_.doomed(ctx->core_)) ctx->unscoped_abort();
@@ -182,9 +201,9 @@ class GuestCtx {
     Cycle n;
     std::coroutine_handle<> saved_scope_{};
     bool await_ready() const noexcept { return false; }
-    void await_suspend(std::coroutine_handle<> h) {
+    bool await_suspend(std::coroutine_handle<> h) {
       saved_scope_ = ctx->rt_.exchange_abort_scope(ctx->core_, {});
-      ctx->kernel_.schedule(ctx->core_, h, ctx->kernel_.now() + n);
+      return !ctx->kernel_.advance(ctx->core_, h, ctx->kernel_.now() + n);
     }
     void await_resume() const noexcept {
       if (saved_scope_) ctx->rt_.set_abort_scope(ctx->core_, saved_scope_);
@@ -200,14 +219,14 @@ class GuestCtx {
     std::uint64_t desired;
     std::uint64_t old = 0;
     bool await_ready() const noexcept { return false; }
-    void await_suspend(std::coroutine_handle<> h) {
+    bool await_suspend(std::coroutine_handle<> h) {
       GuestCtx& c = *ctx;
       const AccessResult rl = c.mem_.access(c.core_, addr, 8, false, false);
       old = c.rt_.read_value(c.core_, addr, 8);
       const AccessResult rs = c.mem_.access(c.core_, addr, 8, true, false);
       c.rt_.write_value(c.core_, addr, 8, desired);
-      c.kernel_.schedule(c.core_, h,
-                         c.kernel_.now() + rl.latency + rs.latency);
+      return !c.kernel_.advance(c.core_, h,
+                                c.kernel_.now() + rl.latency + rs.latency);
     }
     std::uint64_t await_resume() const noexcept { return old; }
   };
@@ -219,11 +238,11 @@ class GuestCtx {
   struct CommitOp {
     GuestCtx* ctx;
     bool await_ready() const noexcept { return false; }
-    void await_suspend(std::coroutine_handle<> h) {
+    bool await_suspend(std::coroutine_handle<> h) {
       GuestCtx& c = *ctx;
       if (!c.rt_.doomed(c.core_)) c.rt_.commit(c.core_);
-      c.kernel_.schedule(c.core_, h,
-                         c.kernel_.now() + c.cfg_.commit_latency);
+      return !c.kernel_.advance(c.core_, h,
+                                c.kernel_.now() + c.cfg_.commit_latency);
     }
     bool await_resume() const noexcept {
       return !ctx->rt_.doomed(ctx->core_);

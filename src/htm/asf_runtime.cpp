@@ -181,22 +181,19 @@ void AsfRuntime::commit(CoreId core) {
   // are applied in address order: reader validation dooms conflicting
   // readers and records the triggering line, so hash-order application
   // would attribute the doom to a different line on a different stdlib.
-  std::vector<Addr> commit_lines;
-  commit_lines.reserve(p.overlay.size());
+  commit_lines_.clear();
   // asfsim-lint: allow(unordered-iteration) — keys are sorted just below.
-  for (const auto& [line, ov] : p.overlay) commit_lines.push_back(line);
-  std::sort(commit_lines.begin(), commit_lines.end());
-  for (const Addr line : commit_lines) {
+  for (const auto& [line, ov] : p.overlay) commit_lines_.push_back(line);
+  std::sort(commit_lines_.begin(), commit_lines_.end());
+  for (const Addr line : commit_lines_) {
     const auto& ov = p.overlay.find(line)->second;
     mem_.validate_readers_at_commit(core, line, ov.mask);
     // MUTATION kLostUpdateCommit: the gang-commit silently drops the
     // highest-addressed overlay line's data (readers were still validated,
     // so only the write-back is lost). Killed by the strict-serializability
     // replay and by value-conservation workload oracles.
-    if (lose_update_commit_ && line == commit_lines.back()) continue;
-    for (std::uint32_t b = 0; b < kLineBytes; ++b) {
-      if (ov.mask & (ByteMask{1} << b)) backing_.write(line + b, 1, ov.data[b]);
-    }
+    if (lose_update_commit_ && line == commit_lines_.back()) continue;
+    backing_.write_line(line, ov.mask, ov.data.data());
   }
   p.overlay.clear();
   mem_.clear_spec(core, /*discard_written_lines=*/false);

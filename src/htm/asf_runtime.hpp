@@ -251,6 +251,9 @@ class AsfRuntime final : public ITxControl {
   FaultPlan* fault_ = nullptr;
   prov::ProvCollector* prov_ = nullptr;
   std::vector<PerCore> cores_;
+  /// commit()'s sort buffer for the overlay's line addresses, reused so a
+  /// commit allocates nothing once it has grown.
+  std::vector<Addr> commit_lines_;
 };
 
 }  // namespace asfsim

@@ -1,5 +1,6 @@
 #include "mem/backing_store.hpp"
 
+#include <bit>
 #include <cassert>
 #include <cstring>
 
@@ -42,6 +43,21 @@ void BackingStore::write(Addr a, std::uint32_t size, std::uint64_t v) {
   assert(size >= 1 && size <= 8);
   assert(a % kPageBytes + size <= kPageBytes);
   std::memcpy(page_for(a).data() + a % kPageBytes, &v, size);
+}
+
+void BackingStore::write_line(Addr line, ByteMask mask,
+                              const std::uint8_t* data) {
+  assert(line % kLineBytes == 0);
+  if (mask == 0) return;
+  std::uint8_t* dst = page_for(line).data() + line % kPageBytes;
+  // One memcpy per run of consecutive set bits.
+  while (mask != 0) {
+    const int first = std::countr_zero(mask);
+    const int len = std::countr_one(mask >> first);
+    std::memcpy(dst + first, data + first, static_cast<std::size_t>(len));
+    if (first + len == static_cast<int>(kLineBytes)) break;
+    mask &= ~ByteMask{0} << (first + len);
+  }
 }
 
 }  // namespace asfsim

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <memory>
 
+#include "mem/addr.hpp"
 #include "sim/addr_map.hpp"
 #include "sim/types.hpp"
 
@@ -27,6 +28,11 @@ class BackingStore {
   /// Write the low `size` bytes of `v` at `a`.
   void write(Addr a, std::uint32_t size, std::uint64_t v);
 
+  /// Write byte `b` of `data` to `line + b` for every bit `b` set in `mask`
+  /// (a transaction's gang-commit of one overlay line): one page lookup,
+  /// and an empty mask touches no page at all.
+  void write_line(Addr line, ByteMask mask, const std::uint8_t* data);
+
   [[nodiscard]] std::size_t pages_touched() const { return pages_.size(); }
 
  private:
@@ -34,10 +40,10 @@ class BackingStore {
   const Page* find_page(Addr a) const;
   Page& page_for(Addr a);
   AddrMap<std::unique_ptr<Page>> pages_;
-  // One-entry memo: guest access streams hit the same page repeatedly (the
-  // gang-commit writes a line byte-by-byte), so remembering the last page
-  // short-circuits most map lookups. Pages are never freed and live behind
-  // unique_ptr, so the cached pointer cannot dangle.
+  // One-entry memo: guest access streams hit the same page repeatedly, so
+  // remembering the last page short-circuits most map lookups. Pages are
+  // never freed and live behind unique_ptr, so the cached pointer cannot
+  // dangle.
   mutable Addr memo_page_no_ = ~Addr{0};
   mutable Page* memo_page_ = nullptr;
 };

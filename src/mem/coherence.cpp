@@ -25,6 +25,7 @@ MemorySystem::MemorySystem(Kernel& kernel, const SimConfig& cfg, Stats& stats)
     l3_.emplace_back(cfg_.l3);
   }
   spec_meta_.resize(cfg_.ncores);
+  spec_lines_.resize(cfg_.ncores);
   dirty_marks_.resize(cfg_.ncores);
   stale_pb_.assign(cfg_.ncores, 0);
 }
@@ -63,7 +64,10 @@ SubBlockState MemorySystem::subblock_state(CoreId core, Addr line,
 void MemorySystem::record_spec_access(CoreId core, TagArray::Slot slot,
                                       Addr line, ByteMask mask,
                                       bool is_write) {
-  SpecState& m = spec_meta_[core][line];
+  AddrMap<SpecState>& meta = spec_meta_[core];
+  const std::size_t before = meta.size();
+  SpecState& m = meta[line];
+  if (meta.size() != before) spec_lines_[core].push_back(line);
   SubBlockMask q = quantize(mask, nsub_);
   // MUTATION kWrongSubblockIndexMath: commit the architectural bits under a
   // rotated sub-block index (classic off-by-one in index math) while the
@@ -101,8 +105,8 @@ TxFootprint MemorySystem::tx_footprint(CoreId core) const {
   const std::uint32_t nsub = nsub_;
   // Pure sum over disjoint per-line state; every visit order yields the
   // same totals.
-  // asfsim-lint: allow(unordered-iteration)
-  for (const auto& [line, meta] : spec_meta_[core]) {
+  for (const Addr line : spec_lines_[core]) {
+    const SpecState& meta = spec_meta_[core].find(line)->second;
     if (meta.read_bytes != 0) {
       ++fp.read_lines;
       fp.read_subs += static_cast<std::uint32_t>(
@@ -251,7 +255,7 @@ MemorySystem::ProbeOutcome MemorySystem::probe_remotes(CoreId requester,
           if (retain &&
               mutation_ == ProtocolMutation::kForgetInvalidatedSpecinfo) {
             retain = false;
-            spec_meta_[o].erase(line);
+            erase_spec(o, line);
             if (slot != TagArray::kNoSlot) tl1.set_spec_flag(slot, false);
           }
         }
@@ -285,14 +289,11 @@ MemorySystem::ProbeOutcome MemorySystem::probe_remotes(CoreId requester,
 }
 
 bool MemorySystem::evict_speculative_line(CoreId core) {
-  // Deterministic victim choice: the lowest-addressed speculative line
-  // (spec_meta_ iteration order is hash-order, which varies across library
-  // implementations — never use it for victim selection).
+  // Deterministic victim choice: the lowest-addressed speculative line.
+  // Container order (spec_meta_'s hash slots, spec_lines_' swap-removals)
+  // never picks the victim; the min-reduce below is order-insensitive.
   Addr victim = ~Addr{0};
-  // Min-reduce over the keys is order-insensitive; the comment above is
-  // exactly why the victim is chosen this way.
-  // asfsim-lint: allow(unordered-iteration)
-  for (const auto& [line, meta] : spec_meta_[core]) {
+  for (const Addr line : spec_lines_[core]) {
     if (line < victim) victim = line;
   }
   if (victim == ~Addr{0}) return false;
@@ -306,8 +307,15 @@ bool MemorySystem::evict_speculative_line(CoreId core) {
   dirty_marks_[core].erase(victim);
   // The entry dies with the imminent capacity abort; erase it now so the
   // metadata-residency invariant holds at every audit point.
-  spec_meta_[core].erase(victim);
+  erase_spec(core, victim);
   return true;
+}
+
+void MemorySystem::erase_spec(CoreId core, Addr line) {
+  if (spec_meta_[core].erase(line) == 0) return;
+  std::vector<Addr>& lines = spec_lines_[core];
+  *std::find(lines.begin(), lines.end(), line) = lines.back();
+  lines.pop_back();
 }
 
 TagArray::Slot MemorySystem::fill_l1(CoreId core, Addr line, Moesi state) {
@@ -607,8 +615,20 @@ std::string MemorySystem::check_invariants() const {
   // accident of unordered_map enumeration order.
   std::vector<Addr> lines;
   for (CoreId c = 0; c < cfg_.ncores; ++c) {
+    // The dense spec-line list must be exactly spec_meta_'s key set: a
+    // missing line would escape clear_spec, a stale or duplicate one would
+    // be walked after its metadata is gone.
+    std::vector<Addr> keys;
     // asfsim-lint: allow(unordered-iteration) — keys are sorted just below.
-    for (const auto& [line, meta] : spec_meta_[c]) lines.push_back(line);
+    for (const auto& [line, meta] : spec_meta_[c]) keys.push_back(line);
+    std::vector<Addr> listed = spec_lines_[c];
+    std::sort(keys.begin(), keys.end());
+    std::sort(listed.begin(), listed.end());
+    if (listed != keys) {
+      return "core " + std::to_string(c) +
+             ": speculative line list disagrees with the metadata map";
+    }
+    for (const Addr line : keys) lines.push_back(line);
     // asfsim-lint: allow(unordered-iteration) — keys are sorted just below.
     for (const auto& [line, marks] : dirty_marks_[c]) lines.push_back(line);
   }
@@ -736,15 +756,15 @@ std::string MemorySystem::check_invariants() const {
 void MemorySystem::clear_spec(CoreId core, bool discard_written_lines) {
   // Per-line drops touch disjoint cache entries; no cross-line effect
   // depends on visit order.
-  // asfsim-lint: allow(unordered-iteration)
-  for (auto& [line, meta] : spec_meta_[core]) {
+  for (const Addr line : spec_lines_[core]) {
     const TagArray::Slot s = l1_[core].find(line);
     if (s == TagArray::kNoSlot) continue;
     if (l1_[core].retained(s)) {
       // Invalid-but-retained line: its speculative info dies with the tx.
       l1_[core].drop_slot(s);
       dir_remove(core, line);
-    } else if (discard_written_lines && meta.write_bytes != 0) {
+    } else if (discard_written_lines &&
+               spec_meta_[core].find(line)->second.write_bytes != 0) {
       // Abort: discard speculatively-modified lines (ASF §IV-A).
       l1_[core].drop_slot(s);
       dir_remove(core, line);
@@ -759,6 +779,7 @@ void MemorySystem::clear_spec(CoreId core, bool discard_written_lines) {
     }
   }
   spec_meta_[core].clear();
+  spec_lines_[core].clear();
 }
 
 }  // namespace asfsim

@@ -178,6 +178,9 @@ class MemorySystem {
   /// line from its whole private hierarchy. Returns false when the core has
   /// no speculative lines (nothing to evict).
   bool evict_speculative_line(CoreId core);
+  /// Drop `line`'s speculative metadata (and its spec_lines_ entry) from
+  /// `core`'s live transaction.
+  void erase_spec(CoreId core, Addr line);
 
   Kernel& kernel_;
   const SimConfig cfg_;
@@ -222,6 +225,11 @@ class MemorySystem {
   Cycle bus_free_at_ = 0;  // snoop bus busy-until cycle
   // Speculative metadata for the core's current transaction, keyed by line.
   mutable std::vector<AddrMap<SpecState>> spec_meta_;
+  // The key set of spec_meta_[core] as a dense list (insertion order, up to
+  // swap-removals), so transaction-end walks — clear_spec, tx_footprint,
+  // the forced-eviction victim search — cost O(lines touched) rather than
+  // O(hash slots). check_invariants() audits that the two agree.
+  std::vector<std::vector<Addr>> spec_lines_;
   // Persistent Dirty sub-block marks, keyed by line.
   std::vector<AddrMap<SubBlockMask>> dirty_marks_;
   // MUTATION kStalePiggybackMask only: per-core one-entry buffer holding the

@@ -280,10 +280,10 @@ TEST(Classifier, FullLineProbeTrueAgainstAnyNonEmptyState) {
   auto c = classify_conflict(read_state(byte_mask(60, 4), 16), full, true);
   EXPECT_FALSE(c.is_false);
   EXPECT_EQ(c.type, ConflictType::kWAR);
-  c = classify_conflict(write_state(byte_mask(0, 1), 64), full, true);
+  c = classify_conflict(write_state(byte_mask(0, 1), 16), full, true);
   EXPECT_FALSE(c.is_false);
   EXPECT_EQ(c.type, ConflictType::kWAW);
-  c = classify_conflict(write_state(byte_mask(63, 1), 64), full, false);
+  c = classify_conflict(write_state(byte_mask(63, 1), 16), full, false);
   EXPECT_FALSE(c.is_false);
   EXPECT_EQ(c.type, ConflictType::kRAW);
   // ... but a full-line load against a read-only victim is still false:

@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "core/subblock_state.hpp"
+#include "guest/machine.hpp"
 #include "harness/experiment.hpp"
 #include "sim/random.hpp"
 #include "stats/serialize.hpp"
@@ -173,6 +174,46 @@ TEST(KernelPerfIdentity, StatsAndTraceMatchPreOptimizationGoldens) {
   EXPECT_TRUE(mismatches.empty())
       << "simulated outcomes diverged from the pre-optimization kernel:\n"
       << all;
+}
+
+// ---- kernel event counts ---------------------------------------------------
+
+// Run-ahead (docs/performance.md) consumes a leaf await's event inside
+// Kernel::advance() instead of the run loop; every such event must still
+// count as one processed event — asfbench's sim.events and the run loop's
+// wall-clock sampling read this count. The pins were recorded from the
+// kernel before run-ahead existed. Two cells add the paths that bypass or
+// stretch run-ahead: delayed-probe callbacks and scheduler jitter.
+TEST(KernelPerfIdentity, EventCountsArePinned) {
+  struct Pin {
+    const char* workload;
+    DetectorKind detector;
+    std::uint32_t nsub;
+    Cycle probe_delay;
+    Cycle sched_jitter;
+    std::uint64_t events;
+  };
+  const Pin pins[] = {
+      {"vacation", DetectorKind::kSubBlock, 4, 0, 0, 8810},
+      {"oltp", DetectorKind::kSubBlock, 4, 0, 0, 3660},
+      {"kmeans", DetectorKind::kBaseline, 1, 0, 0, 60448},
+      {"labyrinth", DetectorKind::kSubBlock, 4, 0, 0, 2497},
+      {"intruder", DetectorKind::kSubBlock, 8, 20, 0, 7002},
+      {"genome", DetectorKind::kSubBlock, 4, 0, 3, 8851},
+  };
+  for (const Pin& pin : pins) {
+    ExperimentConfig cfg = small_config(pin.workload, pin.detector, pin.nsub);
+    cfg.sim.probe_delay = pin.probe_delay;
+    cfg.sim.fault.sched_jitter = pin.sched_jitter;
+    SimConfig sim = cfg.sim;
+    sim.seed = cfg.params.seed;  // as run_experiment does
+    Machine m(sim, cfg.detector, cfg.nsub);
+    auto wl = make_workload(pin.workload);
+    wl->setup(m, cfg.params);
+    m.run(cfg.max_cycles);
+    ASSERT_EQ(wl->validate(m), "") << pin.workload;
+    EXPECT_EQ(m.kernel().events_processed(), pin.events) << pin.workload;
+  }
 }
 
 // ---- transition LUT vs switch-based reference ------------------------------

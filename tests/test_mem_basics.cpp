@@ -1,6 +1,7 @@
 // Unit tests: BackingStore, GAllocator, Rng.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <set>
 
 #include "mem/backing_store.hpp"
@@ -45,6 +46,47 @@ TEST(BackingStore, SparsePagesAllocateOnWrite) {
   EXPECT_EQ(bs.pages_touched(), 2u);
   EXPECT_EQ(bs.read(0x10000, 8), 1u);
   EXPECT_EQ(bs.read(0x900000, 8), 2u);
+}
+
+TEST(BackingStore, WriteLineMatchesByteWiseWrites) {
+  // Full, sparse (runs and isolated bytes at both ends) and single-byte
+  // masks over a pre-filled line, against a byte-wise reference store.
+  Rng rng(11);
+  std::array<std::uint8_t, kLineBytes> data{};
+  for (auto& b : data) b = static_cast<std::uint8_t>(rng.next_u64());
+  for (const ByteMask mask :
+       {~ByteMask{0}, ByteMask{0x8000'0000'0000'0001}, ByteMask{0x00ff'0f00},
+        ByteMask{0xf0f0'f0f0'f0f0'f0f0}, ByteMask{1} << 63, ByteMask{1},
+        ByteMask{0x7fff'ffff'ffff'fffe}}) {
+    SCOPED_TRACE(mask);
+    const Addr line = 0x5000 + 3 * kLineBytes;
+    BackingStore got;
+    BackingStore want;
+    for (std::uint32_t b = 0; b < kLineBytes; b += 8) {
+      got.write(line + b, 8, 0xa5a5a5a5a5a5a5a5ull);
+      want.write(line + b, 8, 0xa5a5a5a5a5a5a5a5ull);
+    }
+    got.write_line(line, mask, data.data());
+    for (std::uint32_t b = 0; b < kLineBytes; ++b) {
+      if (mask & (ByteMask{1} << b)) want.write(line + b, 1, data[b]);
+    }
+    for (std::uint32_t b = 0; b < kLineBytes; ++b) {
+      ASSERT_EQ(got.read(line + b, 1), want.read(line + b, 1)) << "byte " << b;
+    }
+    // Neighboring lines stay untouched.
+    EXPECT_EQ(got.read(line - 8, 8), 0u);
+    EXPECT_EQ(got.read(line + kLineBytes, 8), 0u);
+  }
+}
+
+TEST(BackingStore, WriteLineWithEmptyMaskCreatesNoPage) {
+  BackingStore bs;
+  const std::array<std::uint8_t, kLineBytes> data{1, 2, 3};
+  bs.write_line(0x7000, 0, data.data());
+  EXPECT_EQ(bs.pages_touched(), 0u);
+  bs.write_line(0x7000, 0b100, data.data());
+  EXPECT_EQ(bs.pages_touched(), 1u);
+  EXPECT_EQ(bs.read(0x7000, 4), 0x030000u);
 }
 
 TEST(GAllocator, RespectsAlignment) {
