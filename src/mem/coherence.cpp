@@ -17,7 +17,8 @@ MemorySystem::MemorySystem(Kernel& kernel, const SimConfig& cfg, Stats& stats)
     : kernel_(kernel), cfg_(cfg), stats_(stats), mutation_(cfg.fault.mutation) {
   if (cfg_.ncores > 64) {
     throw std::invalid_argument(
-        "MemorySystem: ncores > 64 (L1 residency directory is a 64-bit mask)");
+        "MemorySystem: ncores > 64 (every probe broadcast reads each remote "
+        "L1 tag set; the snooping model is limited to 64 cores)");
   }
   for (std::uint32_t c = 0; c < cfg_.ncores; ++c) {
     l1_.emplace_back(cfg_.l1);
@@ -139,23 +140,15 @@ MemorySystem::ProbeOutcome MemorySystem::probe_remotes(CoreId requester,
   ++stats_.probes_sent;
   const bool oracle = oracle_;
 
-  // Snoop filter: for probe-based detectors, a core without the line in its
-  // L1 tag array can neither conflict (the spec gate below requires a
-  // resident slot) nor react in MOESI terms — visit holders only. The
-  // oracle keeps the full broadcast: its metadata outlives residency.
-  std::uint64_t holders = ~std::uint64_t{0};
-  if (!oracle) {
-    const auto dit = l1_dir_.find(line);
-    holders = dit == l1_dir_.end() ? 0 : dit->second;
-    holders &= ~(std::uint64_t{1} << requester);
-    if (holders == 0) return out;  // no remote copy anywhere
-  }
-
   for (CoreId o = 0; o < cfg_.ncores; ++o) {
     if (o == requester) continue;
-    if ((holders & (std::uint64_t{1} << o)) == 0) continue;
     TagArray& tl1 = l1_[o];
     TagArray::Slot slot = tl1.find(line);
+    // For probe-based detectors, a core without the line in its L1 tag array
+    // can neither conflict (the spec gate below requires a resident slot)
+    // nor react in MOESI terms — skip it. The oracle keeps the full
+    // broadcast: its metadata outlives residency.
+    if (slot == TagArray::kNoSlot && !oracle) continue;
 
     // --- conflict detection against o's speculative state -----------------
     // Early-outs before the metadata hash lookup: a core with no metadata at
@@ -274,7 +267,6 @@ MemorySystem::ProbeOutcome MemorySystem::probe_remotes(CoreId requester,
         } else {
           tl1.drop_slot(slot);
           dirty_marks_[o].erase(line);
-          dir_remove(o, line);
         }
         l2_[o].drop(line);
         l3_[o].drop(line);
@@ -300,7 +292,6 @@ bool MemorySystem::evict_speculative_line(CoreId core) {
   if (const TagArray::Slot s = l1_[core].find(victim);
       s != TagArray::kNoSlot) {
     l1_[core].drop_slot(s);
-    dir_remove(core, victim);
   }
   l2_[core].drop(victim);
   l3_[core].drop(victim);
@@ -342,10 +333,8 @@ TagArray::Slot MemorySystem::fill_l1(CoreId core, Addr line, Moesi state) {
   }
   if (t.line(victim) != TagArray::kEmptyTag) {
     dirty_marks_[core].erase(t.line(victim));
-    dir_remove(core, t.line(victim));
   }
   t.fill(victim, line, state);
-  dir_add(core, line);
   return victim;
 }
 
@@ -576,14 +565,11 @@ void MemorySystem::validate_readers_at_commit(CoreId committer, Addr line,
   if (mutation_ == ProtocolMutation::kSkipCommitValidation) return;
   // Only probe-based detectors reach this point (the oracle returned
   // above), so any reader metadata for `line` implies tag-array residency
-  // (metadata-residency invariant) — holder cores are the only candidates.
-  const auto dit = l1_dir_.find(line);
-  if (dit == l1_dir_.end()) return;
-  const std::uint64_t holders =
-      dit->second & ~(std::uint64_t{1} << committer);
+  // (metadata-residency invariant) — cores whose L1 does not hold the line
+  // (valid or retained) are skipped before the metadata lookup.
   for (CoreId o = 0; o < cfg_.ncores; ++o) {
-    if ((holders & (std::uint64_t{1} << o)) == 0) continue;
     if (o == committer || spec_meta_[o].empty()) continue;
+    if (l1_[o].find(line) == TagArray::kNoSlot) continue;
     auto it = spec_meta_[o].find(line);
     if (it == spec_meta_[o].end() || txctl_ == nullptr || !txctl_->in_tx(o)) {
       continue;
@@ -688,9 +674,7 @@ std::string MemorySystem::check_invariants() const {
     }
     // Converse direction of the summary-flag audit: a set flag with no
     // backing metadata would only cost performance, but it means a clear
-    // path was missed — fail loudly. The same sweep audits the snoop-filter
-    // directory: every occupied slot must have its residency bit (a stale-0
-    // would silently skip a mandatory probe).
+    // path was missed — fail loudly.
     const TagArray& t = l1_[c];
     for (TagArray::Slot s = 0; s < t.num_slots(); ++s) {
       if (t.line(s) == TagArray::kEmptyTag) continue;
@@ -699,25 +683,6 @@ std::string MemorySystem::check_invariants() const {
         return "core " + std::to_string(c) + " line " +
                std::to_string(t.line(s)) +
                ": speculative summary flag without metadata";
-      }
-      const auto dit = l1_dir_.find(t.line(s));
-      if (dit == l1_dir_.end() ||
-          (dit->second & (std::uint64_t{1} << c)) == 0) {
-        return "core " + std::to_string(c) + " line " +
-               std::to_string(t.line(s)) +
-               ": resident line missing from the L1 residency directory";
-      }
-    }
-  }
-  // Directory converse: every residency bit must point at a real occupied
-  // slot (a stale-1 only costs a wasted probe, but means a drop path missed
-  // its directory update).
-  for (const auto& [line, mask] : l1_dir_) {
-    for (CoreId c = 0; c < cfg_.ncores; ++c) {
-      if ((mask & (std::uint64_t{1} << c)) != 0 &&
-          l1_[c].find(line) == TagArray::kNoSlot) {
-        return "core " + std::to_string(c) + " line " + std::to_string(line) +
-               ": L1 residency directory bit without an occupied slot";
       }
     }
   }
@@ -762,12 +727,10 @@ void MemorySystem::clear_spec(CoreId core, bool discard_written_lines) {
     if (l1_[core].retained(s)) {
       // Invalid-but-retained line: its speculative info dies with the tx.
       l1_[core].drop_slot(s);
-      dir_remove(core, line);
     } else if (discard_written_lines &&
                spec_meta_[core].find(line)->second.write_bytes != 0) {
       // Abort: discard speculatively-modified lines (ASF §IV-A).
       l1_[core].drop_slot(s);
-      dir_remove(core, line);
       l2_[core].drop(line);
       l3_[core].drop(line);
       dirty_marks_[core].erase(line);

@@ -14,6 +14,12 @@
 // every incoming probe — for valid lines and for invalidated lines whose
 // speculative info was retained (paper §IV-B). Dirty sub-block marks (paper
 // §IV-C) persist independently of transaction lifetime until refetch.
+//
+// Probes carry no residency directory: a broadcast reads the line's set in
+// every remote L1 tag array (two ways per set at Table II geometry) and
+// skips a core that does not hold the line, valid or retained. Tag
+// occupancy is exactly the set of cores that can conflict or react in MOESI
+// terms, so L1 fills and evictions pay no bookkeeping beyond the tag array.
 #pragma once
 
 #include <cstdint>
@@ -200,28 +206,7 @@ class MemorySystem {
   /// delay (cycles the requester stalls behind earlier broadcasts).
   Cycle bus_acquire();
 
-  /// Set/clear `core`'s bit in the L1 residency directory (below). Every
-  /// L1 occupancy change must go through these to keep the directory exact.
-  void dir_add(CoreId core, Addr line) {
-    l1_dir_[line] |= std::uint64_t{1} << core;
-  }
-  void dir_remove(CoreId core, Addr line) {
-    const auto it = l1_dir_.find(line);
-    if (it == l1_dir_.end()) return;
-    it->second &= ~(std::uint64_t{1} << core);
-    if (it->second == 0) l1_dir_.erase(line);
-  }
-
   std::vector<TagArray> l1_, l2_, l3_;  // one per core (private hierarchy)
-  /// Snoop-filter directory: line -> bitmask of cores whose L1 tag array
-  /// holds the line (valid or invalid-but-retained — i.e. tag occupancy).
-  /// Probe broadcasts and commit-time reader validation visit only holder
-  /// cores: for probe-based detectors both the MOESI effects and the
-  /// speculative-conflict gate require tag occupancy in the probed core
-  /// (the metadata-residency invariant, audited in check_invariants), so
-  /// skipping non-holders is outcome-identical. Oracle detectors bypass
-  /// the filter — their metadata deliberately survives eviction.
-  AddrMap<std::uint64_t> l1_dir_;
   Cycle bus_free_at_ = 0;  // snoop bus busy-until cycle
   // Speculative metadata for the core's current transaction, keyed by line.
   mutable std::vector<AddrMap<SpecState>> spec_meta_;

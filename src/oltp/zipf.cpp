@@ -2,13 +2,16 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 namespace asfsim {
 
 ZipfGenerator::ZipfGenerator(std::uint64_t n, double theta)
     : n_(n), theta_(theta) {
-  if (n == 0) throw std::invalid_argument("ZipfGenerator: n must be >= 1");
+  if (n == 0 || n > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::invalid_argument("ZipfGenerator: n must be in [1, 2^32)");
+  }
   if (!(theta >= 0.0)) {
     throw std::invalid_argument("ZipfGenerator: theta must be >= 0");
   }
@@ -28,22 +31,23 @@ ZipfGenerator::ZipfGenerator(std::uint64_t n, double theta)
 
   // Search-hint index: for u in bucket b (u-range [b/B, (b+1)/B)), the
   // answer upper_bound(cdf_, u) is bracketed by the answers at the bucket
-  // edges, because upper_bound is monotone in u. Precomputing the edge
-  // answers turns each draw into a binary search over (usually) one or two
-  // candidates instead of the whole table.
-  hint_.resize(kHintBuckets + 1);
-  for (std::size_t b = 0; b <= kHintBuckets; ++b) {
-    const double edge =
-        static_cast<double>(b) / static_cast<double>(kHintBuckets);
-    hint_[b] = static_cast<std::uint64_t>(
-        std::upper_bound(cdf_.begin(), cdf_.end(), edge) - cdf_.begin());
+  // edges, because upper_bound is monotone in u. The edges ascend, so one
+  // merge pass over the sorted CDF computes every edge answer in O(n + B).
+  std::size_t buckets = 1024;
+  while (buckets < n / 4) buckets *= 2;
+  hint_.resize(buckets + 1);
+  std::uint64_t k = 0;
+  for (std::size_t b = 0; b <= buckets; ++b) {
+    const double edge = static_cast<double>(b) / static_cast<double>(buckets);
+    while (k < n && cdf_[k] <= edge) ++k;
+    hint_[b] = static_cast<std::uint32_t>(k);
   }
 }
 
-std::uint64_t ZipfGenerator::next(Rng& rng) const {
-  const double u = rng.next_double();  // in [0, 1)
-  auto b = static_cast<std::size_t>(u * kHintBuckets);
-  if (b >= kHintBuckets) b = kHintBuckets - 1;  // u < 1, but stay safe
+std::uint64_t ZipfGenerator::key_for(double u) const {
+  const std::size_t buckets = hint_buckets();
+  auto b = static_cast<std::size_t>(u * static_cast<double>(buckets));
+  if (b >= buckets) b = buckets - 1;  // u < 1, but stay safe
   const std::uint64_t lo = hint_[b];
   // The bracket is inclusive of hint_[b + 1] (u may equal values just below
   // the edge whose upper_bound IS the edge answer); clamp to n_ for the

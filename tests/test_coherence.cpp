@@ -5,6 +5,7 @@
 // asserted without the full HTM runtime.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <vector>
 
 #include "core/detector.hpp"
@@ -177,9 +178,13 @@ TEST_F(CoherenceTest, FalseWarInvalidatesWithRetentionAndStillDetectsLater) {
   EXPECT_TRUE(tx_.dooms.empty());
   EXPECT_EQ(mem_.l1_state(0, kA), Moesi::kInvalid);
   ASSERT_NE(mem_.spec_state(0, kA), nullptr) << "read set retained";
+  EXPECT_EQ(mem_.check_invariants(), "");
+  const std::uint64_t probes = stats_.probes_sent;
   access(2, kA, 8, true);  // true WAR against the retained read set
-  ASSERT_EQ(tx_.dooms.size(), 1u);
+  EXPECT_EQ(stats_.probes_sent, probes + 1);
+  ASSERT_EQ(tx_.dooms.size(), 1u) << "the retained copy was probed";
   EXPECT_EQ(tx_.dooms[0].victim, 0u);
+  EXPECT_EQ(tx_.dooms[0].requester, 2u);
   EXPECT_EQ(tx_.dooms[0].type, ConflictType::kWAR);
   EXPECT_FALSE(tx_.dooms[0].is_false);
 }
@@ -221,6 +226,54 @@ TEST_F(CoherenceTest, CommitValidationDoomsOverlappingReaders) {
   access(2, kA + 32, 8, false);
   mem_.validate_readers_at_commit(0, kA, byte_mask(0, 4));
   EXPECT_TRUE(tx_.dooms.empty()) << "disjoint bytes never validate-fail";
+}
+
+// Probes and commit-time validation find the cores that hold a line by
+// reading each remote L1 tag set: a retained (invalid) copy counts as held,
+// a line nobody holds is one counted broadcast with no remote effect.
+
+TEST_F(CoherenceTest, ProbeOfUnheldLineChangesNoRemoteState) {
+  constexpr Addr kB = kA + 4 * kLineBytes;
+  // core1 holds a speculative M line, core2 a clean E line, both elsewhere.
+  tx_.active[1] = true;
+  access(1, kB, 8, true);
+  access(2, kB + kLineBytes, 8, false);
+  const std::uint64_t probes = stats_.probes_sent;
+  const AccessResult r = access(0, kA, 8, true);  // nobody holds kA
+  EXPECT_EQ(stats_.probes_sent, probes + 1) << "one broadcast, counted once";
+  EXPECT_EQ(r.source, DataSource::kMemory);
+  EXPECT_EQ(stats_.c2c_transfers, 0u);
+  EXPECT_TRUE(tx_.dooms.empty());
+  EXPECT_EQ(mem_.l1_state(1, kB), Moesi::kModified);
+  EXPECT_EQ(mem_.l1_state(2, kB + kLineBytes), Moesi::kExclusive);
+  EXPECT_EQ(mem_.l1_state(1, kA), Moesi::kInvalid);
+  EXPECT_EQ(mem_.l1_state(2, kA), Moesi::kInvalid);
+  EXPECT_NE(mem_.spec_state(1, kB), nullptr);
+  EXPECT_EQ(mem_.check_invariants(), "");
+}
+
+TEST_F(CoherenceTest, CommitValidationReachesRetainedReader) {
+  tx_.active[1] = true;
+  access(1, kA, 8, false);      // core1 spec-reads bytes 0..7
+  access(0, kA + 32, 8, true);  // false WAR: core1's copy is retained
+  ASSERT_EQ(mem_.l1_state(1, kA), Moesi::kInvalid);
+  ASSERT_NE(mem_.spec_state(1, kA), nullptr);
+  ASSERT_TRUE(tx_.dooms.empty());
+  // core0 (holding M, so its silent store sent no probe) commits a write
+  // into core1's retained read set.
+  mem_.validate_readers_at_commit(0, kA, byte_mask(0, 4));
+  ASSERT_EQ(tx_.dooms.size(), 1u);
+  EXPECT_EQ(tx_.dooms[0].victim, 1u);
+  EXPECT_EQ(tx_.dooms[0].requester, 0u);
+  EXPECT_FALSE(tx_.dooms[0].is_false);
+}
+
+TEST(CoherenceLimits, RejectsMoreThan64Cores) {
+  SimConfig cfg;
+  cfg.ncores = 65;
+  Kernel kernel(cfg.ncores);
+  Stats stats;
+  EXPECT_THROW(MemorySystem(kernel, cfg, stats), std::invalid_argument);
 }
 
 TEST_F(CoherenceTest, NonTxAccessesNeverCreateMetadata) {

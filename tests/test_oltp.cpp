@@ -2,6 +2,8 @@
 // throughput/latency metrics, and byte-determinism across --jobs values.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <filesystem>
 #include <numeric>
@@ -84,6 +86,59 @@ TEST(Zipf, RejectsDegenerateArguments) {
   EXPECT_THROW(ZipfGenerator(0, 0.5), std::invalid_argument);
   EXPECT_THROW(ZipfGenerator(16, -0.1), std::invalid_argument);
   EXPECT_NO_THROW(ZipfGenerator(1, 0.0));
+}
+
+/// key_for(u) must equal a binary search over the whole CDF for every u:
+/// random draws, every bucket edge b/B, and the double just below each edge
+/// (the values whose answer sits on the far side of a bucket bracket).
+class ZipfBucketEquivalence
+    : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(ZipfBucketEquivalence, MatchesFullTableSearch) {
+  const std::uint64_t n = GetParam();
+  for (const double theta : {0.0, 0.6, 0.99, 1.1, 1.5}) {
+    SCOPED_TRACE("n=" + std::to_string(n) + " theta=" + std::to_string(theta));
+    const ZipfGenerator gen(n, theta);
+    const std::vector<double>& cdf = gen.cdf();
+    auto full = [&](double u) {
+      return static_cast<std::uint64_t>(
+          std::upper_bound(cdf.begin(), cdf.end(), u) - cdf.begin());
+    };
+    Rng rng(n ^ 0x5eed);
+    for (int i = 0; i < 100'000; ++i) {
+      const double u = rng.next_double();
+      ASSERT_EQ(gen.key_for(u), full(u)) << "u=" << u;
+    }
+    const std::size_t buckets = gen.hint_buckets();
+    for (std::size_t b = 0; b < buckets; ++b) {
+      const double edge =
+          static_cast<double>(b) / static_cast<double>(buckets);
+      ASSERT_EQ(gen.key_for(edge), full(edge)) << "edge b=" << b;
+      if (b == 0) continue;
+      const double below = std::nextafter(edge, 0.0);
+      ASSERT_EQ(gen.key_for(below), full(below)) << "below edge b=" << b;
+    }
+    const double top = std::nextafter(1.0, 0.0);  // largest u next() yields
+    ASSERT_EQ(gen.key_for(top), full(top));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Sizes, ZipfBucketEquivalence,
+                         ::testing::Values(1, 2, 1000, 1024, 4097, 262144,
+                                           std::uint64_t{1} << 20));
+
+/// The hint table is the smallest power of two >= max(1024, n / 4) buckets:
+/// 1024 up to 4096 keys, one bucket per four keys beyond, and at most
+/// 2^18 + 1 uint32 entries (1 MB) at the --oltp-records limit of 2^20.
+TEST(Zipf, HintTableSizeIsBounded) {
+  EXPECT_EQ(ZipfGenerator(1, 0.99).hint_buckets(), 1024u);
+  EXPECT_EQ(ZipfGenerator(4096, 0.99).hint_buckets(), 1024u);
+  EXPECT_EQ(ZipfGenerator(8192, 0.99).hint_buckets(), 2048u);
+  EXPECT_EQ(ZipfGenerator(262144, 0.99).hint_buckets(), 65536u);
+  EXPECT_EQ(ZipfGenerator(262145, 0.99).hint_buckets(), 65536u);
+  EXPECT_EQ(ZipfGenerator(262148, 0.99).hint_buckets(), 131072u);
+  EXPECT_EQ(ZipfGenerator(std::uint64_t{1} << 20, 0.99).hint_buckets(),
+            std::size_t{1} << 18);
 }
 
 // ---- mix presets and config validation -------------------------------------
