@@ -1,7 +1,10 @@
 #!/usr/bin/env bash
 # Golden-file test for asfsim_lint: every *_flag.cpp fixture must produce
 # exactly its seeded diagnostics (right rule, right count, nonzero exit);
-# every *_pass.cpp fixture must come back clean.
+# every *_pass.cpp fixture must come back clean. The r2_* fixtures belong
+# to the compiler (R2 is -Werror=unused-result; see
+# check_discarded_task.sh): r2_flag.cpp is skipped here, and r2_pass.cpp
+# must still lint clean.
 #
 # usage: check_lint_fixtures.sh <asfsim_lint-binary> <fixtures-dir>
 set -u
@@ -12,7 +15,6 @@ DIR=${2:?usage: check_lint_fixtures.sh <asfsim_lint-binary> <fixtures-dir>}
 rule_of() {
   case "$(basename "$1")" in
     r1_*) echo "coawait-in-condition" ;;
-    r2_*) echo "discarded-task" ;;
     r3_*) echo "global-alloc-in-tx" ;;
     r4_*) echo "raw-guest-access" ;;
     r5_*) echo "nondeterministic-source" ;;
@@ -25,7 +27,6 @@ expected_count() {
   # Seeded violation counts, declared in each fixture's header comment.
   case "$(basename "$1")" in
     r1_flag.cpp) echo 3 ;;
-    r2_flag.cpp) echo 2 ;;
     r3_flag.cpp) echo 2 ;;
     r4_flag.cpp) echo 3 ;;
     r5_flag.cpp) echo 3 ;;
@@ -36,7 +37,7 @@ expected_count() {
 
 fail=0
 
-for f in $(find "$DIR" -name '*_flag.cpp' | sort); do
+for f in $(find "$DIR" -name '*_flag.cpp' ! -name 'r2_*' | sort); do
   out=$("$LINT" "$f" 2>/dev/null)
   rc=$?
   rule=$(rule_of "$f")
@@ -66,13 +67,5 @@ for f in $(find "$DIR" -name '*_pass.cpp' | sort); do
     echo "ok:   $f (clean)"
   fi
 done
-
-# --fix-hints must print a hoisting rewrite for R1.
-hint=$("$LINT" --fix-hints "$DIR/r1_flag.cpp" 2>/dev/null | grep -c "fix: hoist")
-if [ "$hint" -lt 1 ]; then
-  echo "FAIL: --fix-hints printed no hoisting rewrite for r1_flag.cpp"; fail=1
-else
-  echo "ok:   --fix-hints prints hoisting rewrites"
-fi
 
 exit $fail

@@ -55,7 +55,6 @@ std::string livelock_report(Machine& m) {
   // Hottest false-conflict lines: where the abort traffic concentrates.
   std::vector<std::pair<std::uint64_t, Addr>> hot;
   hot.reserve(st.false_by_line.size());
-  // asfsim-lint: allow(unordered-iteration) — pairs are sorted just below.
   for (const auto& [line, n] : st.false_by_line) hot.emplace_back(n, line);
   std::sort(hot.rbegin(), hot.rend());
   if (!hot.empty()) {

@@ -182,7 +182,6 @@ void AsfRuntime::commit(CoreId core) {
   // readers and records the triggering line, so hash-order application
   // would attribute the doom to a different line on a different stdlib.
   commit_lines_.clear();
-  // asfsim-lint: allow(unordered-iteration) — keys are sorted just below.
   for (const auto& [line, ov] : p.overlay) commit_lines_.push_back(line);
   std::sort(commit_lines_.begin(), commit_lines_.end());
   for (const Addr line : commit_lines_) {

@@ -605,7 +605,6 @@ std::string MemorySystem::check_invariants() const {
     // missing line would escape clear_spec, a stale or duplicate one would
     // be walked after its metadata is gone.
     std::vector<Addr> keys;
-    // asfsim-lint: allow(unordered-iteration) — keys are sorted just below.
     for (const auto& [line, meta] : spec_meta_[c]) keys.push_back(line);
     std::vector<Addr> listed = spec_lines_[c];
     std::sort(keys.begin(), keys.end());
@@ -615,12 +614,9 @@ std::string MemorySystem::check_invariants() const {
              ": speculative line list disagrees with the metadata map";
     }
     for (const Addr line : keys) lines.push_back(line);
-    // asfsim-lint: allow(unordered-iteration) — keys are sorted just below.
     for (const auto& [line, marks] : dirty_marks_[c]) lines.push_back(line);
   }
   std::sort(lines.begin(), lines.end());
-  // std::vector::erase, not the guest map's coroutine erase (homonym).
-  // asfsim-lint: allow(discarded-task)
   lines.erase(std::unique(lines.begin(), lines.end()), lines.end());
   for (const Addr line : lines) {
     int m_or_e = 0, owned = 0, valid = 0;

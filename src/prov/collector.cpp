@@ -120,7 +120,6 @@ void ProvCollector::flush(Stats& stats) const {
   };
   std::vector<LineRow> hot;
   hot.reserve(lines_.size());
-  // asfsim-lint: allow(unordered-iteration) — std::map iterates in key order.
   for (const auto& [key, counts] : lines_) {
     hot.push_back(LineRow{key.first, key.second, counts.first, counts.second});
   }
@@ -143,7 +142,6 @@ void ProvCollector::flush(Stats& stats) const {
 
   stats.prov_pairs.clear();
   stats.prov_pairs.reserve(pairs_.size() * kPairStride);
-  // asfsim-lint: allow(unordered-iteration) — std::map iterates in key order.
   for (const auto& [key, counts] : pairs_) {
     stats.prov_pairs.push_back(key.first);
     stats.prov_pairs.push_back(key.second);

@@ -9,9 +9,9 @@
 // scan that the prefetcher already has in cache (docs/performance.md).
 //
 // Semantics mirror the unordered_map subset the simulator uses: find /
-// operator[] / erase / size / empty / clear and range-for with structured
-// bindings ([key, value] via the public `first`/`second` members). Two
-// deliberate differences:
+// operator[] / erase / size / empty / clear / == and range-for with
+// structured bindings ([key, value] via the public `first`/`second`
+// members). Two deliberate differences:
 //   - references and iterators are invalidated by ANY insert or erase
 //     (open addressing moves entries; unordered_map only invalidated
 //     iterators on rehash). Callers must not hold references across
@@ -19,14 +19,13 @@
 //   - iteration order is slot order: deterministic for a given sequence of
 //     operations (bit-reproducible runs), but different from unordered_map
 //     enumeration order. Every iteration site in the tree is
-//     order-insensitive or sorts explicitly (see the unordered-iteration
-//     lint rule), and the kernel-identity goldens pin that this swap
-//     changed no simulated outcome.
+//     order-insensitive or sorts explicitly, and the kernel-identity
+//     goldens pin that this swap changed no simulated outcome.
 //
 // The all-ones address is reserved as the empty-slot sentinel. Nothing in
 // the simulator can produce it as a key: line addresses and page numbers
 // are aligned/shifted physical addresses, and ~0 is used tree-wide as the
-// "no address" marker already.
+// "no address" marker already. The stats-blob parser rejects it as input.
 #pragma once
 
 #include <cassert>
@@ -125,6 +124,16 @@ class AddrMap {
   [[nodiscard]] const_iterator end() const {
     const Entry* e = slots_.data() + slots_.size();
     return {e, e, gen_};
+  }
+
+  /// Equal iff both hold the same key/value pairs; slot order is ignored.
+  [[nodiscard]] friend bool operator==(const AddrMap& a, const AddrMap& b) {
+    if (a.size() != b.size()) return false;
+    for (const auto& [k, v] : a) {
+      const auto it = b.find(k);
+      if (it == b.end() || !(it->second == v)) return false;
+    }
+    return true;
   }
 
   [[nodiscard]] iterator find(Addr k) {

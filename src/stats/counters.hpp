@@ -4,10 +4,10 @@
 #include <array>
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "core/conflict.hpp"
+#include "sim/addr_map.hpp"
 #include "sim/fields.hpp"
 #include "sim/types.hpp"
 
@@ -62,7 +62,7 @@ class alignas(64) Stats {
   std::array<std::uint64_t, 5> false_surviving_at{};
 
   /// Fig 4: false-conflict count by conflicting line address.
-  std::unordered_map<Addr, std::uint64_t> false_by_line;
+  AddrMap<std::uint64_t> false_by_line;
   /// Fig 5: transactional-access count by start byte offset within the line.
   std::array<std::uint64_t, 64> tx_access_by_offset{};
   /// Fig 3 (enabled on demand): cycles of tx launches / false conflicts.

@@ -97,9 +97,10 @@ void put(std::string& out, const char* key,
 
 /// The per-line map flattens to addr/count pairs sorted by address.
 void put(std::string& out, const char* key,
-         const std::unordered_map<Addr, std::uint64_t>& by_line) {
-  std::vector<std::pair<Addr, std::uint64_t>> sorted(by_line.begin(),
-                                                     by_line.end());
+         const AddrMap<std::uint64_t>& by_line) {
+  std::vector<std::pair<Addr, std::uint64_t>> sorted;
+  sorted.reserve(by_line.size());
+  for (const auto& [addr, count] : by_line) sorted.emplace_back(addr, count);
   std::sort(sorted.begin(), sorted.end());
   std::vector<std::uint64_t> flat;
   flat.reserve(sorted.size() * 2);
@@ -219,14 +220,16 @@ class Reader {
     return literal("\n");
   }
 
-  bool read(std::string_view key,
-            std::unordered_map<Addr, std::uint64_t>& by_line) {
+  bool read(std::string_view key, AddrMap<std::uint64_t>& by_line) {
     std::vector<std::uint64_t> flat;
     if (!read(key, flat) || flat.size() % 2 != 0) return false;
     for (std::size_t i = 0; i < flat.size(); i += 2) {
       // Canonical blobs are sorted by address with no duplicates; anything
       // else is corruption (a duplicate would silently merge two entries).
       if (i > 0 && flat[i] <= flat[i - 2]) return false;
+      // The all-ones address is AddrMap's empty-slot sentinel, which no
+      // simulated line can be; cached blobs are outside input, so reject it.
+      if (flat[i] == ~Addr{0}) return false;
       by_line[flat[i]] = flat[i + 1];
     }
     return true;

@@ -6,8 +6,8 @@
 // genome, Fig 2). Phase 2 links unique segments whose (L-1)-overlap matches,
 // rebuilding the sequence order; link cells are unpadded 8-byte slots.
 // Phase transitions give genome its bursty false-conflict timeline (Fig 3).
+#include <set>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "guest/barrier.hpp"
@@ -54,7 +54,7 @@ class GenomeWorkload final : public Workload {
     for (std::uint64_t i = 0; i <= glen_; ++i) successor_.poke(m, i, kNoLink);
 
     // Host-side expectations for validation.
-    std::unordered_set<std::uint64_t> uniq;
+    std::set<std::uint64_t> uniq;
     for (std::uint64_t i = 0; i < nsegments_; ++i) {
       uniq.insert(encode(genome_.data() + i));
     }

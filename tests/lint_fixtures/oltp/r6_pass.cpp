@@ -1,14 +1,16 @@
-// lint fixture: MUST pass — ordered/sequence iteration and non-iterating
-// uses of unordered containers in OLTP bookkeeping.
+// lint fixture: MUST pass — ordered/sequence containers and the tree's
+// deterministic address map in OLTP bookkeeping. No std::unordered_*
+// container appears: R6 bans the type itself in simulator-affecting code.
 #include <cstdint>
 #include <map>
-#include <unordered_map>
 #include <vector>
+
+#include "sim/addr_map.hpp"
 
 namespace asfsim {
 
 struct OltpAudit {
-  std::unordered_map<std::uint64_t, std::uint64_t> version_by_key;
+  AddrMap<std::uint64_t> version_by_key;
   std::vector<std::uint64_t> committed_rmws;
   std::map<std::uint64_t, std::uint64_t> ordered_versions;
 };
@@ -21,7 +23,7 @@ std::uint64_t stable_audit(const OltpAudit& audit) {
   for (const auto& [key, version] : audit.ordered_versions) {
     sum += key + version;
   }
-  // Point lookups into the unordered map never depend on hash order.
+  // Point lookups into the deterministic address map.
   const auto it = audit.version_by_key.find(7);
   if (it != audit.version_by_key.end()) sum += it->second;
   return sum;

@@ -1,4 +1,4 @@
-// lint fixture: MUST flag discarded-task (two sites).
+// R2 fixture: MUST fail to compile under -Werror=unused-result (two sites).
 #include "guest/machine.hpp"
 
 namespace asfsim {

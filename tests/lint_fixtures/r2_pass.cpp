@@ -1,4 +1,4 @@
-// lint fixture: MUST pass discarded-task.
+// R2 fixture: MUST compile under -Werror=unused-result and lint clean.
 #include "guest/machine.hpp"
 
 namespace asfsim {

@@ -1,4 +1,7 @@
-// lint fixture: MUST flag unordered-iteration (three sites).
+// lint fixture: MUST flag unordered-iteration (three sites: the three
+// unordered_map declarations — a member, a map nested in a vector, and a
+// local). R6 bans the container type itself, so the loops below, whose
+// order-sensitive effects are why the type is banned, add no findings.
 // Lives under a `sim/` path component, so the determinism pass is in scope.
 #include <cstdint>
 #include <unordered_map>

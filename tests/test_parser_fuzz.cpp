@@ -82,6 +82,27 @@ TEST(StatsFuzz, HugeCountFieldsNeverAllocate) {
   EXPECT_FALSE(deserialize_stats(wide, out));
 }
 
+TEST(StatsFuzz, SentinelLineAddressIsRejected) {
+  // false_by_line is an AddrMap, whose empty-slot sentinel is the all-ones
+  // address. A cached blob naming that line must be malformed input, not a
+  // Debug assert or a corrupted map in Release.
+  const std::string blob = sample_blob();
+  const std::size_t pos = blob.find("false_by_line ");
+  ASSERT_NE(pos, std::string::npos);
+  const std::size_t end = blob.find('\n', pos);
+  auto with_line = [&](const char* addr) {
+    return blob.substr(0, pos) + "false_by_line 2 " + addr + " 1" +
+           blob.substr(end);
+  };
+  Stats out;
+  EXPECT_FALSE(deserialize_stats(with_line("18446744073709551615"), out));
+  // Control: the largest non-sentinel address parses back canonically.
+  const std::string ok = with_line("18446744073709551614");
+  ASSERT_TRUE(deserialize_stats(ok, out));
+  EXPECT_EQ(out.false_by_line.size(), 1u);
+  EXPECT_EQ(serialize_stats(out), ok);
+}
+
 TEST(StatsFuzz, GarbageInputsAreRejected) {
   Stats out;
   EXPECT_FALSE(deserialize_stats("", out));

@@ -14,11 +14,11 @@ bool ident_cont(char c) {
 }
 
 /// Parse suppression directives out of one comment body and record them.
-/// Grammar:  asfsim-lint: allow(rule[, rule...])  |  allow-file(rule...)
+/// Grammar:  asfsim-lint: allow(rule[, rule...])
 void parse_directives(const std::string& comment, std::uint32_t line,
                       bool code_on_line, Suppressions& sup) {
   const std::string kTag = "asfsim-lint:";
-  std::size_t at = comment.find(kTag);
+  const std::size_t at = comment.find(kTag);
   if (at == std::string::npos) return;
   std::size_t i = at + kTag.size();
   while (i < comment.size()) {
@@ -26,30 +26,19 @@ void parse_directives(const std::string& comment, std::uint32_t line,
            std::isspace(static_cast<unsigned char>(comment[i])) != 0) {
       ++i;
     }
-    std::size_t start = i;
-    while (i < comment.size() &&
-           (ident_cont(comment[i]) || comment[i] == '-')) {
-      ++i;
-    }
-    const std::string verb = comment.substr(start, i - start);
-    if (verb != "allow" && verb != "allow-file") break;
-    if (i >= comment.size() || comment[i] != '(') break;
-    ++i;
+    if (comment.compare(i, 6, "allow(") != 0) break;
+    i += 6;
     const std::size_t close = comment.find(')', i);
     if (close == std::string::npos) break;
-    // Split the argument list on commas/space.
+    // Split the argument list on commas/space. A directive trailing code
+    // suppresses its own line; a stand-alone directive line suppresses the
+    // next line.
     std::string rule;
     for (std::size_t j = i; j <= close; ++j) {
       const char c = j < close ? comment[j] : ',';
       if (c == ',' || std::isspace(static_cast<unsigned char>(c)) != 0) {
         if (!rule.empty()) {
-          if (verb == "allow-file") {
-            sup.whole_file.insert(rule);
-          } else {
-            // A directive trailing code suppresses its own line; a
-            // stand-alone directive line suppresses the next line.
-            sup.by_line[code_on_line ? line : line + 1].insert(rule);
-          }
+          sup.by_line[code_on_line ? line : line + 1].insert(rule);
           rule.clear();
         }
       } else {
@@ -65,7 +54,6 @@ void parse_directives(const std::string& comment, std::uint32_t line,
 LexedFile lex(std::string path, const std::string& src) {
   LexedFile out;
   out.path = std::move(path);
-  out.source = src;
   std::uint32_t line = 1;
   std::size_t i = 0;
   const std::size_t n = src.size();
@@ -75,9 +63,8 @@ LexedFile lex(std::string path, const std::string& src) {
     ++line;
     code_on_line = false;
   };
-  auto emit = [&](TokKind kind, std::string text, std::uint32_t at_line,
-                  std::size_t begin, std::size_t end) {
-    out.tokens.push_back({kind, std::move(text), at_line, begin, end});
+  auto emit = [&](TokKind kind, std::string text, std::uint32_t at_line) {
+    out.tokens.push_back({kind, std::move(text), at_line});
     code_on_line = true;
   };
 
@@ -129,7 +116,6 @@ LexedFile lex(std::string path, const std::string& src) {
     }
     // Raw string literal: R"delim( ... )delim".
     if (c == 'R' && i + 1 < n && src[i + 1] == '"') {
-      const std::size_t begin = i;
       std::size_t j = i + 2;
       std::string delim;
       while (j < n && src[j] != '(') delim.push_back(src[j++]);
@@ -140,13 +126,12 @@ LexedFile lex(std::string path, const std::string& src) {
       for (std::size_t k = i; k < stop; ++k) {
         if (src[k] == '\n') newline();
       }
-      emit(TokKind::kString, "R\"...\"", at, begin, stop);
+      emit(TokKind::kString, "R\"...\"", at);
       i = stop;
       continue;
     }
     // String / char literal.
     if (c == '"' || c == '\'') {
-      const std::size_t begin = i;
       const char quote = c;
       std::string text(1, c);
       ++i;
@@ -163,14 +148,14 @@ LexedFile lex(std::string path, const std::string& src) {
         ++i;
       }
       emit(quote == '"' ? TokKind::kString : TokKind::kChar, std::move(text),
-           line, begin, i);
+           line);
       continue;
     }
     // Identifier / keyword.
     if (ident_start(c)) {
       std::size_t j = i;
       while (j < n && ident_cont(src[j])) ++j;
-      emit(TokKind::kIdent, src.substr(i, j - i), line, i, j);
+      emit(TokKind::kIdent, src.substr(i, j - i), line);
       i = j;
       continue;
     }
@@ -183,7 +168,7 @@ LexedFile lex(std::string path, const std::string& src) {
                          src[j - 1] == 'p' || src[j - 1] == 'P')))) {
         ++j;
       }
-      emit(TokKind::kNumber, src.substr(i, j - i), line, i, j);
+      emit(TokKind::kNumber, src.substr(i, j - i), line);
       i = j;
       continue;
     }
@@ -198,9 +183,8 @@ LexedFile lex(std::string path, const std::string& src) {
         two("<<") || two(">>") || two("++") || two("--")) {
       p = src.substr(i, 2);
     }
-    const std::size_t len = p.size();
-    emit(TokKind::kPunct, std::move(p), line, i, i + len);
-    i += len;
+    i += p.size();
+    emit(TokKind::kPunct, std::move(p), line);
   }
   return out;
 }

@@ -1,61 +1,49 @@
 // asfsim_lint lexer: a minimal, dependency-free C++ tokenizer.
 //
 // Produces a flat token stream (identifiers, punctuation, literals) with
-// line numbers and byte offsets, plus the per-line suppression directives
-// parsed out of comments. This is deliberately NOT a real C++ front end:
-// the parser (parser.cpp) builds a declaration/statement AST on top of this
-// stream, which is enough for the simulator's guest-code invariants and
-// keeps the tool buildable with nothing but the standard library.
+// line numbers, plus the per-line suppression directives parsed out of
+// comments. This is deliberately NOT a C++ front end: the rules
+// (rules.cpp) are token walks plus one brace-scope pass, which is enough
+// for the simulator's guest-code invariants and keeps the tool buildable
+// with nothing but the standard library.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
+#include <map>
+#include <set>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 namespace asfsim_lint {
 
 enum class TokKind : std::uint8_t {
-  kIdent,    // identifiers and keywords (co_await, if, ...)
-  kPunct,    // operators and punctuation, one logical op per token
-  kNumber,   // numeric literal
-  kString,   // string literal (text is the raw spelling)
-  kChar,     // character literal
+  kIdent,   // identifiers and keywords (co_await, if, ...)
+  kPunct,   // operators and punctuation, one logical op per token
+  kNumber,  // numeric literal
+  kString,  // string literal (text is the raw spelling)
+  kChar,    // character literal
 };
 
 struct Token {
   TokKind kind;
   std::string text;
   std::uint32_t line;
-  // Byte range [begin, end) in the original source; the autofixer (fix.cpp)
-  // anchors its text edits here.
-  std::size_t begin = 0;
-  std::size_t end = 0;
 };
 
-/// Suppressions collected from `// asfsim-lint: allow(rule)` comments.
-/// A directive on a code line suppresses that line; a directive on a line
-/// of its own suppresses the next code line. `allow-file(rule)` suppresses
-/// the whole file. The rule name `all` matches every rule.
+/// Suppressions collected from `// asfsim-lint: allow(rule[, rule...])`
+/// comments. A directive on a code line suppresses that line; a directive
+/// on a line of its own suppresses the next line.
 struct Suppressions {
-  std::unordered_map<std::uint32_t, std::unordered_set<std::string>> by_line;
-  std::unordered_set<std::string> whole_file;
+  std::map<std::uint32_t, std::set<std::string>> by_line;
 
   [[nodiscard]] bool allows(const std::string& rule, std::uint32_t line) const {
-    if (whole_file.count(rule) != 0 || whole_file.count("all") != 0) {
-      return true;
-    }
     const auto it = by_line.find(line);
-    if (it == by_line.end()) return false;
-    return it->second.count(rule) != 0 || it->second.count("all") != 0;
+    return it != by_line.end() && it->second.count(rule) != 0;
   }
 };
 
 struct LexedFile {
   std::string path;
-  std::string source;  // original bytes (the autofixer edits these)
   std::vector<Token> tokens;
   Suppressions suppressions;
 };

@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <cstddef>
-
-#include "cfg.hpp"
-#include "parser.hpp"
+#include <set>
 
 namespace asfsim_lint {
 namespace {
+
+constexpr std::size_t kNpos = static_cast<std::size_t>(-1);
 
 bool is(const Token& t, const char* s) { return t.text == s; }
 bool is_ident(const Token& t) { return t.kind == TokKind::kIdent; }
@@ -16,60 +16,142 @@ bool path_contains(const std::string& path, const char* needle) {
   return path.find(needle) != std::string::npos;
 }
 
-// ---- R5/R6 helpers --------------------------------------------------------
+/// Token index of the `)` matching the `(` at `open`, or kNpos.
+std::size_t match_paren(const std::vector<Token>& toks, std::size_t open) {
+  int depth = 0;
+  for (std::size_t k = open; k < toks.size(); ++k) {
+    if (is(toks[k], "(")) ++depth;
+    if (is(toks[k], ")") && --depth == 0) return k;
+  }
+  return kNpos;
+}
+
+/// Token index of the `(` matching the `)` at `close`, or kNpos.
+std::size_t match_paren_back(const std::vector<Token>& toks,
+                             std::size_t close) {
+  int depth = 0;
+  for (std::size_t k = close + 1; k-- > 0;) {
+    if (is(toks[k], ")")) ++depth;
+    if (is(toks[k], "(") && --depth == 0) return k;
+  }
+  return kNpos;
+}
+
+// ---- coroutine scopes -------------------------------------------------------
+
+// Keywords that, when hit while walking back from a `{`, prove the brace is
+// not a function body (type/namespace/control/label contexts).
+const std::set<std::string> kNonFunctionKeywords = {
+    "struct",   "class",    "union",  "enum",    "namespace", "else",
+    "do",       "try",      "export", "extern",  "return",    "co_return",
+    "co_yield", "co_await", "if",     "while",   "for",       "switch",
+    "case",     "default",  "public", "private", "protected", "concept",
+    "requires"};
+
+const std::set<std::string> kControlIntro = {"if", "while", "for", "switch",
+                                             "catch"};
+
+// Tokens skipped while walking back from a `{` across a trailing return
+// type / cv-qualifier run, looking for the parameter list's `)`.
+bool skippable_before_body(const Token& t) {
+  if (is_ident(t)) return kNonFunctionKeywords.count(t.text) == 0;
+  static const std::set<std::string> kPunct = {"::", "<",  ">",  ">>", ",",
+                                               "*",  "&",  "&&", "->"};
+  return kPunct.count(t.text) != 0;
+}
+
+/// Does the `{` at `b` open a function-like body (free/member function,
+/// constructor, or lambda)? Pure token heuristic: walk back over a trailing
+/// return type and qualifiers to a capture list `]` or a parameter list
+/// `(...)` that is not a control-statement header.
+bool opens_function_body(const std::vector<Token>& toks, std::size_t b) {
+  if (b == 0) return false;
+  std::size_t k = b - 1;
+  for (int steps = 0; steps < 24; ++steps) {
+    const Token& t = toks[k];
+    if (is(t, "]")) return true;  // capture list directly: `[&] {`
+    if (is(t, ")")) {
+      const std::size_t open = match_paren_back(toks, k);
+      if (open == kNpos) return false;
+      if (open == 0) return true;
+      std::size_t p = open - 1;
+      // `if constexpr (...)`: the intro keyword sits one further back.
+      if (is(toks[p], "constexpr") && p > 0) --p;
+      if (is_ident(toks[p]) && kControlIntro.count(toks[p].text) != 0) {
+        return false;
+      }
+      // `noexcept(...)` / `requires(...)` trail a declarator: keep walking.
+      if (is(toks[p], "noexcept") || is(toks[p], "requires")) {
+        k = p;
+        continue;
+      }
+      return is_ident(toks[p]) || is(toks[p], "]") || is(toks[p], ">") ||
+             is(toks[p], ">>");
+    }
+    if (!skippable_before_body(t) || k == 0) return false;
+    --k;
+  }
+  return false;
+}
+
+/// For each token: is its innermost enclosing function or lambda body a
+/// coroutine, i.e. does that body hold co_await/co_return/co_yield at its
+/// own level (not inside a nested lambda)?
+std::vector<bool> coroutine_scopes(const std::vector<Token>& toks) {
+  std::vector<std::size_t> fn_of(toks.size(), kNpos);  // innermost body
+  std::vector<bool> is_coroutine;                      // per body
+  std::vector<bool> block_is_fn;                       // open-brace stack
+  std::vector<std::size_t> fn_stack;
+  for (std::size_t i = 0; i < toks.size(); ++i) {
+    if (is(toks[i], "{")) {
+      const bool fn = opens_function_body(toks, i);
+      block_is_fn.push_back(fn);
+      if (fn) {
+        fn_stack.push_back(is_coroutine.size());
+        is_coroutine.push_back(false);
+      }
+    } else if (is(toks[i], "}") && !block_is_fn.empty()) {
+      if (block_is_fn.back() && !fn_stack.empty()) fn_stack.pop_back();
+      block_is_fn.pop_back();
+    }
+    fn_of[i] = fn_stack.empty() ? kNpos : fn_stack.back();
+    if (fn_of[i] != kNpos && (is(toks[i], "co_await") ||
+                              is(toks[i], "co_return") ||
+                              is(toks[i], "co_yield"))) {
+      is_coroutine[fn_of[i]] = true;
+    }
+  }
+  std::vector<bool> out(toks.size(), false);
+  for (std::size_t i = 0; i < toks.size(); ++i) {
+    out[i] = fn_of[i] != kNpos && is_coroutine[fn_of[i]];
+  }
+  return out;
+}
+
+// ---- R5/R6 vocabularies ---------------------------------------------------
 
 // Clock/entropy TYPES: any mention in sim-affecting code is a finding.
-const std::unordered_set<std::string> kNondetTypes = {
+const std::set<std::string> kNondetTypes = {
     "random_device", "system_clock", "steady_clock", "high_resolution_clock"};
 
 // Banned FUNCTIONS: flagged only as calls (`name(`), unqualified or
 // std::-qualified, never as members (`obj.time(...)` is someone else's API).
-const std::unordered_set<std::string> kNondetCalls = {
-    "rand",   "srand",        "time",        "clock",
+const std::set<std::string> kNondetCalls = {
+    "rand",   "srand",        "time",         "clock",
     "getenv", "gettimeofday", "clock_gettime"};
 
-/// Declared type spelling with cv/storage qualifiers and std:: stripped,
-/// so "const std::unordered_map<K, V>" resolves to its container head.
-std::string type_head(std::string t) {
-  for (bool again = true; again;) {
-    again = false;
-    for (const char* q : {"const ", "static ", "mutable "}) {
-      const std::size_t n = std::string(q).size();
-      if (t.rfind(q, 0) == 0) {
-        t.erase(0, n);
-        again = true;
-      }
-    }
-  }
-  if (t.rfind("std::", 0) == 0) t.erase(0, 5);
-  return t;
-}
-
-/// Does iterating a declaration of this type (optionally through one
-/// subscript) walk an unordered container?
-bool iteration_is_unordered(const std::string& type_text, bool indexed) {
-  const std::string head = type_head(type_text);
-  const bool head_unordered = head.rfind("unordered_", 0) == 0;
-  const std::size_t first = type_text.find("unordered_");
-  if (first == std::string::npos) return false;
-  if (!indexed) return head_unordered;
-  if (!head_unordered) return true;  // e.g. vector<unordered_map<...>>[i]
-  // umap[k] yields the mapped type; only flag when that is unordered too.
-  return type_text.find("unordered_", first + 1) != std::string::npos;
-}
+// Containers whose iteration order is unspecified.
+const std::set<std::string> kUnorderedTypes = {
+    "unordered_map", "unordered_set", "unordered_multimap",
+    "unordered_multiset"};
 
 class Checker {
  public:
-  Checker(const ParsedFile& pf, const RuleContext& ctx)
-      : file_(pf.file),
-        toks_(pf.file.tokens),
-        ast_(pf.ast),
-        ctx_(ctx),
-        cfgs_(build_cfgs(pf.file, pf.ast)) {}
+  explicit Checker(const LexedFile& file)
+      : file_(file), toks_(file.tokens), in_coro_(coroutine_scopes(toks_)) {}
 
   std::vector<Diagnostic> run() {
     rule_coawait_in_condition();
-    rule_discarded_task();
     if (path_contains(file_.path, "workloads") ||
         path_contains(file_.path, "oltp")) {
       rule_global_alloc_in_tx();
@@ -77,7 +159,7 @@ class Checker {
     }
     if (sim_affecting_path(file_.path)) {
       rule_nondeterministic_source();
-      rule_unordered_iteration();
+      rule_unordered_container();
     }
     std::sort(diags_.begin(), diags_.end(),
               [](const Diagnostic& a, const Diagnostic& b) {
@@ -87,30 +169,14 @@ class Checker {
   }
 
  private:
-  void report(const char* rule, std::size_t tok, std::string message,
-              std::string hint = {}, std::vector<FixEdit> fixes = {}) {
+  void report(const char* rule, std::size_t tok, std::string message) {
     const std::uint32_t line = toks_[tok].line;
     if (file_.suppressions.allows(rule, line)) return;
     // One report per (rule, line) is enough.
     for (const auto& d : diags_) {
       if (d.line == line && d.rule == rule) return;
     }
-    diags_.push_back({file_.path, line, rule, std::move(message),
-                      std::move(hint), std::move(fixes)});
-  }
-
-  /// Leading whitespace of the line containing byte `at`.
-  std::string indent_at(std::size_t at) const {
-    const std::string& src = file_.source;
-    std::size_t start = at;
-    while (start > 0 && src[start - 1] != '\n') --start;
-    std::string indent;
-    for (std::size_t k = start; k < src.size() && (src[k] == ' ' ||
-                                                   src[k] == '\t');
-         ++k) {
-      indent.push_back(src[k]);
-    }
-    return indent;
+    diags_.push_back({file_.path, line, rule, std::move(message)});
   }
 
   // ---- R1: co_await inside a condition expression -------------------------
@@ -123,31 +189,29 @@ class Checker {
   // and SIGILL at -O2. The safe shape hoists the awaited value into a named
   // local before branching, so we ban co_await in EVERY condition context,
   // whether or not the branch suspends today (the branch body is one edit
-  // away from suspending). Detection walks the CFG's condition nodes.
+  // away from suspending). `do ... while (...)` is covered by its `while`.
   void rule_coawait_in_condition() {
-    for (const Cfg& cfg : cfgs_) {
-      for (const CfgNode& n : cfg.nodes) {
-        if (n.kind != CfgNodeKind::kBranch && n.kind != CfgNodeKind::kLoop) {
-          continue;
-        }
-        if (n.cond_open == kNpos || n.cond_close == kNpos) continue;
-        const std::string intro = n.intro == "do" ? "while" : n.intro;
-        for (std::size_t k = n.cond_open + 1; k < n.cond_close; ++k) {
-          if (!is(toks_[k], "co_await")) continue;
-          report(kRuleCoawaitInCondition, k,
-                 "co_await inside a '" + intro +
-                     "' condition — GCC 12 corrupts the coroutine frame when "
-                     "the controlled branch also suspends (DESIGN.md §7)",
-                 "hoist the awaited value first:  const auto v = co_await "
-                 "<expr>;  " +
-                     intro + " (v ...) { ... }",
-                 hoist_fix(n));
-        }
+    for (std::size_t i = 0; i < toks_.size(); ++i) {
+      if (!is_ident(toks_[i]) || kControlIntro.count(toks_[i].text) == 0 ||
+          is(toks_[i], "catch")) {
+        continue;
+      }
+      std::size_t open = i + 1;
+      if (open < toks_.size() && is(toks_[open], "constexpr")) ++open;
+      if (open >= toks_.size() || !is(toks_[open], "(")) continue;
+      const std::size_t close = match_paren(toks_, open);
+      if (close == kNpos) continue;
+      for (std::size_t k = open + 1; k < close; ++k) {
+        if (!is(toks_[k], "co_await")) continue;
+        report(kRuleCoawaitInCondition, k,
+               "co_await inside a '" + toks_[i].text +
+                   "' condition — GCC 12 corrupts the coroutine frame when "
+                   "the controlled branch also suspends (DESIGN.md §7); "
+                   "hoist the awaited value into a named local first");
       }
     }
     // Ternary conditions: a co_await whose full expression meets a `?` at
-    // the same nesting depth before the statement ends. Token walk: the CFG
-    // does not model expressions.
+    // the same nesting depth before the statement ends.
     for (std::size_t i = 0; i < toks_.size(); ++i) {
       if (!is(toks_[i], "co_await")) continue;
       int depth = 0;
@@ -164,100 +228,10 @@ class Checker {
           report(kRuleCoawaitInCondition, i,
                  "co_await in a ternary condition — same GCC 12 frame "
                  "corruption as branching on an inline co_await "
-                 "(DESIGN.md §7)",
-                 "hoist:  const auto v = co_await <expr>;  then  v ? ... : "
-                 "...");
+                 "(DESIGN.md §7); hoist the awaited value first");
           break;
         }
       }
-    }
-  }
-
-  /// Autofix for an `if (co_await ...)` header: hoist the whole condition
-  /// into a named local above the statement. Only plain `if` — hoisting a
-  /// loop condition would freeze a value the loop must re-await, and
-  /// condition-declarations (`if (auto v = ...)`) need the declaration kept.
-  std::vector<FixEdit> hoist_fix(const CfgNode& n) const {
-    if (n.intro != "if") return {};
-    if (n.cond_open != n.begin + 1) return {};  // `if constexpr (...)`
-    int depth = 0;
-    for (std::size_t k = n.cond_open + 1; k < n.cond_close; ++k) {
-      const Token& t = toks_[k];
-      if (is(t, "(") || is(t, "[") || is(t, "{")) ++depth;
-      if (is(t, ")") || is(t, "]") || is(t, "}")) --depth;
-      if (depth == 0 && (is(t, "=") || is(t, ";"))) return {};
-    }
-    const Token& intro_tok = toks_[n.begin];
-    const Token& open_tok = toks_[n.cond_open];
-    const Token& close_tok = toks_[n.cond_close];
-    if (close_tok.begin <= open_tok.end) return {};
-    const std::string var =
-        "hoisted_l" + std::to_string(intro_tok.line);
-    const std::string cond = file_.source.substr(
-        open_tok.end, close_tok.begin - open_tok.end);
-    std::vector<FixEdit> fixes;
-    fixes.push_back({intro_tok.begin, intro_tok.begin,
-                     "const auto " + var + " = " + cond + ";\n" +
-                         indent_at(intro_tok.begin)});
-    fixes.push_back({open_tok.end, close_tok.begin, var});
-    return fixes;
-  }
-
-  // ---- R2: discarded Task -------------------------------------------------
-  //
-  // Task<T> is lazy: a task that is never co_awaited (or stored and handed
-  // to Machine::spawn) never runs its body. A bare `foo(...);` statement
-  // calling a Task-returning function is therefore dead code that LOOKS
-  // like a memory access or a transaction.
-  void rule_discarded_task() {
-    for (std::size_t i = 0; i + 1 < toks_.size(); ++i) {
-      if (!is_ident(toks_[i])) continue;
-      const auto fn = ctx_.task_fns.find(toks_[i].text);
-      if (fn == ctx_.task_fns.end()) continue;
-      if (!is(toks_[i + 1], "(")) continue;
-      const std::size_t close = match_paren(toks_, i + 1);
-      if (close == kNpos || close + 1 >= toks_.size()) continue;
-      if (!is(toks_[close + 1], ";")) continue;  // result consumed somehow
-      // Arity gate: `q.push(x)` is std::queue, not GStack::push(ctx, x).
-      if (fn->second.count(call_arity(i + 1, close)) == 0) continue;
-      // Walk back over the object/namespace chain: `w->counters_.get`.
-      std::size_t start = i;
-      while (start > 0) {
-        const Token& p = toks_[start - 1];
-        if (is(p, ".") || is(p, "->") || is(p, "::")) {
-          if (start < 2) break;
-          const Token& q = toks_[start - 2];
-          if (is_ident(q)) {
-            start -= 2;
-            continue;
-          }
-          if (is(q, ")")) {
-            const std::size_t op = match_paren_back(toks_, start - 2);
-            if (op == kNpos || op == 0) break;
-            start = op;  // jump over the call, keep walking the chain
-            continue;
-          }
-        }
-        break;
-      }
-      if (start == 0) continue;
-      const Token& prev = toks_[start - 1];
-      const bool statement_context =
-          is(prev, ";") || is(prev, "{") || is(prev, "}") || is(prev, ")") ||
-          is(prev, "else") || is(prev, "do");
-      if (!statement_context) continue;  // co_await/=/argument/return...
-      // Autofix: awaiting the task is only legal inside a coroutine.
-      std::vector<FixEdit> fixes;
-      if (ast_.in_coroutine(start)) {
-        fixes.push_back(
-            {toks_[start].begin, toks_[start].begin, "co_await "});
-      }
-      report(kRuleDiscardedTask, i,
-             "result of Task-returning function '" + toks_[i].text +
-                 "' is discarded — a dropped Task never runs its body",
-             "co_await " + toks_[i].text +
-                 "(...);  or store it and pass it to Machine::spawn",
-             std::move(fixes));
     }
   }
 
@@ -272,38 +246,20 @@ class Checker {
   // thread and may use the global path freely.
   void rule_global_alloc_in_tx() {
     for (std::size_t i = 0; i + 4 < toks_.size(); ++i) {
-      if (!is_ident(toks_[i]) || toks_[i].text != "galloc") continue;
-      if (!(is(toks_[i + 1], "(") && is(toks_[i + 2], ")") &&
-            is(toks_[i + 3], "."))) {
+      if (!is(toks_[i], "galloc") || !is(toks_[i + 1], "(") ||
+          !is(toks_[i + 2], ")") || !is(toks_[i + 3], ".")) {
         continue;
       }
       const std::string& m = toks_[i + 4].text;
       if (m != "alloc" && m != "alloc_lines") continue;
-      if (!ast_.in_coroutine(i)) continue;
-      // Autofix: rewrite `galloc().alloc` to `<ctx>.alloc_local` when the
-      // enclosing function takes a GuestCtx (alloc_lines has no per-core
-      // equivalent, so only the plain form is fixable).
-      std::vector<FixEdit> fixes;
-      if (m == "alloc") {
-        if (const FunctionDecl* f = ast_.function_at(i)) {
-          for (const ParamDecl& p : f->params) {
-            if (p.type_text.find("GuestCtx") != std::string::npos &&
-                !p.name.empty()) {
-              fixes.push_back({toks_[i].begin, toks_[i + 4].end,
-                               p.name + ".alloc_local"});
-              break;
-            }
-          }
-        }
-      }
+      if (!in_coro_[i]) continue;
       report(kRuleGlobalAllocInTx, i,
              "guest-thread code allocates via the global bump allocator "
              "(galloc()." +
                  m +
                  ") — concurrent transactions get adjacent nodes in one "
-                 "line and fabricate WAW false sharing (DESIGN.md §6.9)",
-             "use the per-core pool:  ctx.alloc_local(size, align)",
-             std::move(fixes));
+                 "line and fabricate WAW false sharing (DESIGN.md §6.9); "
+                 "use ctx.alloc_local(size, align)");
     }
     // Raw host allocation in guest-thread code is the same hazard from the
     // host side: heap nodes allocated mid-coroutine are invisible to the
@@ -312,8 +268,8 @@ class Checker {
     // (src/sim/frame_arena.hpp), which Task<> promises route operator new
     // through; at a call site that machinery appears as placement-new into
     // arena storage. The exemption is this explicit allowlist of arena
-    // entry-point names — never a file- or rule-level suppression, which
-    // would also hide genuine global allocations
+    // entry-point names — never a suppression, which would also hide
+    // genuine global allocations
     // (tests/lint_fixtures/workloads/r3_arena_*.cpp pin both directions).
     static constexpr const char* kR3ArenaAllowlist[] = {"frame_arena",
                                                         "FrameArena"};
@@ -325,18 +281,15 @@ class Checker {
           (t == "malloc" || t == "calloc" || t == "realloc") &&
           is(toks_[i + 1], "(");
       if (!is_new && !is_c_alloc) continue;
-      if (!ast_.in_coroutine(i)) continue;
+      if (!in_coro_[i]) continue;
       if (is_new && is(toks_[i + 1], "(")) {
         // Placement-new: exempt iff the placement argument goes through an
         // allowlisted arena entry point.
         bool allowlisted = false;
-        int depth = 0;
-        for (std::size_t j = i + 1; j < toks_.size(); ++j) {
-          if (is(toks_[j], "(")) ++depth;
-          if (is(toks_[j], ")") && --depth == 0) break;
+        const std::size_t close = match_paren(toks_, i + 1);
+        for (std::size_t j = i + 2; j < std::min(close, toks_.size()); ++j) {
           for (const char* name : kR3ArenaAllowlist) {
-            if (is_ident(toks_[j]) && toks_[j].text == name)
-              allowlisted = true;
+            allowlisted = allowlisted || is(toks_[j], name);
           }
         }
         if (allowlisted) continue;
@@ -345,9 +298,7 @@ class Checker {
              "guest-thread code allocates from the host heap (" + t +
                  ") — the address is host-nondeterministic and the node "
                  "is invisible to the simulator (DESIGN.md §6.9); only "
-                 "the per-core frame arena is exempt",
-             "use ctx.alloc_local(size, align) for simulated nodes, or "
-             "the FrameArena for host-side coroutine scratch");
+                 "the per-core frame arena is exempt");
     }
   }
 
@@ -366,8 +317,7 @@ class Checker {
       if (name == "reinterpret_cast") {
         report(kRuleRawGuestAccess, i,
                "reinterpret_cast in a workload — guest memory has no host "
-               "pointer; use GuestCtx typed loads/stores",
-               "co_await ctx.load_u64(addr) / ctx.store_u64(addr, v)");
+               "pointer; use GuestCtx typed loads/stores");
         continue;
       }
       if (name != "poke" && name != "peek" && name != "backing") continue;
@@ -375,12 +325,12 @@ class Checker {
       if (i == 0 || !(is(toks_[i - 1], ".") || is(toks_[i - 1], "->"))) {
         continue;
       }
-      if (!ast_.in_coroutine(i)) continue;
+      if (!in_coro_[i]) continue;
       report(kRuleRawGuestAccess, i,
              "guest-thread code calls '" + name +
                  "' — host-side backdoor access bypasses the caches, the "
-                 "conflict detector, and the classifier byte masks",
-             "co_await ctx.load_u64(addr) / ctx.store_u64(addr, v)");
+                 "conflict detector, and the classifier byte masks; use "
+                 "GuestCtx typed loads/stores");
     }
   }
 
@@ -394,18 +344,15 @@ class Checker {
   // scope; genuinely wall-clock code (watchdog escape hatches) carries an
   // explicit suppression with its justification.
   void rule_nondeterministic_source() {
+    const std::string why =
+        "' in simulator-affecting code — results must be a pure function "
+        "of (config, seed); clock/entropy reads poison the JobSpec result "
+        "cache and reproducibility";
     for (std::size_t i = 0; i < toks_.size(); ++i) {
       if (!is_ident(toks_[i])) continue;
       const std::string& name = toks_[i].text;
       if (kNondetTypes.count(name) != 0) {
-        report(kRuleNondeterministicSource, i,
-               "'" + name +
-                   "' in simulator-affecting code — results must be a pure "
-                   "function of (config, seed); clock/entropy reads poison "
-                   "the JobSpec result cache and reproducibility",
-               "derive randomness from cfg.seed; if this is wall-clock "
-               "guard code, annotate why with  // asfsim-lint: "
-               "allow(nondeterministic-source)");
+        report(kRuleNondeterministicSource, i, "'" + name + why);
         continue;
       }
       if (kNondetCalls.count(name) == 0) continue;
@@ -413,179 +360,55 @@ class Checker {
       if (i > 0) {
         const Token& p = toks_[i - 1];
         if (is(p, ".") || is(p, "->")) continue;  // member call: not libc
-        if (is(p, "::")) {
-          // Qualified: only std::/global-:: spellings are the libc ones.
-          if (i >= 2 && is_ident(toks_[i - 2]) &&
-              toks_[i - 2].text != "std") {
-            continue;
-          }
+        // Qualified: only std::/global-:: spellings are the libc ones.
+        if (is(p, "::") && i >= 2 && is_ident(toks_[i - 2]) &&
+            toks_[i - 2].text != "std") {
+          continue;
         }
         // `ScopedSimClock clock(...)` declares a variable named `clock`;
         // a preceding type name or declarator punctuation is not a call
         // context (but `return time(nullptr)` still is).
-        static const std::unordered_set<std::string> kCallIntro = {
+        static const std::set<std::string> kCallIntro = {
             "return", "co_return", "co_yield", "else", "do", "case"};
         if (is_ident(p) && kCallIntro.count(p.text) == 0) continue;
         if (is(p, ">") || is(p, ">>") || is(p, "&") || is(p, "*")) continue;
       }
-      report(kRuleNondeterministicSource, i,
-             "call to '" + name +
-                 "' in simulator-affecting code — results must be a pure "
-                 "function of (config, seed); clock/entropy reads poison "
-                 "the JobSpec result cache and reproducibility",
-             "derive randomness from cfg.seed; if this is wall-clock "
-             "guard code, annotate why with  // asfsim-lint: "
-             "allow(nondeterministic-source)");
+      report(kRuleNondeterministicSource, i, "call to '" + name + why);
     }
   }
 
-  // ---- R6: range-for over an unordered container --------------------------
+  // ---- R6: unordered containers in simulator-affecting code ---------------
   //
   // unordered_map/set iteration order is unspecified and differs across
-  // stdlib implementations, hash seeds, and insertion histories. When the
-  // loop body's effect depends on visit order (first-match reporting,
-  // accumulation with rounding, tie-breaking), simulation output stops
-  // being reproducible. Order-insensitive folds (sum/max over disjoint
-  // state) are fine — suppress with a justification.
-  void rule_unordered_iteration() {
-    for (const RangeForStmt& rf : ast_.range_fors) {
-      // Resolve the iterated expression: a name, member chain, or a chain
-      // with subscripts. Calls are opaque; skip them.
-      bool has_call = false;
-      bool indexed = false;
-      std::size_t base = kNpos;
-      int bracket = 0;
-      for (std::size_t k = rf.colon + 1; k < rf.close; ++k) {
-        const Token& t = toks_[k];
-        if (is(t, "(")) has_call = true;
-        if (is(t, "[")) {
-          if (bracket == 0) indexed = true;
-          ++bracket;
-        }
-        if (is(t, "]")) --bracket;
-        if (bracket == 0 && is_ident(t)) base = k;
+  // stdlib implementations, hash seeds, and insertion histories. Rather
+  // than resolving which loops walk such a container, the container itself
+  // is banned here: AddrMap (src/sim/addr_map.hpp) is the deterministic
+  // hash map for address keys; std::map/std::set or a sorted vector serve
+  // everything else.
+  void rule_unordered_container() {
+    for (std::size_t i = 0; i < toks_.size(); ++i) {
+      if (!is_ident(toks_[i]) || kUnorderedTypes.count(toks_[i].text) == 0) {
+        continue;
       }
-      if (has_call || base == kNpos) continue;
-      const std::string& name = toks_[base].text;
-      const std::vector<std::string>* types = nullptr;
-      std::vector<std::string> local;
-      for (const ContainerDecl& d : ast_.container_decls) {
-        if (d.name == name) local.push_back(d.type_text);
-      }
-      if (!local.empty()) {
-        types = &local;
-      } else {
-        const auto it = ctx_.containers.find(name);
-        if (it == ctx_.containers.end()) continue;
-        types = &it->second;
-      }
-      for (const std::string& ty : *types) {
-        if (!iteration_is_unordered(ty, indexed)) continue;
-        report(kRuleUnorderedIteration, rf.for_tok,
-               "range-for over unordered container '" + name + "' (" + ty +
-                   ") — iteration order is unspecified and varies across "
-                   "stdlib implementations, so any order-sensitive effect "
-                   "breaks reproducibility",
-               "collect keys into a std::vector and sort, use a sorted "
-               "container, or suppress with a justification if the fold is "
-               "order-insensitive");
-        break;
-      }
+      report(kRuleUnorderedIteration, i,
+             "std::" + toks_[i].text +
+                 " in simulator-affecting code — its iteration order is "
+                 "unspecified and varies across stdlib implementations; use "
+                 "AddrMap, std::map/std::set, or a sorted vector");
     }
-  }
-
-  /// Number of top-level arguments of the call whose parens are
-  /// [open, close].
-  int call_arity(std::size_t open, std::size_t close) const {
-    int depth = 0;
-    int args = 0;
-    bool any = false;
-    for (std::size_t k = open; k <= close; ++k) {
-      const Token& t = toks_[k];
-      if (is(t, "(") || is(t, "[") || is(t, "{")) ++depth;
-      if (is(t, ")") || is(t, "]") || is(t, "}")) --depth;
-      if (depth == 1 && is(t, ",")) ++args;
-      if (depth >= 1 && !is(t, "(")) any = true;
-    }
-    return any ? args + 1 : 0;
   }
 
   const LexedFile& file_;
   const std::vector<Token>& toks_;
-  const Ast& ast_;
-  const RuleContext& ctx_;
-  std::vector<Cfg> cfgs_;
+  const std::vector<bool> in_coro_;
   std::vector<Diagnostic> diags_;
 };
-
-/// Task<...>-returning function declarations, by token walk (the AST only
-/// records definitions with bodies; declarations matter too).
-void collect_task_functions(const LexedFile& f, TaskFunctionMap& fns) {
-  const auto& toks = f.tokens;
-  for (std::size_t i = 0; i + 2 < toks.size(); ++i) {
-    if (!is_ident(toks[i]) || toks[i].text != "Task") continue;
-    if (!is(toks[i + 1], "<")) continue;
-    // Find the matching `>` (a `>>` closes two levels).
-    int depth = 0;
-    std::size_t k = i + 1;
-    for (; k < toks.size(); ++k) {
-      if (is(toks[k], "<")) ++depth;
-      if (is(toks[k], ">")) --depth;
-      if (is(toks[k], ">>")) depth -= 2;
-      if (depth <= 0) break;
-      if (is(toks[k], ";") || is(toks[k], "{")) {
-        k = toks.size();
-        break;
-      }
-    }
-    if (k + 2 >= toks.size()) continue;
-    // `Task<...> name (` — a declaration or definition, not a variable.
-    if (!is_ident(toks[k + 1]) || !is(toks[k + 2], "(")) continue;
-    const std::string& name = toks[k + 1].text;
-    if (name == "Task" || name == "operator") continue;
-    // Walk the parameter list: total arity, plus the shorter arities
-    // admitted by trailing defaulted parameters.
-    int pdepth = 0;
-    int params = 0;
-    int min_params = -1;  // first defaulted parameter index, if any
-    bool cur_nonempty = false;
-    bool cur_defaulted = false;
-    std::size_t p = k + 2;
-    for (; p < toks.size(); ++p) {
-      const Token& t = toks[p];
-      if (is(t, "(") || is(t, "[") || is(t, "{")) ++pdepth;
-      if (is(t, ")") || is(t, "]") || is(t, "}")) {
-        if (--pdepth == 0) break;
-        continue;
-      }
-      if (pdepth == 1 && is(t, ",")) {
-        if (cur_defaulted && min_params < 0) min_params = params;
-        ++params;
-        cur_nonempty = false;
-        cur_defaulted = false;
-        continue;
-      }
-      if (pdepth >= 1) {
-        cur_nonempty = true;
-        if (pdepth == 1 && is(t, "=")) cur_defaulted = true;
-      }
-    }
-    if (p >= toks.size()) continue;
-    if (cur_nonempty) {
-      if (cur_defaulted && min_params < 0) min_params = params;
-      ++params;
-    }
-    if (min_params < 0) min_params = params;
-    auto& arities = fns[name];
-    for (int a = min_params; a <= params; ++a) arities.insert(a);
-  }
-}
 
 }  // namespace
 
 bool sim_affecting_path(const std::string& path) {
-  static const std::unordered_set<std::string> kScopes = {
-      "sim", "core",      "mem",   "htm",  "guest",
+  static const std::set<std::string> kScopes = {
+      "sim",  "core",      "mem",   "htm",  "guest",
       "oltp", "workloads", "fault", "stats"};
   std::size_t begin = 0;
   while (begin <= path.size()) {
@@ -598,20 +421,8 @@ bool sim_affecting_path(const std::string& path) {
   return false;
 }
 
-RuleContext collect_context(const std::vector<ParsedFile>& files) {
-  RuleContext ctx;
-  for (const ParsedFile& pf : files) {
-    collect_task_functions(pf.file, ctx.task_fns);
-    for (const ContainerDecl& d : pf.ast.container_decls) {
-      ctx.containers[d.name].push_back(d.type_text);
-    }
-  }
-  return ctx;
-}
-
-std::vector<Diagnostic> check_file(const ParsedFile& pf,
-                                   const RuleContext& ctx) {
-  return Checker(pf, ctx).run();
+std::vector<Diagnostic> check_file(const LexedFile& file) {
+  return Checker(file).run();
 }
 
 }  // namespace asfsim_lint
