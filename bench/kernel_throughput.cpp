@@ -9,15 +9,16 @@
 //
 // Usage: kernel_throughput [--repeat N] [--quick]
 //   --repeat N   host-timing repetitions per cell, best-of-N (default 3)
-//   --quick      CI shape: fewer repetitions and smaller inputs; still the
-//                same cells, so ratios remain meaningful on shared runners
+//   --quick      CI shape: at most 2 repetitions and smaller inputs; still
+//                the same cells, so ratios remain meaningful on shared runners
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "harness/args.hpp"
 #include "harness/experiment.hpp"
 #include "workloads/workload.hpp"
 
@@ -57,7 +58,7 @@ ExperimentConfig cell_config(const BenchCell& c, bool quick) {
   cfg.sim.ncores = 8;
   cfg.params.seed = 42;
   cfg.params.scale = quick ? c.quick_scale : c.scale;
-  if (std::strcmp(c.workload, "oltp") == 0) {
+  if (std::string_view(c.workload) == "oltp") {
     // Contended-KV: small hot table + zipf theta 1.1 + update-heavy mix A,
     // the shape ROADMAP's OLTP bench row calls for.
     cfg.params.oltp.records = 512;
@@ -73,17 +74,10 @@ ExperimentConfig cell_config(const BenchCell& c, bool quick) {
 int run(int argc, char** argv) {
   int repeat = 3;
   bool quick = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--repeat") == 0 && i + 1 < argc) {
-      repeat = std::max(1, std::atoi(argv[++i]));
-    } else if (std::strcmp(argv[i], "--quick") == 0) {
-      quick = true;
-      repeat = std::min(repeat, 2);
-    } else {
-      std::fprintf(stderr, "usage: %s [--repeat N] [--quick]\n", argv[0]);
-      return 2;
-    }
-  }
+  const CliSpec spec{.flags = {number_flag("--repeat", repeat, 1),
+                               switch_flag("--quick", quick)}};
+  (void)parse_cli(argc, argv, spec);
+  if (quick) repeat = std::min(repeat, 2);
 
   std::printf("[\n");
   bool first = true;

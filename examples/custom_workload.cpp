@@ -108,7 +108,7 @@ class PipelineWorkload final : public Workload {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const CliOptions opts = parse_cli(argc, argv);
+  const CliOptions opts = parse_cli(argc, argv, {.groups = kCliSize});
   std::printf("custom_workload: producer/consumer pipeline under every "
               "detector\n\n");
   std::printf("%-22s %9s %9s %9s %12s %8s\n", "detector", "commits",

@@ -34,7 +34,7 @@ Task<void> edge_worker(GuestCtx& ctx, GArray32 degree, std::uint64_t nnodes,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const CliOptions opts = parse_cli(argc, argv);
+  const CliOptions opts = parse_cli(argc, argv, {.groups = kCliSize});
   const std::uint64_t nnodes = 256;
   const auto nedges = static_cast<int>(150 * opts.scale + 1);
 

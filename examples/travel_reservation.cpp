@@ -42,7 +42,7 @@ Task<void> client(GuestCtx& ctx, Agency* a, int trips) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const CliOptions opts = parse_cli(argc, argv);
+  const CliOptions opts = parse_cli(argc, argv, {.groups = kCliSize});
   const auto trips = static_cast<int>(40 * opts.scale + 1);
 
   std::printf("travel_reservation: %u clients x %d trips\n\n", opts.threads,

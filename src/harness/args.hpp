@@ -1,13 +1,15 @@
-// Tiny CLI parsing shared by the figure driver, asfsim_explore, asfsim_chaos
-// and examples. `<prog> --help` lists every flag; the --fault-* / --mutate,
-// --oltp-* and --cm-* groups come straight from the FaultConfig, OltpConfig
-// and CmConfig field tables (flag spelling and accepted range), and the
-// knobs themselves are documented next to those fields. The flag groups'
-// background: docs/robustness.md, docs/workloads.md ("The OLTP/KV family"),
-// docs/contention.md and docs/observability.md (--prov).
+// One command-line parser for every simulator binary. Each binary declares
+// the common flag groups it honours, its own flags and its positional
+// arguments once; that list drives the parsing and `--help` (one
+// "  --flag metavar" line per flag, which the cli.surface ctest fuzzes).
+// The --fault-* / --mutate, --oltp-* and --cm-* groups come straight from the
+// FaultConfig, OltpConfig and CmConfig field tables (flag spelling and range).
 //
-// Every numeric value must parse completely and lie in the flag's range;
-// anything else ends in "<prog>: bad value for <flag>: '<text>'" and exit 2.
+// Every error is one stderr line and exit 2: "<prog>: unknown flag <flag>",
+// "<prog>: missing value for <flag>", "<prog>: bad value for <flag>:
+// '<text>'" (a number that does not parse completely or lies outside the
+// flag's range, or a name outside an enumerated flag's list), and a missing
+// or extra positional argument.
 #pragma once
 
 #include <charconv>
@@ -17,6 +19,8 @@
 #include <limits>
 #include <string>
 #include <string_view>
+#include <type_traits>
+#include <vector>
 
 #include "cm/cm_config.hpp"
 #include "fault/fault_config.hpp"
@@ -38,7 +42,7 @@ struct CliOptions {
   // ExperimentConfig; all defaults preserve the clean-run byte output).
   FaultConfig fault;
   std::uint64_t watchdog = 0;
-  double job_timeout = 0.0;  // seconds; env ASFSIM_JOB_TIMEOUT also works
+  double job_timeout = 0.0;  // seconds; becomes every job's wall_limit_s
 
   /// OLTP workload knobs; flow into WorkloadParams::oltp (and therefore the
   /// JobSpec hash) via base_config/apply_robustness_options.
@@ -51,7 +55,7 @@ struct CliOptions {
   CmConfig cm;
 };
 
-/// Cursor over argv, shared by parse_cli and a tool's own flag hook.
+/// Cursor over argv, handed to each flag's reader.
 class CliArgs {
  public:
   CliArgs(int argc, char** argv) : argc_(argc), argv_(argv) {}
@@ -68,16 +72,16 @@ class CliArgs {
   template <typename T>
   T number(T lo = std::numeric_limits<T>::lowest(),
            T hi = std::numeric_limits<T>::max()) {
-    const char* flag = argv_[i_];
     const char* text = value();
     const char* end = text + std::strlen(text);
     T v{};
     const auto [ptr, ec] = std::from_chars(text, end, v);
-    if (ec != std::errc{} || ptr != end || !(v >= lo && v <= hi)) {
-      fail(std::string("bad value for ") + flag + ": '" + text + "'");
-    }
+    if (ec != std::errc{} || ptr != end || !(v >= lo && v <= hi)) bad_value();
     return v;
   }
+
+  /// "bad value for <flag>: '<value>'" for the value just read; exits 2.
+  [[noreturn]] void bad_value() const;
 
   /// Print "<prog>: <msg>" on stderr and exit 2.
   [[noreturn]] void fail(const std::string& msg) const;
@@ -88,27 +92,79 @@ class CliArgs {
   int i_ = 0;
 };
 
-/// When the current argument is one of the record's flags (FieldInfo::flag),
-/// parse its value into that field — exiting 2 on a bad value — and return
-/// true; otherwise return false and consume nothing.
-bool parse_flag(CliArgs& a, FaultConfig& c);
-bool parse_flag(CliArgs& a, OltpConfig& c);
-bool parse_flag(CliArgs& a, CmConfig& c);
-
-/// What a binary accepts beyond the common flags.
-struct CliExtras {
-  /// Called on each argument parse_cli does not know; returns true when it
-  /// consumed the argument (and its value, via CliArgs::value/number).
-  std::function<bool(CliArgs&)> flag;
-  /// Synopsis of the hook's arguments, printed by --help after the program.
-  std::string usage;
-  /// Accept --csv/--jobs/--no-cache. Tools that run one experiment
-  /// in-process (no runner, no CSV) reject them instead of ignoring them.
-  bool runner_flags = true;
+/// One declared flag: its spelling, the --help name of its value (empty for
+/// a switch, which takes none) and the reader that stores the value. A
+/// positional argument is declared the same way, with its synopsis as the
+/// flag ("<figure>"; "[<figure>]" when it may be left out) and
+/// CliArgs::arg() as its value.
+struct CliFlag {
+  std::string flag;
+  std::string metavar;
+  std::function<void(CliArgs&)> read;
 };
 
-/// Parse the common flags; exits with a one-line diagnostic on errors.
-[[nodiscard]] CliOptions parse_cli(int argc, char** argv,
-                                   const CliExtras& extras = {});
+/// A number flag in [lo, hi]; its metavar is "n" (integer) or "f" (real).
+template <typename T>
+CliFlag number_flag(
+    const char* flag, T& out,
+    std::type_identity_t<T> lo = std::numeric_limits<T>::lowest(),
+    std::type_identity_t<T> hi = std::numeric_limits<T>::max()) {
+  return {flag, std::is_floating_point_v<T> ? "f" : "n",
+          [&out, lo, hi](CliArgs& a) { out = a.number<T>(lo, hi); }};
+}
+
+/// A flag whose value is stored as given; `metavar` names it in --help.
+CliFlag text_flag(const char* flag, const char* metavar, std::string& out);
+
+/// A switch: sets `out` and takes no value.
+CliFlag switch_flag(const char* flag, bool& out);
+
+/// A flag whose value is one of `names` (its metavar lists them, joined by
+/// '|'); `set` receives the index of the name given.
+CliFlag choice_flag(const char* flag, std::vector<std::string> names,
+                    std::function<void(std::size_t)> set);
+
+/// --nsub: sub-blocks per line, a power of two in [1, kMaxSubBlocks].
+CliFlag nsub_flag(std::uint32_t& out);
+
+/// The flags of a config record's field table (FieldInfo::flag).
+std::vector<CliFlag> table_flags(FaultConfig& r);
+std::vector<CliFlag> table_flags(OltpConfig& r);
+std::vector<CliFlag> table_flags(CmConfig& r);
+
+/// Groups of common flags (CliOptions members); a binary names the groups it
+/// honours and rejects the others as unknown flags.
+enum CliGroup : unsigned {
+  kCliSize = 1u << 0,        // --scale --threads --seed
+  kCliRunner = 1u << 1,      // --csv --jobs --no-cache
+  kCliTrace = 1u << 2,       // --trace-dir --trace-format
+  kCliRobustness = 1u << 3,  // FaultConfig table, --watchdog, --job-timeout
+  kCliOltp = 1u << 4,        // OltpConfig table
+  kCliCm = 1u << 5,          // CmConfig table
+  kCliProv = 1u << 6,        // --prov
+  kCliAllGroups = (1u << 7) - 1,
+};
+
+/// Everything one binary (or one subcommand) accepts.
+struct CliSpec {
+  unsigned groups = 0;  // CliGroup bits
+  std::vector<CliFlag> flags{};
+  std::vector<CliFlag> positionals{};  // in order
+};
+
+/// Parse argv against `spec`; --help prints the declared flags and exits 0.
+[[nodiscard]] CliOptions parse_cli(int argc, char** argv, const CliSpec& spec);
+
+/// One subcommand of a multi-command tool.
+struct CliCommand {
+  const char* name;
+  CliSpec spec;
+  std::function<int()> run;
+};
+
+/// argv[1] names the command; the rest parses against its spec (diagnostics
+/// read "<prog> <command>: ..."), then its run() gives the exit code.
+/// `<prog> --help` prints every command's flags.
+int run_cli_command(int argc, char** argv, const std::vector<CliCommand>& cmds);
 
 }  // namespace asfsim

@@ -43,7 +43,6 @@ runner::RunnerOptions runner_opts(const CliOptions& opts) {
   o.trace_dir = opts.trace_dir;
   o.trace_format = opts.trace_format == "perfetto" ? TraceFormat::kPerfetto
                                                    : TraceFormat::kJsonl;
-  o.job_wall_limit_s = opts.job_timeout;
   return o;
 }
 
@@ -1383,22 +1382,17 @@ const Figure* find(std::string_view name) {
 int cli_main(int argc, char** argv, std::ostream& os) {
   const Figure* figure = nullptr;
   bool list = false;
-  CliExtras extras;
-  extras.usage = " <figure>|--list";
-  extras.flag = [&](CliArgs& a) {
-    if (a.arg() == "--list") {
-      list = true;
-    } else if (figure == nullptr && !a.arg().starts_with("-")) {
-      figure = find(a.arg());
-      if (figure == nullptr) {
-        a.fail("unknown figure '" + std::string(a.arg()) + "' (see --list)");
-      }
-    } else {
-      return false;
-    }
-    return true;
-  };
-  const CliOptions opts = parse_cli(argc, argv, extras);
+  const CliSpec spec{
+      .groups = kCliAllGroups,
+      .flags = {switch_flag("--list", list)},
+      .positionals = {{"[<figure>]", "", [&figure](CliArgs& a) {
+                         figure = find(a.arg());
+                         if (figure == nullptr) {
+                           a.fail("unknown figure '" + std::string(a.arg()) +
+                                  "' (see --list)");
+                         }
+                       }}}};
+  const CliOptions opts = parse_cli(argc, argv, spec);
   if (list) {
     for (const Figure& f : kFigures) os << f.name << "\n";
     return 0;

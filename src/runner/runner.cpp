@@ -75,16 +75,7 @@ Runner::Runner(RunnerOptions opts)
       jobs_(resolve_jobs(opts_.jobs)),
       pool_(std::make_unique<ThreadPool>(jobs_)),
       progress_enabled_(resolve_progress(opts_.progress)),
-      start_(std::chrono::steady_clock::now()) {
-  if (const char* env = std::getenv("ASFSIM_JOB_TIMEOUT");
-      env != nullptr && *env != '\0') {
-    opts_.job_wall_limit_s = std::atof(env);
-  }
-  if (const char* env = std::getenv("ASFSIM_FAULT_COUNTERS");
-      env != nullptr && *env != '\0') {
-    opts_.manifest_fault_counters = env[0] == '1';
-  }
-}
+      start_(std::chrono::steady_clock::now()) {}
 
 Runner::~Runner() {
   pool_.reset();  // drain: every submitted job finishes before the manifest
@@ -158,14 +149,8 @@ ExperimentResult Runner::run_one(const JobSpec& spec,
     trace.path = opts_.trace_dir + "/" + spec.workload + "-" + spec.hash_hex +
                  trace_file_extension(trace.format);
   }
-  // The runner-wide wall limit applies to every job that didn't set its
-  // own; it is host-side only and deliberately not in the JobSpec hash.
-  ExperimentConfig cfg = spec.config;
-  if (opts_.job_wall_limit_s > 0.0 && cfg.wall_limit_s == 0.0) {
-    cfg.wall_limit_s = opts_.job_wall_limit_s;
-  }
   try {
-    ExperimentResult result = run_experiment(spec.workload, cfg, trace);
+    ExperimentResult result = run_experiment(spec.workload, spec.config, trace);
     if (opts_.use_cache) cache_.store(spec, result);
     job_finished(entry_index, "executed", elapsed_ms(), trace.path, {},
                  result.has_fault_counters ? &result.fault_counters : nullptr);
@@ -298,7 +283,7 @@ void Runner::write_manifest() {
         out << "]";
       }
     }
-    if (opts_.manifest_fault_counters && e.has_fault_counters) {
+    if (e.has_fault_counters) {
       out << ", \"fault_counters\": {";
       const char* sep = "";
       for_each_field(e.fault_counters,

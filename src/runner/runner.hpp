@@ -54,17 +54,6 @@ struct RunnerOptions {
   /// are still stored; stats stay byte-identical either way.
   std::string trace_dir;
   TraceFormat trace_format = TraceFormat::kJsonl;
-  /// Per-job host wall-clock limit in seconds (0 = unlimited): jobs that
-  /// exceed it fail with WallClockError instead of hanging the whole
-  /// harness. $ASFSIM_JOB_TIMEOUT overrides when set. Jobs that already
-  /// carry their own ExperimentConfig::wall_limit_s keep it.
-  double job_wall_limit_s = 0.0;
-  /// Opt-in: embed each executed fault-injected job's FaultCounters in its
-  /// manifest entry (what was actually injected, not just configured).
-  /// Cache hits carry no counters — the stats blob stays byte-identical to
-  /// fault-free builds — so their entries simply omit the object.
-  /// $ASFSIM_FAULT_COUNTERS=0/1 overrides when set.
-  bool manifest_fault_counters = false;
 };
 
 /// Wraps any exception escaping a job with its (workload, detector, seed)

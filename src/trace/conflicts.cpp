@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <istream>
 #include <ostream>
 
 #include "stats/report.hpp"
@@ -97,20 +96,12 @@ const std::string& ConflictForensics::site_name(std::uint32_t id) const {
 
 bool collect_conflicts_jsonl(std::istream& in, ConflictForensics& out,
                              std::string& err) {
-  std::string line;
-  std::uint64_t lineno = 0;
   std::uint64_t events = 0;
-  while (std::getline(in, line)) {
-    ++lineno;
-    if (line.empty()) continue;
-    TraceEvent ev;
-    if (!from_jsonl(line, ev)) {
-      err = "malformed trace event on line " + std::to_string(lineno);
-      return false;
-    }
+  const auto add = [&](const TraceEvent& ev) {
     ++events;
     out.add(ev);
-  }
+  };
+  if (!for_each_jsonl_event(in, add, err)) return false;
   if (events == 0) {
     err = "empty trace (no events)";
     return false;

@@ -3,6 +3,7 @@
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
+#include <istream>
 #include <ostream>
 
 namespace asfsim::trace {
@@ -352,5 +353,23 @@ void JsonlSink::on_event(const TraceEvent& ev) {
 }
 
 void JsonlSink::finish(Cycle /*final_cycle*/) { os_.flush(); }
+
+bool for_each_jsonl_event(std::istream& in,
+                          const std::function<void(const TraceEvent&)>& fn,
+                          std::string& err) {
+  std::string line;
+  std::uint64_t lineno = 0;
+  while (std::getline(in, line)) {
+    ++lineno;
+    if (line.empty()) continue;
+    TraceEvent ev;
+    if (!from_jsonl(line, ev)) {
+      err = "malformed trace event on line " + std::to_string(lineno);
+      return false;
+    }
+    fn(ev);
+  }
+  return true;
+}
 
 }  // namespace asfsim::trace

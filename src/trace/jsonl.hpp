@@ -6,6 +6,7 @@
 // this). Field sets per kind are documented in docs/observability.md.
 #pragma once
 
+#include <functional>
 #include <iosfwd>
 #include <string>
 #include <string_view>
@@ -20,6 +21,13 @@ void to_jsonl(const TraceEvent& ev, std::string& out);
 /// Parse one JSONL line (with or without trailing '\n'); returns false on
 /// malformed input, leaving `out` unspecified.
 [[nodiscard]] bool from_jsonl(std::string_view line, TraceEvent& out);
+
+/// Parse a JSONL stream, calling `fn` on each event (blank lines skipped).
+/// On a malformed line, fills `err` ("malformed trace event on line N") and
+/// returns false.
+[[nodiscard]] bool for_each_jsonl_event(
+    std::istream& in, const std::function<void(const TraceEvent&)>& fn,
+    std::string& err);
 
 /// Sink streaming every event as JSONL into `os` (non-owning).
 class JsonlSink final : public TraceSink {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <istream>
 #include <ostream>
 
 #include "stats/counters.hpp"
@@ -77,19 +76,8 @@ void TraceSummary::add(const TraceEvent& ev) {
 }
 
 bool summarize_jsonl(std::istream& in, TraceSummary& out, std::string& err) {
-  std::string line;
-  std::uint64_t lineno = 0;
-  while (std::getline(in, line)) {
-    ++lineno;
-    if (line.empty()) continue;
-    TraceEvent ev;
-    if (!from_jsonl(line, ev)) {
-      err = "malformed trace event on line " + std::to_string(lineno);
-      return false;
-    }
-    out.add(ev);
-  }
-  return true;
+  return for_each_jsonl_event(
+      in, [&out](const TraceEvent& ev) { out.add(ev); }, err);
 }
 
 void print_summary(const TraceSummary& s, std::ostream& os, int top_n) {

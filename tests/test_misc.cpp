@@ -225,11 +225,13 @@ TEST(CsvWriter, InactiveWithoutDirActiveWithIt) {
 
 // ---- CLI parsing ----------------------------------------------------------------
 
-/// parse_cli over `args`, with "prog" as argv[0].
-CliOptions parse(std::vector<const char*> args, const CliExtras& extras = {}) {
+/// parse_cli over `args`, with "prog" as argv[0]; every common flag group
+/// unless `spec` names fewer.
+CliOptions parse(std::vector<const char*> args,
+                 const CliSpec& spec = {.groups = kCliAllGroups}) {
   args.insert(args.begin(), "prog");
   return parse_cli(static_cast<int>(args.size()),
-                   const_cast<char**>(args.data()), extras);
+                   const_cast<char**>(args.data()), spec);
 }
 
 TEST(Cli, ParsesAllFlags) {
@@ -268,23 +270,22 @@ TEST(Cli, UsageErrorsExitTwo) {
   EXPECT_EXIT((void)parse({"--bogus"}), ::testing::ExitedWithCode(2),
               "^prog: unknown flag --bogus");
   EXPECT_EXIT((void)parse({"--trace-format", "xml"}),
-              ::testing::ExitedWithCode(2), "must be jsonl or perfetto");
+              ::testing::ExitedWithCode(2),
+              "^prog: bad value for --trace-format: 'xml'\n$");
 }
 
 TEST(Cli, ToolHookSeesOnlyUnknownFlags) {
   std::uint32_t nsub = 0;
-  CliExtras extras;
-  extras.flag = [&nsub](CliArgs& a) {
-    if (a.arg() != "--nsub") return false;
-    nsub = a.number<std::uint32_t>(1, 16);
-    return true;
-  };
-  const CliOptions o = parse({"--nsub", "8", "--seed", "3"}, extras);
+  const CliSpec spec{.groups = kCliAllGroups, .flags = {nsub_flag(nsub)}};
+  const CliOptions o = parse({"--nsub", "8", "--seed", "3"}, spec);
   EXPECT_EQ(nsub, 8u);
   EXPECT_EQ(o.seed, 3u);
-  EXPECT_EXIT((void)parse({"--nsub", "32"}, extras),
-              ::testing::ExitedWithCode(2),
-              "^prog: bad value for --nsub: '32'\n$");
+  // Sub-block counts are powers of two up to kMaxSubBlocks.
+  for (const char* bad : {"32", "3", "0"}) {
+    EXPECT_EXIT((void)parse({"--nsub", bad}, spec),
+                ::testing::ExitedWithCode(2),
+                std::string("^prog: bad value for --nsub: '") + bad + "'\n$");
+  }
 }
 
 /// Passes the flag of table entry `f` of record `R` (CliOptions::*rec) a
@@ -332,12 +333,12 @@ TEST(Cli, EveryTableFlagSetsItsField) {
 }
 
 TEST(Cli, RunnerFlagsAreRejectedWhenDisabled) {
-  CliExtras extras;
-  extras.runner_flags = false;
-  EXPECT_EQ(parse({"--scale", "0.5"}, extras).scale, 0.5);
+  const CliSpec spec{.groups = kCliAllGroups & ~kCliRunner};
+  EXPECT_EQ(parse({"--scale", "0.5"}, spec).scale, 0.5);
   for (const char* flag : {"--csv", "--jobs", "--no-cache"}) {
-    EXPECT_EXIT((void)parse({flag, "1"}, extras), ::testing::ExitedWithCode(2),
-                std::string("^prog: ") + flag + " is not supported")
+    EXPECT_EXIT((void)parse({flag, "1"}, spec), ::testing::ExitedWithCode(2),
+                std::string("^prog: unknown flag ") + flag +
+                    " \\(see --help\\)\n$")
         << flag;
   }
 }

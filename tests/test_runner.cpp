@@ -375,7 +375,6 @@ TEST(Runner, ManifestEmbedsFaultCountersWhenOptedIn) {
   {
     auto opts = cached_opts(dir);
     opts.manifest_path = manifest;
-    opts.manifest_fault_counters = true;
     Runner r(opts);
     (void)r.get("counter", cfg);
     (void)r.get("counter", small_config());  // fault-free: no counters object
@@ -388,21 +387,6 @@ TEST(Runner, ManifestEmbedsFaultCountersWhenOptedIn) {
   const std::size_t first = text.find("\"fault_counters\"");
   EXPECT_EQ(text.find("\"fault_counters\"", first + 1), std::string::npos)
       << text;
-}
-
-TEST(Runner, ManifestOmitsFaultCountersByDefault) {
-  TempCacheDir dir("fault_counters_off");
-  const std::string manifest = dir.str() + "/manifest.json";
-  std::filesystem::create_directories(dir.str());
-  ExperimentConfig cfg = small_config();
-  cfg.sim.fault.spurious_abort_rate = 0.01;
-  {
-    auto opts = cached_opts(dir);
-    opts.manifest_path = manifest;  // manifest_fault_counters stays false
-    Runner r(opts);
-    (void)r.get("counter", cfg);
-  }
-  EXPECT_EQ(slurp(manifest).find("\"fault_counters\""), std::string::npos);
 }
 
 TEST(Runner, LivelockDumpLandsInManifestDiagnosticArray) {

@@ -177,10 +177,14 @@ TEST(RunnerFailures, RunnerWideWallLimitAppliesToJobs) {
   opts.cache_dir = dir.str();
   opts.manifest_path = "-";
   opts.progress = RunnerOptions::Progress::kOff;
-  opts.job_wall_limit_s = 1e-9;
   Runner r(opts);
+  // --job-timeout reaches every job as its wall_limit_s.
+  CliOptions cli;
+  cli.job_timeout = 1e-9;
+  ExperimentConfig cfg;
+  apply_robustness_options(cli, cfg);
   try {
-    (void)r.get("counter", ExperimentConfig{});
+    (void)r.get("counter", cfg);
     FAIL() << "job ignored the wall limit";
   } catch (const JobError& e) {
     EXPECT_NE(std::string(e.what()).find("wall-clock"), std::string::npos)

@@ -11,14 +11,16 @@
 //             workload, 256 B direct-mapped L1, fallback disabled) and
 //             demand the kernel watchdog terminates it with a diagnostic
 //             dump. --runner routes the same job through the parallel
-//             runner to demonstrate JobError context propagation.
+//             runner to demonstrate JobError context propagation;
+//             --serialize reruns it under --cm-policy serialize with the
+//             watchdog DISARMED and demands the fallback escalation alone
+//             terminates it.
 //
-// See docs/robustness.md for the mutation catalog and triage guide.
-#include <algorithm>
+// `asfsim_chaos --help` lists every command's flags. See docs/robustness.md
+// for the mutation catalog and triage guide.
 #include <charconv>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <exception>
 #include <limits>
 #include <string>
 #include <string_view>
@@ -33,99 +35,32 @@ namespace {
 
 using namespace asfsim;
 
-[[noreturn]] void usage(int code) {
-  std::FILE* out = code == 0 ? stdout : stderr;
-  std::fprintf(
-      out,
-      "usage: asfsim_chaos <matrix|cell|livelock> [options]\n"
-      "  matrix [--seeds a,b,c] [--ntx N] [--audit N] [--verbose]\n"
-      "  cell --mutate NAME [--detector baseline|subblock] [--nsub N]\n"
-      "       [--seed N] [--ntx N] [--audit N]\n"
-      "       [--cm-policy requester-wins|polite|timestamp|serialize]\n"
-      "       [--cm-max-retries N] [--cm-karma N] [--max-tx-retries N]\n"
-      "  livelock [--runner | --serialize]\n"
-      "    --serialize reruns the livelocked configuration under\n"
-      "    --cm-policy serialize with the watchdog DISARMED and demands\n"
-      "    the fallback escalation alone terminates it.\n"
-      "mutations (--mutate):\n");
-  for (const ProtocolMutation m : all_mutations()) {
-    std::fprintf(out, "  %s\n", to_string(m));
-  }
-  std::exit(code);
+/// --seeds a,b,c: a comma-separated list of seeds.
+CliFlag seeds_flag(std::vector<std::uint64_t>& seeds) {
+  return {"--seeds", "n,n,...", [&seeds](CliArgs& a) {
+            seeds.clear();
+            const std::string_view list = a.value();
+            const char* const end = list.data() + list.size();
+            for (const char* p = list.data();; ++p) {
+              std::uint64_t seed = 0;
+              const auto [next, ec] = std::from_chars(p, end, seed);
+              if (ec != std::errc{} || (next != end && *next != ',')) {
+                a.bad_value();
+              }
+              seeds.push_back(seed);
+              if (next == end) break;
+              p = next;
+            }
+          }};
 }
 
-// matrix and cell get argv with the subcommand word replaced by the program
-// name (see main), so CliArgs diagnostics read
-// "<prog>: bad value for --ntx: '-1'".
-
-int cmd_matrix(int argc, char** argv) {
-  KillMatrixOptions opt;
-  for (CliArgs a(argc, argv); a.next();) {
-    const std::string_view f = a.arg();
-    if (f == "--seeds") {
-      opt.seeds.clear();
-      const std::string_view list = a.value();
-      for (std::size_t pos = 0; pos <= list.size();) {
-        const std::size_t end = std::min(list.find(',', pos), list.size());
-        std::uint64_t seed = 0;
-        const auto [ptr, ec] =
-            std::from_chars(list.data() + pos, list.data() + end, seed);
-        if (ec != std::errc{} || ptr != list.data() + end || end == pos) {
-          a.fail("bad value for --seeds: '" + std::string(list) + "'");
-        }
-        opt.seeds.push_back(seed);
-        pos = end + 1;
-      }
-    } else if (f == "--ntx") {
-      opt.ntx = a.number<int>(1);
-    } else if (f == "--audit") {
-      opt.audit_interval = a.number<Cycle>();
-    } else if (f == "--verbose") {
-      opt.verbose = true;
-    } else {
-      usage(2);
-    }
-  }
+int cmd_matrix(const KillMatrixOptions& opt) {
   const KillMatrixReport report = run_kill_matrix(opt);
   std::printf("%s\n", report.summary().c_str());
   return report.all_green() ? 0 : 1;
 }
 
-int cmd_cell(int argc, char** argv) {
-  ChaosCell cell;
-  for (CliArgs a(argc, argv); a.next();) {
-    const std::string_view f = a.arg();
-    if (f == "--detector") {
-      const std::string_view d = a.value();
-      if (d == "baseline") {
-        cell.detector = DetectorKind::kBaseline;
-        cell.nsub = 1;
-      } else if (d == "subblock") {
-        cell.detector = DetectorKind::kSubBlock;
-      } else {
-        a.fail("unknown detector '" + std::string(d) + "'");
-      }
-    } else if (f == "--nsub") {
-      cell.nsub = a.number<std::uint32_t>(1, 64);
-    } else if (f == "--seed") {
-      cell.seed = a.number<std::uint64_t>();
-    } else if (f == "--ntx") {
-      cell.ntx = a.number<int>(1);
-    } else if (f == "--audit") {
-      cell.audit_interval = a.number<Cycle>();
-    } else if (f == "--max-tx-retries") {
-      cell.max_tx_retries = a.number<std::int32_t>(-1);
-    } else if (f == "--ncells") {
-      // Ledger cell indices are 32-bit.
-      cell.ncells = a.number<std::uint64_t>(
-          1, std::numeric_limits<std::uint32_t>::max());
-    } else if ((f == "--mutate" && parse_flag(a, cell.fault)) ||
-               (f != "--cm-stats" && parse_flag(a, cell.cm))) {
-      // Table-resolved: the mutation under test and the policy knobs.
-    } else {
-      usage(2);
-    }
-  }
+int cmd_cell(const ChaosCell& cell) {
   const ChaosCellResult r = run_chaos_cell(cell);
   std::printf("verdict: %s\n", to_string(r.verdict));
   if (!r.detail.empty()) std::printf("detail: %s\n", r.detail.c_str());
@@ -153,18 +88,7 @@ ExperimentConfig livelocked_config() {
   return cfg;
 }
 
-int cmd_livelock(int argc, char** argv) {
-  bool via_runner = false;
-  bool serialize = false;
-  for (int i = 0; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--runner") == 0) {
-      via_runner = true;
-    } else if (std::strcmp(argv[i], "--serialize") == 0) {
-      serialize = true;
-    } else {
-      usage(2);
-    }
-  }
+int cmd_livelock(bool via_runner, bool serialize) {
   ExperimentConfig cfg = livelocked_config();
   if (serialize) {
     // The guaranteed-termination demo (docs/contention.md §3): same
@@ -220,14 +144,50 @@ int cmd_livelock(int argc, char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 2) usage(2);
-  if (std::strcmp(argv[1], "--help") == 0 || std::strcmp(argv[1], "-h") == 0) {
-    usage(0);
+  KillMatrixOptions matrix;
+  ChaosCell cell;
+  bool via_runner = false;
+  bool serialize = false;
+  CliSpec cell_spec{.flags = {
+      choice_flag("--detector", {"baseline", "subblock"},
+                  [&cell](std::size_t i) {  // in DetectorKind order
+                    cell.detector = static_cast<DetectorKind>(i);
+                    if (i == 0) cell.nsub = 1;
+                  }),
+      nsub_flag(cell.nsub),
+      number_flag("--seed", cell.seed),
+      number_flag("--ntx", cell.ntx, 1),
+      number_flag("--audit", cell.audit_interval),
+      number_flag("--max-tx-retries", cell.max_tx_retries, -1),
+      // Ledger cell indices are 32-bit.
+      number_flag<std::uint64_t>("--ncells", cell.ncells, 1,
+                                 std::numeric_limits<std::uint32_t>::max()),
+  }};
+  // From the tables: the mutation under test and the policy knobs.
+  for (CliFlag& f : table_flags(cell.fault)) {
+    if (f.flag == "--mutate") cell_spec.flags.push_back(std::move(f));
   }
-  const std::string_view cmd = argv[1];
-  argv[1] = argv[0];
-  if (cmd == "matrix") return cmd_matrix(argc - 1, argv + 1);
-  if (cmd == "cell") return cmd_cell(argc - 1, argv + 1);
-  if (cmd == "livelock") return cmd_livelock(argc - 2, argv + 2);
-  usage(2);
+  for (CliFlag& f : table_flags(cell.cm)) {
+    if (f.flag != "--cm-stats") cell_spec.flags.push_back(std::move(f));
+  }
+  const std::vector<CliCommand> cmds = {
+      {"matrix",
+       {.flags = {seeds_flag(matrix.seeds), number_flag("--ntx", matrix.ntx, 1),
+                  number_flag("--audit", matrix.audit_interval),
+                  switch_flag("--verbose", matrix.verbose)}},
+       [&] { return cmd_matrix(matrix); }},
+      {"cell", std::move(cell_spec), [&] { return cmd_cell(cell); }},
+      {"livelock",
+       {.flags = {switch_flag("--runner", via_runner),
+                  switch_flag("--serialize", serialize)}},
+       [&] { return cmd_livelock(via_runner, serialize); }},
+  };
+  try {
+    return run_cli_command(argc, argv, cmds);
+  } catch (const std::exception& e) {
+    const std::string what = e.what();
+    std::fprintf(stderr, "%s: %s\n", argv[0],
+                 what.substr(0, what.find('\n')).c_str());
+    return 1;
+  }
 }

@@ -6,22 +6,17 @@
 //   $ asfsim_explore --workload oltp --prov --trace-dir traces
 //   $ asfsim_explore --list
 //
-// Tool flags:
-//   --workload <name>   workload to run (default: counter)
-//   --detector <name>   baseline | subblock | subblock-wawline |
-//                       subblock-nodirty | perfect | war-only
-//   --nsub <n>          sub-blocks per line for the sub-block detectors
-//   --ats               enable adaptive transaction scheduling
-//   --list              list registered workloads and exit
-//
-// Everything else is a common flag of src/harness/args.hpp (--help lists
-// them): --scale/--threads/--seed, the robustness knobs (--fault-*,
-// --mutate, --watchdog, --job-timeout; docs/robustness.md), the OLTP knobs
-// (--oltp-*; docs/workloads.md), contention management (--cm-*;
-// docs/contention.md), --prov, and --trace-dir/--trace-format, which write
-// the run's full event timeline (docs/observability.md). The runner flags
-// (--csv, --jobs, --no-cache) are rejected: the tool runs one experiment
-// in-process.
+// Tool flags: --workload (default counter), --detector (default baseline),
+// --nsub (sub-blocks per line for the sub-block detectors), --ats (adaptive
+// transaction scheduling) and --list (the registered workloads). Everything
+// else is a common flag of src/harness/args.hpp: --scale/--threads/--seed,
+// the robustness knobs (--fault-*, --mutate, --watchdog, --job-timeout;
+// docs/robustness.md), the OLTP knobs (--oltp-*; docs/workloads.md),
+// contention management (--cm-*; docs/contention.md), --prov, and
+// --trace-dir/--trace-format, which write the run's full event timeline
+// (docs/observability.md). --help lists every flag and the names --workload
+// and --detector take. The runner flags (--csv, --jobs, --no-cache) are
+// unknown flags here: the tool runs one experiment in-process.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -39,19 +34,6 @@
 using namespace asfsim;
 
 namespace {
-
-DetectorKind parse_detector(CliArgs& a) {
-  const std::string name = a.value();
-  if (name == "baseline" || name == "baseline-asf") return DetectorKind::kBaseline;
-  if (name == "subblock") return DetectorKind::kSubBlock;
-  if (name == "subblock-wawline") return DetectorKind::kSubBlockWawLine;
-  if (name == "subblock-nodirty") return DetectorKind::kSubBlockNoDirty;
-  if (name == "perfect") return DetectorKind::kPerfect;
-  if (name == "war-only" || name == "waronly") return DetectorKind::kWarOnly;
-  a.fail("unknown --detector " + name +
-         " (try baseline, subblock, subblock-wawline, subblock-nodirty, "
-         "perfect, war-only)");
-}
 
 void print_report(const ExperimentResult& r, std::uint32_t threads) {
   const Stats& s = r.stats;
@@ -181,30 +163,28 @@ int main(int argc, char** argv) {
   DetectorKind detector = DetectorKind::kBaseline;
   std::uint32_t nsub = 4;
   bool ats = false;
-  CliExtras extras;
-  extras.runner_flags = false;
-  extras.usage =
-      " [--workload name] [--detector name] [--nsub n] [--ats] [--list]";
-  extras.flag = [&](CliArgs& a) {
-    if (a.arg() == "--workload") {
-      workload = a.value();
-    } else if (a.arg() == "--detector") {
-      detector = parse_detector(a);
-    } else if (a.arg() == "--nsub") {
-      nsub = a.number<std::uint32_t>(1, 64);
-    } else if (a.arg() == "--ats") {
-      ats = true;
-    } else if (a.arg() == "--list") {
-      for (const auto& w : workload_registry()) {
-        std::printf("%-14s %s\n", w.name, w.make()->description());
-      }
-      std::exit(0);
-    } else {
-      return false;
-    }
-    return true;
-  };
-  const CliOptions common = parse_cli(argc, argv, extras);
+  std::vector<std::string> workloads;
+  for (const auto& w : workload_registry()) workloads.push_back(w.name);
+  const CliSpec spec{.groups = kCliAllGroups & ~kCliRunner, .flags = {
+      choice_flag("--workload", workloads,
+                  [&](std::size_t i) { workload = workloads[i]; }),
+      choice_flag("--detector",
+                  {"baseline", "subblock", "subblock-wawline",
+                   "subblock-nodirty", "perfect", "war-only"},
+                  [&](std::size_t i) {  // in DetectorKind order
+                    detector = static_cast<DetectorKind>(i);
+                  }),
+      nsub_flag(nsub),
+      switch_flag("--ats", ats),
+      {"--list", "",
+       [](CliArgs&) {
+         for (const auto& w : workload_registry()) {
+           std::printf("%-14s %s\n", w.name, w.make()->description());
+         }
+         std::exit(0);
+       }},
+  }};
+  const CliOptions common = parse_cli(argc, argv, spec);
 
   ExperimentConfig cfg;
   cfg.detector = detector;

@@ -20,31 +20,23 @@
 //       untruncated tables.
 //
 // Every command exits non-zero with a one-line diagnostic on a missing,
-// unreadable, empty, or truncated/malformed trace.
+// unreadable, empty, or truncated/malformed trace; `asfsim_trace --help`
+// lists every command's flags.
 #include <sys/stat.h>
 
+#include <climits>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <string>
 
+#include "harness/args.hpp"
 #include "trace/conflicts.hpp"
 #include "trace/jsonl.hpp"
 #include "trace/perfetto_sink.hpp"
 #include "trace/summary.hpp"
 
 namespace {
-
-int usage(const char* argv0, int code) {
-  std::fprintf(stderr,
-               "usage: %s summarize <trace.jsonl> [--top N] [--starvation]\n"
-               "       %s convert <trace.jsonl> <out.perfetto.json>\n"
-               "       %s conflicts <trace.jsonl> [--top N] [--csv <out>]\n",
-               argv0, argv0, argv0);
-  return code;
-}
 
 /// Open a trace file for reading, rejecting directories and empty files up
 /// front with a one-line diagnostic (a directory "opens" fine on POSIX and
@@ -73,20 +65,8 @@ bool open_trace(const char* argv0, const char* path, std::ifstream& in) {
   return true;
 }
 
-int cmd_summarize(const char* argv0, int argc, char** argv) {
-  if (argc < 1) return usage(argv0, 2);
-  const char* path = argv[0];
-  int top_n = 10;
-  bool starvation = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--top") == 0 && i + 1 < argc) {
-      top_n = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--starvation") == 0) {
-      starvation = true;
-    } else {
-      return usage(argv0, 2);
-    }
-  }
+int cmd_summarize(const char* argv0, const char* path, int top_n,
+                  bool starvation) {
   std::ifstream in;
   if (!open_trace(argv0, path, in)) return 1;
   asfsim::trace::TraceSummary summary;
@@ -112,56 +92,38 @@ int cmd_summarize(const char* argv0, int argc, char** argv) {
   return 0;
 }
 
-int cmd_convert(const char* argv0, int argc, char** argv) {
-  if (argc != 2) return usage(argv0, 2);
+int cmd_convert(const char* argv0, const char* path, const char* out_path) {
   std::ifstream in;
-  if (!open_trace(argv0, argv[0], in)) return 1;
-  std::ofstream out(argv[1], std::ios::binary | std::ios::trunc);
+  if (!open_trace(argv0, path, in)) return 1;
+  std::ofstream out(out_path, std::ios::binary | std::ios::trunc);
   if (!out) {
-    std::fprintf(stderr, "%s: cannot open %s for writing\n", argv0, argv[1]);
+    std::fprintf(stderr, "%s: cannot open %s for writing\n", argv0, out_path);
     return 1;
   }
   asfsim::trace::PerfettoSink sink(out);
-  std::string line;
-  std::size_t lineno = 0;
   std::size_t events = 0;
   asfsim::Cycle last_cycle = 0;
-  while (std::getline(in, line)) {
-    ++lineno;
-    if (line.empty()) continue;
-    asfsim::trace::TraceEvent ev;
-    if (!asfsim::trace::from_jsonl(line, ev)) {
-      std::fprintf(stderr, "%s: %s:%zu: malformed event line\n", argv0,
-                   argv[0], lineno);
-      return 1;
-    }
+  const auto add = [&](const asfsim::trace::TraceEvent& ev) {
     ++events;
     if (ev.cycle > last_cycle) last_cycle = ev.cycle;
     sink.on_event(ev);
+  };
+  std::string err;
+  if (!asfsim::trace::for_each_jsonl_event(in, add, err)) {
+    std::fprintf(stderr, "%s: %s: %s\n", argv0, path, err.c_str());
+    return 1;
   }
   if (events == 0) {
-    std::fprintf(stderr, "%s: %s: empty trace (no events)\n", argv0, argv[0]);
+    std::fprintf(stderr, "%s: %s: empty trace (no events)\n", argv0, path);
     return 1;
   }
   sink.finish(last_cycle);
-  std::fprintf(stderr, "wrote %s (%zu events)\n", argv[1], events);
+  std::fprintf(stderr, "wrote %s (%zu events)\n", out_path, events);
   return 0;
 }
 
-int cmd_conflicts(const char* argv0, int argc, char** argv) {
-  if (argc < 1) return usage(argv0, 2);
-  const char* path = argv[0];
-  const char* csv_path = nullptr;
-  int top_n = 10;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--top") == 0 && i + 1 < argc) {
-      top_n = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--csv") == 0 && i + 1 < argc) {
-      csv_path = argv[++i];
-    } else {
-      return usage(argv0, 2);
-    }
-  }
+int cmd_conflicts(const char* argv0, const char* path, int top_n,
+                  const std::string& csv_path) {
   std::ifstream in;
   if (!open_trace(argv0, path, in)) return 1;
   asfsim::trace::ConflictForensics f;
@@ -172,15 +134,15 @@ int cmd_conflicts(const char* argv0, int argc, char** argv) {
   }
   std::cout << "trace: " << path << "\n";
   asfsim::trace::print_conflicts(f, std::cout, top_n);
-  if (csv_path != nullptr) {
+  if (!csv_path.empty()) {
     std::ofstream csv(csv_path, std::ios::binary | std::ios::trunc);
     if (!csv) {
       std::fprintf(stderr, "%s: cannot open %s for writing\n", argv0,
-                   csv_path);
+                   csv_path.c_str());
       return 1;
     }
     asfsim::trace::print_conflicts_csv(f, csv);
-    std::fprintf(stderr, "wrote %s\n", csv_path);
+    std::fprintf(stderr, "wrote %s\n", csv_path.c_str());
   }
   return 0;
 }
@@ -188,16 +150,28 @@ int cmd_conflicts(const char* argv0, int argc, char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 2) return usage(argv[0], 2);
-  if (std::strcmp(argv[1], "summarize") == 0) {
-    return cmd_summarize(argv[0], argc - 2, argv + 2);
-  }
-  if (std::strcmp(argv[1], "convert") == 0) {
-    return cmd_convert(argv[0], argc - 2, argv + 2);
-  }
-  if (std::strcmp(argv[1], "conflicts") == 0) {
-    return cmd_conflicts(argv[0], argc - 2, argv + 2);
-  }
-  if (std::strcmp(argv[1], "--help") == 0) return usage(argv[0], 0);
-  return usage(argv[0], 2);
+  using namespace asfsim;
+  std::string path;
+  std::string out_path;
+  std::string csv_path;
+  int top_n = 10;
+  bool starvation = false;
+  const CliFlag trace{"<trace.jsonl>", "", [&](CliArgs& a) { path = a.arg(); }};
+  const CliFlag out{"<out.perfetto.json>", "",
+                    [&](CliArgs& a) { out_path = a.arg(); }};
+  const CliFlag top = number_flag("--top", top_n, 1, INT_MAX);
+  const std::vector<CliCommand> cmds = {
+      {"summarize",
+       {.flags = {top, switch_flag("--starvation", starvation)},
+        .positionals = {trace}},
+       [&] { return cmd_summarize(argv[0], path.c_str(), top_n, starvation); }},
+      {"convert",
+       {.positionals = {trace, out}},
+       [&] { return cmd_convert(argv[0], path.c_str(), out_path.c_str()); }},
+      {"conflicts",
+       {.flags = {top, text_flag("--csv", "path", csv_path)},
+        .positionals = {trace}},
+       [&] { return cmd_conflicts(argv[0], path.c_str(), top_n, csv_path); }},
+  };
+  return run_cli_command(argc, argv, cmds);
 }
