@@ -57,6 +57,13 @@ FIXED = [
     ("asfsim_chaos", ["cell", "--nsub", "3"], "bad value for --nsub"),
     ("asfsim_explore", ["--nsub", "32"], "bad value for --nsub"),
     ("asfsim_explore", ["--nsub", "3"], "bad value for --nsub"),
+    # A sub-blocking detector needs at least 2, whatever the flag order
+    # (subblock is cell's default detector).
+    ("asfsim_chaos", ["cell", "--nsub", "1"], "bad value for --nsub"),
+    ("asfsim_explore", ["--detector", "subblock", "--nsub", "1"],
+     "bad value for --nsub"),
+    ("asfsim_explore", ["--nsub", "1", "--detector", "subblock"],
+     "bad value for --nsub"),
     ("asfsim_trace", ["summarize", "t.jsonl", "--top", "0"],
      "bad value for --top"),
     ("asfsim_trace", ["summarize", "t.jsonl", "--top", "abc"],
@@ -76,12 +83,9 @@ FIXED = [
      "unknown flag --mutate"),
 ]
 
-ENV = dict(os.environ, ASFSIM_PROGRESS="0")
-
-
 def run(argv):
     return subprocess.run(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                          timeout=TIMEOUT_S, env=ENV)
+                          timeout=TIMEOUT_S)
 
 
 def check(argv, needle):

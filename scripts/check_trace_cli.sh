@@ -87,7 +87,6 @@ fi
 
 # Good path: a tiny real run with provenance on; the report must rank the
 # OLTP record table as an offender site and the CSV dump must materialize.
-export ASFSIM_PROGRESS=0
 if ! "$fig_bin" "$figure" --scale 0.1 --jobs 2 --no-cache \
     --trace-dir "$work/traces" > "$work/fig.out" 2>&1; then
   echo "FAIL fig run: $(cat "$work/fig.out")"

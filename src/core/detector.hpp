@@ -13,6 +13,7 @@
 // bits are exactly read_bytes != 0 / write_bytes != 0).
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <memory>
 
@@ -53,6 +54,23 @@ enum class DetectorKind : std::uint8_t {
 };
 
 [[nodiscard]] const char* to_string(DetectorKind k);
+
+/// True for the detectors that track sub-blocks of a line.
+[[nodiscard]] constexpr bool tracks_subblocks(DetectorKind k) {
+  return k == DetectorKind::kSubBlock || k == DetectorKind::kSubBlockWawLine ||
+         k == DetectorKind::kSubBlockNoDirty;
+}
+
+/// The sub-block-count rule: a power of two up to kMaxSubBlocks, and at
+/// least 2 when `kind` tracks sub-blocks (one sub-block is the whole line).
+/// Per-line detectors ignore the count, so the default kind admits every
+/// count some detector runs with. SubBlockDetector, SimConfig::validate and
+/// the --nsub flags all check this.
+[[nodiscard]] constexpr bool valid_nsub(
+    std::uint32_t nsub, DetectorKind kind = DetectorKind::kBaseline) {
+  return std::has_single_bit(nsub) && nsub <= kMaxSubBlocks &&
+         (nsub >= 2 || !tracks_subblocks(kind));
+}
 
 class ConflictDetector {
  public:

@@ -12,7 +12,7 @@ namespace asfsim {
 SubBlockDetector::SubBlockDetector(std::uint32_t nsub, bool dirty_handling,
                                    bool waw_line)
     : nsub_(nsub), dirty_handling_(dirty_handling), waw_line_(waw_line) {
-  if (nsub < 2 || nsub > kMaxSubBlocks || (nsub & (nsub - 1)) != 0) {
+  if (!valid_nsub(nsub, DetectorKind::kSubBlock)) {
     throw std::invalid_argument(
         "SubBlockDetector: nsub must be a power of two in [2,16]");
   }

@@ -5,7 +5,6 @@
 #include <cstdlib>
 
 #include "fault/chaos.hpp"
-#include "mem/addr.hpp"
 
 namespace asfsim {
 
@@ -74,8 +73,9 @@ std::vector<CliFlag> declared_flags(const CliSpec& spec, CliOptions& o) {
                    switch_flag("--no-cache", o.no_cache)});
   add(kCliTrace, {text_flag("--trace-dir", "dir", o.trace_dir),
                   choice_flag("--trace-format", {"jsonl", "perfetto"},
-                              [&o](std::size_t i) {
-                                o.trace_format = i == 0 ? "jsonl" : "perfetto";
+                              [&o](std::size_t i) {  // TraceFormat order
+                                o.trace_format =
+                                    static_cast<TraceFormat>(i + 1);
                               })});
   add(kCliRobustness, table_flags(o.fault));
   add(kCliRobustness, {number_flag("--watchdog", o.watchdog),
@@ -111,9 +111,10 @@ const char* CliArgs::value() {
   return argv_[++i_];
 }
 
-void CliArgs::bad_value() const {
-  fail(std::string("bad value for ") + argv_[i_ - 1] + ": '" + argv_[i_] +
-       "'");
+void CliArgs::bad_value() const { bad_value(argv_[i_ - 1], argv_[i_]); }
+
+void CliArgs::bad_value(std::string_view flag, std::string_view text) const {
+  fail("bad value for " + std::string(flag) + ": '" + std::string(text) + "'");
 }
 
 void CliArgs::fail(const std::string& msg) const {
@@ -142,11 +143,20 @@ CliFlag choice_flag(const char* flag, std::vector<std::string> names,
 
 CliFlag nsub_flag(std::uint32_t& out) {
   std::vector<std::string> names;
-  for (std::uint32_t n = 1; n <= kMaxSubBlocks; n *= 2) {
+  for (std::uint32_t n = 1; valid_nsub(n); n *= 2) {
     names.push_back(std::to_string(n));
   }
   return choice_flag("--nsub", std::move(names),
                      [&out](std::size_t i) { out = 1u << i; });
+}
+
+std::function<void(const CliArgs&)> nsub_check(const DetectorKind& detector,
+                                               const std::uint32_t& nsub) {
+  return [&detector, &nsub](const CliArgs& a) {
+    if (!valid_nsub(nsub, detector)) {
+      a.bad_value("--nsub", std::to_string(nsub));
+    }
+  };
 }
 
 std::vector<CliFlag> table_flags(FaultConfig& r) { return record_flags(r); }
@@ -183,6 +193,7 @@ CliOptions parse_cli(int argc, char** argv, const CliSpec& spec) {
   if (npos < spec.positionals.size() && spec.positionals[npos].flag[0] != '[') {
     a.fail("missing " + spec.positionals[npos].flag + " (see --help)");
   }
+  if (spec.check) spec.check(a);
   return o;
 }
 

@@ -23,11 +23,17 @@
 #include <vector>
 
 #include "cm/cm_config.hpp"
+#include "core/detector.hpp"
 #include "fault/fault_config.hpp"
 #include "oltp/oltp_config.hpp"
 
 namespace asfsim {
 
+/// On-disk format for a full-timeline trace (docs/observability.md).
+enum class TraceFormat : std::uint8_t { kNone = 0, kJsonl, kPerfetto };
+
+/// Everything the common flags set. experiment_config (harness/experiment)
+/// turns it into the ExperimentConfig every job of a run starts from.
 struct CliOptions {
   double scale = 1.0;
   std::uint32_t threads = 8;
@@ -36,16 +42,15 @@ struct CliOptions {
   std::uint32_t jobs = 0;  // runner workers; 0 = hardware concurrency
   bool no_cache = false;   // skip the content-addressed result cache
   std::string trace_dir;   // empty = tracing disabled
-  std::string trace_format = "jsonl";  // "jsonl" | "perfetto"
+  TraceFormat trace_format = TraceFormat::kJsonl;
 
-  // Robustness knobs (apply_robustness_options folds them into the
-  // ExperimentConfig; all defaults preserve the clean-run byte output).
+  // Robustness knobs (all defaults preserve the clean-run byte output).
   FaultConfig fault;
   std::uint64_t watchdog = 0;
   double job_timeout = 0.0;  // seconds; becomes every job's wall_limit_s
 
   /// OLTP workload knobs; flow into WorkloadParams::oltp (and therefore the
-  /// JobSpec hash) via base_config/apply_robustness_options.
+  /// JobSpec hash).
   OltpConfig oltp;
 
   /// Conflict provenance (--prov): flows into SimConfig::provenance.
@@ -82,6 +87,9 @@ class CliArgs {
 
   /// "bad value for <flag>: '<value>'" for the value just read; exits 2.
   [[noreturn]] void bad_value() const;
+  /// The same for a named flag and value.
+  [[noreturn]] void bad_value(std::string_view flag,
+                              std::string_view text) const;
 
   /// Print "<prog>: <msg>" on stderr and exit 2.
   [[noreturn]] void fail(const std::string& msg) const;
@@ -150,7 +158,15 @@ struct CliSpec {
   unsigned groups = 0;  // CliGroup bits
   std::vector<CliFlag> flags{};
   std::vector<CliFlag> positionals{};  // in order
+  /// A rule between flags, checked once every argument is read (so it holds
+  /// whatever the flag order); it fails through CliArgs::bad_value.
+  std::function<void(const CliArgs&)> check{};
 };
+
+/// CliSpec::check for --nsub: "bad value for --nsub" unless `nsub` suits
+/// `detector` (valid_nsub).
+std::function<void(const CliArgs&)> nsub_check(const DetectorKind& detector,
+                                               const std::uint32_t& nsub);
 
 /// Parse argv against `spec`; --help prints the declared flags and exits 0.
 [[nodiscard]] CliOptions parse_cli(int argc, char** argv, const CliSpec& spec);

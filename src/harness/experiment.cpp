@@ -11,11 +11,36 @@
 
 namespace asfsim {
 
-namespace {
+ExperimentConfig experiment_config(const CliOptions& opts) {
+  ExperimentConfig cfg;
+  cfg.params.threads = opts.threads;
+  cfg.params.seed = opts.seed;
+  cfg.params.scale = opts.scale;
+  cfg.params.oltp = opts.oltp;
+  cfg.sim.ncores = opts.threads;
+  cfg.sim.fault = opts.fault;
+  cfg.sim.watchdog_cycles = opts.watchdog;
+  cfg.sim.provenance = opts.prov;
+  cfg.sim.cm = opts.cm;
+  cfg.wall_limit_s = opts.job_timeout;
+  return cfg;
+}
 
-ExperimentResult run_machine(const std::string& workload,
-                             const ExperimentConfig& cfg,
-                             const TraceOptions& trace) {
+const char* trace_file_extension(TraceFormat fmt) {
+  switch (fmt) {
+    case TraceFormat::kJsonl:
+      return ".jsonl";
+    case TraceFormat::kPerfetto:
+      return ".perfetto.json";
+    case TraceFormat::kNone:
+      break;
+  }
+  return "";
+}
+
+ExperimentResult run_experiment(const std::string& workload,
+                                const ExperimentConfig& cfg,
+                                const TraceOptions& trace) {
   SimConfig sim = cfg.sim;
   sim.seed = cfg.params.seed;
   if (cfg.params.threads > sim.ncores) {
@@ -60,40 +85,6 @@ ExperimentResult run_machine(const std::string& workload,
     r.has_fault_counters = true;
   }
   return r;
-}
-
-}  // namespace
-
-void apply_robustness_options(const CliOptions& opts, ExperimentConfig& cfg) {
-  cfg.sim.fault = opts.fault;
-  cfg.sim.watchdog_cycles = opts.watchdog;
-  cfg.wall_limit_s = opts.job_timeout;
-  cfg.params.oltp = opts.oltp;
-  cfg.sim.provenance = opts.prov;
-  cfg.sim.cm = opts.cm;
-}
-
-const char* trace_file_extension(TraceFormat fmt) {
-  switch (fmt) {
-    case TraceFormat::kJsonl:
-      return ".jsonl";
-    case TraceFormat::kPerfetto:
-      return ".perfetto.json";
-    case TraceFormat::kNone:
-      break;
-  }
-  return "";
-}
-
-ExperimentResult run_experiment(const std::string& workload,
-                                const ExperimentConfig& cfg) {
-  return run_machine(workload, cfg, TraceOptions{});
-}
-
-ExperimentResult run_experiment(const std::string& workload,
-                                const ExperimentConfig& cfg,
-                                const TraceOptions& trace) {
-  return run_machine(workload, cfg, trace);
 }
 
 }  // namespace asfsim

@@ -50,9 +50,6 @@ struct FieldTable<ExperimentConfig> {
 static_assert(table_complete<ExperimentConfig>(),
               "every ExperimentConfig member needs an entry");
 
-/// On-disk format for a full-timeline trace (docs/observability.md).
-enum class TraceFormat : std::uint8_t { kNone = 0, kJsonl, kPerfetto };
-
 /// File extension matching the format (".jsonl" / ".perfetto.json").
 [[nodiscard]] const char* trace_file_extension(TraceFormat fmt);
 
@@ -80,22 +77,20 @@ struct ExperimentResult {
   [[nodiscard]] bool ok() const { return validation_error.empty(); }
 };
 
-/// Fold the CLI robustness flags (--fault-*, --mutate, --watchdog) into an
-/// experiment config. The fault knobs land in cfg.sim.fault and therefore
-/// in the JobSpec hash; wall_limit_s stays host-side.
-void apply_robustness_options(const CliOptions& opts, ExperimentConfig& cfg);
+/// The config the common flags describe (baseline detector): size, seed,
+/// threads (one core each), the OLTP, fault, watchdog, provenance and
+/// contention knobs, which all land in the JobSpec hash, and --job-timeout
+/// as the host-side wall_limit_s.
+[[nodiscard]] ExperimentConfig experiment_config(const CliOptions& opts);
 
 /// Run one experiment to completion. Throws on simulator-level failures
 /// (deadlock, cycle-limit); workload validation failures are reported in the
-/// result instead.
-[[nodiscard]] ExperimentResult run_experiment(const std::string& workload,
-                                              const ExperimentConfig& cfg);
-
-/// Same, streaming the full event timeline to `trace.path` while running.
-/// Tracing never perturbs simulated timing: stats and cycle counts are
-/// byte-identical with and without it. Throws if the file cannot be opened.
+/// result instead. With `trace` enabled, the full event timeline streams to
+/// `trace.path` while running; tracing never perturbs simulated timing
+/// (stats and cycle counts are byte-identical with and without it). Throws
+/// if the trace file cannot be opened.
 [[nodiscard]] ExperimentResult run_experiment(const std::string& workload,
                                               const ExperimentConfig& cfg,
-                                              const TraceOptions& trace);
+                                              const TraceOptions& trace = {});
 
 }  // namespace asfsim

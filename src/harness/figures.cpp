@@ -23,28 +23,20 @@ namespace asfsim::figures {
 
 namespace {
 
-using TextTable = asfsim::TextTable;
 using runner::Runner;
 
-ExperimentConfig base_config(const CliOptions& opts) {
-  ExperimentConfig cfg;
-  cfg.params.threads = opts.threads;
-  cfg.params.seed = opts.seed;
-  cfg.params.scale = opts.scale;
-  cfg.sim.ncores = opts.threads;
-  apply_robustness_options(opts, cfg);
+/// The CLI's config on `n` cores, one thread each.
+ExperimentConfig on_cores(const CliOptions& opts, std::uint32_t n) {
+  ExperimentConfig cfg = experiment_config(opts);
+  cfg.params.threads = n;
+  cfg.sim.ncores = n;
   return cfg;
 }
 
-runner::RunnerOptions runner_opts(const CliOptions& opts) {
-  runner::RunnerOptions o;
-  o.jobs = opts.jobs;
-  o.use_cache = !opts.no_cache;
-  o.trace_dir = opts.trace_dir;
-  o.trace_format = opts.trace_format == "perfetto" ? TraceFormat::kPerfetto
-                                                   : TraceFormat::kJsonl;
-  return o;
-}
+/// The per-line baseline and sub-block(4), as (detector, nsub) pairs.
+constexpr std::array<std::pair<DetectorKind, std::uint32_t>, 2> kBaseAndSub4{
+    std::pair{DetectorKind::kBaseline, 1u},
+    std::pair{DetectorKind::kSubBlock, 4u}};
 
 /// One job of a figure's grid.
 struct Cell {
@@ -70,7 +62,12 @@ std::vector<Cell> grid(const std::vector<std::string>& workloads,
 std::vector<ExperimentResult> run_cells(const CliOptions& opts,
                                         const std::vector<Cell>& cells,
                                         std::ostream& os, int* status) {
-  Runner runner(runner_opts(opts));
+  runner::RunnerOptions ro;
+  ro.jobs = opts.jobs;
+  ro.use_cache = !opts.no_cache;
+  ro.trace_dir = opts.trace_dir;
+  ro.trace_format = opts.trace_format;
+  Runner runner(ro);
   for (const Cell& c : cells) runner.submit(c.workload, c.cfg);
   std::vector<ExperimentResult> results;
   results.reserve(cells.size());
@@ -89,6 +86,25 @@ std::vector<ExperimentResult> run_cells(const CliOptions& opts,
 double reduction(std::uint64_t base, std::uint64_t now) {
   if (base == 0) return 0.0;
   return 1.0 - static_cast<double>(now) / static_cast<double>(base);
+}
+
+/// Aborted attempts per attempt (0 without attempts).
+double abort_rate(const Stats& s) {
+  return s.tx_attempts == 0 ? 0.0
+                            : double(s.tx_aborts) / double(s.tx_attempts);
+}
+
+/// Per paper benchmark: its baseline, sub-block(4) and perfect results, in
+/// that order (Figs 9 and 10).
+std::vector<ExperimentResult> run_vs_perfect(const CliOptions& opts,
+                                             std::ostream& os, int* status) {
+  const ExperimentConfig cfg = experiment_config(opts);
+  return run_cells(opts,
+                   grid(paper_benchmarks(),
+                        {cfg.with(DetectorKind::kBaseline),
+                         cfg.with(DetectorKind::kSubBlock, 4),
+                         cfg.with(DetectorKind::kPerfect)}),
+                   os, status);
 }
 
 // ---------------------------------------------------------------------------
@@ -257,21 +273,17 @@ int fig1_false_conflict_rate(const CliOptions& opts, std::ostream& os) {
   int status = 0;
   os << "Fig 1: false conflict rate of STAMP and RMS-TM benchmarks "
         "(baseline ASF)\n";
-  CsvWriter csv(opts.csv_dir, "fig1_false_conflict_rate");
-  csv.row({"benchmark", "conflicts", "false_conflicts", "false_rate"});
-  TextTable t({"Benchmark", "Conflicts", "False", "False rate"});
+  Sheet t(opts.csv_dir, "fig1_false_conflict_rate",
+          {{"Benchmark", "benchmark"}, {"Conflicts", "conflicts"},
+           {"False", "false_conflicts"}, {"False rate", "false_rate"}});
   double sum = 0;
   for (const auto& r : run_cells(
-           opts, grid(paper_benchmarks(), {base_config(opts)}), os,
+           opts, grid(paper_benchmarks(), {experiment_config(opts)}), os,
            &status)) {
-    const std::string& name = r.workload;
     const double rate = r.stats.false_conflict_rate();
     sum += rate;
-    t.add_row({name, std::to_string(r.stats.conflicts_total),
-               std::to_string(r.stats.conflicts_false), TextTable::pct(rate)});
-    csv.row({name, std::to_string(r.stats.conflicts_total),
-             std::to_string(r.stats.conflicts_false),
-             TextTable::num(rate, 4)});
+    t.add({text(r.workload), count(r.stats.conflicts_total),
+           count(r.stats.conflicts_false), pct(rate)});
   }
   t.print(os);
   os << "average false conflict rate: "
@@ -287,21 +299,16 @@ int fig1_false_conflict_rate(const CliOptions& opts, std::ostream& os) {
 int fig2_conflict_type_breakdown(const CliOptions& opts, std::ostream& os) {
   int status = 0;
   os << "Fig 2: breakdown of false conflict types (baseline ASF)\n";
-  CsvWriter csv(opts.csv_dir, "fig2_conflict_type_breakdown");
-  csv.row({"benchmark", "war", "raw", "waw"});
-  TextTable t({"Benchmark", "WAR", "RAW", "WAW", "WAR%", "RAW%", "WAW%"});
+  Sheet t(opts.csv_dir, "fig2_conflict_type_breakdown",
+          {{"Benchmark", "benchmark"}, {"WAR", "war"}, {"RAW", "raw"},
+           {"WAW", "waw"}, {"WAR%", ""}, {"RAW%", ""}, {"WAW%", ""}});
   for (const auto& r : run_cells(
-           opts, grid(paper_benchmarks(), {base_config(opts)}), os,
+           opts, grid(paper_benchmarks(), {experiment_config(opts)}), os,
            &status)) {
-    const std::string& name = r.workload;
     const auto& f = r.stats.false_by_type;
-    const double total =
-        std::max<std::uint64_t>(1, f[0] + f[1] + f[2]);
-    t.add_row({name, std::to_string(f[0]), std::to_string(f[1]),
-               std::to_string(f[2]), TextTable::pct(f[0] / total),
-               TextTable::pct(f[1] / total), TextTable::pct(f[2] / total)});
-    csv.row({name, std::to_string(f[0]), std::to_string(f[1]),
-             std::to_string(f[2])});
+    const double total = std::max<std::uint64_t>(1, f[0] + f[1] + f[2]);
+    t.add({text(r.workload), count(f[0]), count(f[1]), count(f[2]),
+           pct(f[0] / total), pct(f[1] / total), pct(f[2] / total)});
   }
   t.print(os);
   os << "(paper: vacation & apriori WAR-dominant; kmeans, labyrinth, genome "
@@ -323,7 +330,7 @@ int fig3_time_distribution(const CliOptions& opts, std::ostream& os) {
         "(baseline ASF; 20 time buckets)\n";
   CsvWriter csv(opts.csv_dir, "fig3_time_distribution");
   csv.row({"benchmark", "bucket", "tx_started_cum", "false_conflicts_cum"});
-  ExperimentConfig cfg = base_config(opts);
+  ExperimentConfig cfg = experiment_config(opts);
   cfg.timeseries = true;
   for (const auto& r : run_cells(opts, grid(kProfiled, {cfg}), os, &status)) {
     const std::string& name = r.workload;
@@ -364,8 +371,8 @@ int fig4_line_distribution(const CliOptions& opts, std::ostream& os) {
         "32 address bins + concentration)\n";
   CsvWriter csv(opts.csv_dir, "fig4_line_distribution");
   csv.row({"benchmark", "bin", "false_conflicts"});
-  for (const auto& r : run_cells(opts, grid(kProfiled, {base_config(opts)}),
-                                 os, &status)) {
+  for (const auto& r : run_cells(
+           opts, grid(kProfiled, {experiment_config(opts)}), os, &status)) {
     const std::string& name = r.workload;
     const auto& by_line = r.stats.false_by_line;
     if (by_line.empty()) {
@@ -418,8 +425,8 @@ int fig5_intra_line_access(const CliOptions& opts, std::ostream& os) {
         "line (baseline ASF)\n";
   CsvWriter csv(opts.csv_dir, "fig5_intra_line_access");
   csv.row({"benchmark", "offset", "accesses"});
-  for (const auto& r : run_cells(opts, grid(kProfiled, {base_config(opts)}),
-                                 os, &status)) {
+  for (const auto& r : run_cells(
+           opts, grid(kProfiled, {experiment_config(opts)}), os, &status)) {
     const std::string& name = r.workload;
     const auto& h = r.stats.tx_access_by_offset;
     // Infer the dominant access granularity: GCD of offsets carrying at
@@ -457,7 +464,7 @@ int fig8_subblock_sensitivity(const CliOptions& opts, std::ostream& os) {
   csv.row({"benchmark", "nsub", "measured_reduction", "analytic_reduction"});
   TextTable t({"Benchmark", "meas2", "meas4", "meas8", "meas16", "ana2",
                "ana4", "ana8", "ana16"});
-  const ExperimentConfig cfg = base_config(opts);
+  const ExperimentConfig cfg = experiment_config(opts);
   double avg4 = 0;
   // Per benchmark: the baseline, then sub-blocking at 2/4/8/16.
   const auto res = run_cells(
@@ -507,33 +514,19 @@ int fig8_subblock_sensitivity(const CliOptions& opts, std::ostream& os) {
 int fig9_overall_conflict_reduction(const CliOptions& opts, std::ostream& os) {
   int status = 0;
   os << "Fig 9: percentage of overall (true+false) conflict reduction\n";
-  CsvWriter csv(opts.csv_dir, "fig9_overall_conflict_reduction");
-  csv.row({"benchmark", "baseline_conflicts", "subblock4_reduction",
-           "perfect_reduction"});
-  TextTable t({"Benchmark", "Base confl", "SubBlock-4", "Perfect"});
+  Sheet t(opts.csv_dir, "fig9_overall_conflict_reduction",
+          {{"Benchmark", "benchmark"}, {"Base confl", "baseline_conflicts"},
+           {"SubBlock-4", "subblock4_reduction"},
+           {"Perfect", "perfect_reduction"}});
   double sum4 = 0, sump = 0;
-  const ExperimentConfig cfg = base_config(opts);
-  const auto res = run_cells(opts,
-                             grid(paper_benchmarks(),
-                                  {cfg.with(DetectorKind::kBaseline),
-                                   cfg.with(DetectorKind::kSubBlock, 4),
-                                   cfg.with(DetectorKind::kPerfect)}),
-                             os, &status);
+  const auto res = run_vs_perfect(opts, os, &status);
   for (std::size_t b = 0; b < res.size(); b += 3) {
-    const auto& base = res[b];
-    const auto& sb4 = res[b + 1];
-    const auto& perf = res[b + 2];
-    const std::string& name = base.workload;
-    const double r4 =
-        reduction(base.stats.conflicts_total, sb4.stats.conflicts_total);
-    const double rp =
-        reduction(base.stats.conflicts_total, perf.stats.conflicts_total);
+    const std::uint64_t base = res[b].stats.conflicts_total;
+    const double r4 = reduction(base, res[b + 1].stats.conflicts_total);
+    const double rp = reduction(base, res[b + 2].stats.conflicts_total);
     sum4 += r4;
     sump += rp;
-    t.add_row({name, std::to_string(base.stats.conflicts_total),
-               TextTable::pct(r4), TextTable::pct(rp)});
-    csv.row({name, std::to_string(base.stats.conflicts_total),
-             TextTable::num(r4, 4), TextTable::num(rp, 4)});
+    t.add({text(res[b].workload), count(base), pct(r4), pct(rp)});
   }
   t.print(os);
   const double n = paper_benchmarks().size();
@@ -556,33 +549,18 @@ int fig9_overall_conflict_reduction(const CliOptions& opts, std::ostream& os) {
 int fig10_execution_time(const CliOptions& opts, std::ostream& os) {
   int status = 0;
   os << "Fig 10: improvement of overall execution time vs baseline ASF\n";
-  CsvWriter csv(opts.csv_dir, "fig10_execution_time");
-  csv.row({"benchmark", "baseline_cycles", "subblock4_improvement",
-           "perfect_improvement", "baseline_avg_retries"});
-  TextTable t(
-      {"Benchmark", "Base cycles", "SubBlock-4", "Perfect", "Base retries"});
-  const ExperimentConfig cfg = base_config(opts);
-  const auto res = run_cells(opts,
-                             grid(paper_benchmarks(),
-                                  {cfg.with(DetectorKind::kBaseline),
-                                   cfg.with(DetectorKind::kSubBlock, 4),
-                                   cfg.with(DetectorKind::kPerfect)}),
-                             os, &status);
+  Sheet t(opts.csv_dir, "fig10_execution_time",
+          {{"Benchmark", "benchmark"}, {"Base cycles", "baseline_cycles"},
+           {"SubBlock-4", "subblock4_improvement"},
+           {"Perfect", "perfect_improvement"},
+           {"Base retries", "baseline_avg_retries"}});
+  const auto res = run_vs_perfect(opts, os, &status);
   for (std::size_t b = 0; b < res.size(); b += 3) {
-    const auto& base = res[b];
-    const auto& sb4 = res[b + 1];
-    const auto& perf = res[b + 2];
-    const std::string& name = base.workload;
-    const double t4 =
-        reduction(base.stats.total_cycles, sb4.stats.total_cycles);
-    const double tp =
-        reduction(base.stats.total_cycles, perf.stats.total_cycles);
-    t.add_row({name, std::to_string(base.stats.total_cycles),
-               TextTable::pct(t4), TextTable::pct(tp),
-               TextTable::num(base.stats.avg_retries())});
-    csv.row({name, std::to_string(base.stats.total_cycles),
-             TextTable::num(t4, 4), TextTable::num(tp, 4),
-             TextTable::num(base.stats.avg_retries(), 3)});
+    const Stats& base = res[b].stats;
+    t.add({text(res[b].workload), count(base.total_cycles),
+           pct(reduction(base.total_cycles, res[b + 1].stats.total_cycles)),
+           pct(reduction(base.total_cycles, res[b + 2].stats.total_cycles)),
+           num(base.avg_retries(), 2, 3)});
   }
   t.print(os);
   os << "(paper: up to ~30% for high-retry programs (intruder, vacation, "
@@ -599,12 +577,11 @@ int ablation_waronly(const CliOptions& opts, std::ostream& os) {
   int status = 0;
   os << "Ablation (paper §II): WAR-only false-conflict reduction (SpMT/DPTM "
         "style) vs speculative sub-blocking\n";
-  CsvWriter csv(opts.csv_dir, "ablation_waronly");
-  csv.row({"benchmark", "baseline_false", "waronly_reduction",
-           "subblock4_reduction"});
-  TextTable t({"Benchmark", "Base false", "WAR-only", "SubBlock-4",
-               "Dominant type"});
-  const ExperimentConfig cfg = base_config(opts);
+  Sheet t(opts.csv_dir, "ablation_waronly",
+          {{"Benchmark", "benchmark"}, {"Base false", "baseline_false"},
+           {"WAR-only", "waronly_reduction"},
+           {"SubBlock-4", "subblock4_reduction"}, {"Dominant type", ""}});
+  const ExperimentConfig cfg = experiment_config(opts);
   const auto res = run_cells(opts,
                              grid(paper_benchmarks(),
                                   {cfg.with(DetectorKind::kBaseline),
@@ -612,23 +589,14 @@ int ablation_waronly(const CliOptions& opts, std::ostream& os) {
                                    cfg.with(DetectorKind::kSubBlock, 4)}),
                              os, &status);
   for (std::size_t b = 0; b < res.size(); b += 3) {
-    const auto& base = res[b];
-    const auto& war = res[b + 1];
-    const auto& sb4 = res[b + 2];
-    const std::string& name = base.workload;
-    const auto& f = base.stats.false_by_type;
-    const char* dom = f[1] > f[0] ? "RAW" : "WAR";
-    t.add_row({name, std::to_string(base.stats.conflicts_false),
-               TextTable::pct(reduction(base.stats.conflicts_false,
-                                        war.stats.conflicts_false)),
-               TextTable::pct(reduction(base.stats.conflicts_false,
-                                        sb4.stats.conflicts_false)),
-               dom});
-    csv.row({name, std::to_string(base.stats.conflicts_false),
-             TextTable::num(reduction(base.stats.conflicts_false,
-                                      war.stats.conflicts_false), 4),
-             TextTable::num(reduction(base.stats.conflicts_false,
-                                      sb4.stats.conflicts_false), 4)});
+    const Stats& base = res[b].stats;
+    const auto& f = base.false_by_type;
+    t.add({text(res[b].workload), count(base.conflicts_false),
+           pct(reduction(base.conflicts_false,
+                         res[b + 1].stats.conflicts_false)),
+           pct(reduction(base.conflicts_false,
+                         res[b + 2].stats.conflicts_false)),
+           text(f[1] > f[0] ? "RAW" : "WAR")});
   }
   t.print(os);
   os << "(paper's critique: WAR-only schemes cannot help RAW-dominant "
@@ -645,27 +613,21 @@ int ablation_waw_rule(const CliOptions& opts, std::ostream& os) {
   os << "Ablation (paper §IV-D2): WAW handled at line granularity (the "
         "paper's in-cache-versioning constraint) vs at sub-block "
         "granularity (possible with overlay versioning; DESIGN.md §6.5)\n";
-  CsvWriter csv(opts.csv_dir, "ablation_waw_rule");
-  csv.row({"benchmark", "subblock4_conflicts", "wawline4_conflicts",
-           "wawline_false_waw"});
-  TextTable t({"Benchmark", "SubBlock-4 confl", "WAW-line-4 confl",
-               "WAW-line false WAW"});
-  const ExperimentConfig cfg = base_config(opts);
+  Sheet t(opts.csv_dir, "ablation_waw_rule",
+          {{"Benchmark", "benchmark"},
+           {"SubBlock-4 confl", "subblock4_conflicts"},
+           {"WAW-line-4 confl", "wawline4_conflicts"},
+           {"WAW-line false WAW", "wawline_false_waw"}});
+  const ExperimentConfig cfg = experiment_config(opts);
   const auto res = run_cells(
       opts,
       grid(paper_benchmarks(), {cfg.with(DetectorKind::kSubBlock, 4),
                                 cfg.with(DetectorKind::kSubBlockWawLine, 4)}),
       os, &status);
   for (std::size_t b = 0; b < res.size(); b += 2) {
-    const auto& sb = res[b];
-    const auto& wl = res[b + 1];
-    const std::string& name = sb.workload;
-    t.add_row({name, std::to_string(sb.stats.conflicts_total),
-               std::to_string(wl.stats.conflicts_total),
-               std::to_string(wl.stats.false_by_type[2])});
-    csv.row({name, std::to_string(sb.stats.conflicts_total),
-             std::to_string(wl.stats.conflicts_total),
-             std::to_string(wl.stats.false_by_type[2])});
+    const Stats& wl = res[b + 1].stats;
+    t.add({text(res[b].workload), count(res[b].stats.conflicts_total),
+           count(wl.conflicts_total), count(wl.false_by_type[2])});
   }
   t.print(os);
   os << "(write-heavy programs pay heavily for the line-granular WAW rule; "
@@ -683,9 +645,10 @@ int ablation_ats(const CliOptions& opts, std::ostream& os) {
   int status = 0;
   os << "Ablation (extension): adaptive transaction scheduling (ATS) "
         "composed with speculative sub-blocking\n";
-  CsvWriter csv(opts.csv_dir, "ablation_ats");
-  csv.row({"benchmark", "config", "conflicts", "cycles", "ats_dispatches"});
-  TextTable t({"Benchmark", "Config", "Conflicts", "Cycles", "ATS dispatch"});
+  Sheet t(opts.csv_dir, "ablation_ats",
+          {{"Benchmark", "benchmark"}, {"Config", "config"},
+           {"Conflicts", "conflicts"}, {"Cycles", "cycles"},
+           {"ATS dispatch", "ats_dispatches"}});
   constexpr std::array<std::tuple<const char*, DetectorKind, bool>, 4>
       kAtsConfigs{std::tuple{"baseline", DetectorKind::kBaseline, false},
                   std::tuple{"baseline+ATS", DetectorKind::kBaseline, true},
@@ -693,7 +656,7 @@ int ablation_ats(const CliOptions& opts, std::ostream& os) {
                   std::tuple{"subblock4+ATS", DetectorKind::kSubBlock, true}};
   std::vector<ExperimentConfig> cfgs;
   for (const auto& [label, det, ats] : kAtsConfigs) {
-    ExperimentConfig c = base_config(opts).with(det, 4);
+    ExperimentConfig c = experiment_config(opts).with(det, 4);
     c.sim.enable_ats = ats;
     c.sim.ats_threshold = 0.4;
     cfgs.push_back(c);
@@ -702,14 +665,11 @@ int ablation_ats(const CliOptions& opts, std::ostream& os) {
       opts, grid({"vacation", "kmeans", "scalparc", "counter"}, cfgs), os,
       &status);
   for (std::size_t i = 0; i < res.size(); ++i) {
-    const auto& r = res[i];
-    const char* label = std::get<0>(kAtsConfigs[i % kAtsConfigs.size()]);
-    t.add_row({r.workload, label, std::to_string(r.stats.conflicts_total),
-               std::to_string(r.stats.total_cycles),
-               std::to_string(r.stats.ats_serialized)});
-    csv.row({r.workload, label, std::to_string(r.stats.conflicts_total),
-             std::to_string(r.stats.total_cycles),
-             std::to_string(r.stats.ats_serialized)});
+    const Stats& s = res[i].stats;
+    t.add({text(res[i].workload),
+           text(std::get<0>(kAtsConfigs[i % kAtsConfigs.size()])),
+           count(s.conflicts_total), count(s.total_cycles),
+           count(s.ats_serialized)});
   }
   t.print(os);
   os << "(scheduling attacks the same abort storms from the timing side; "
@@ -725,27 +685,17 @@ int ablation_cores(const CliOptions& opts, std::ostream& os) {
   int status = 0;
   os << "Ablation (extension): false-conflict rate vs core count "
         "(baseline ASF; the paper fixes 8 cores)\n";
-  CsvWriter csv(opts.csv_dir, "ablation_cores");
-  csv.row({"benchmark", "cores", "conflicts", "false_rate"});
-  TextTable t({"Benchmark", "Cores", "Conflicts", "False rate"});
-  std::vector<ExperimentConfig> cfgs;
-  for (const std::uint32_t n : {2u, 4u, 8u}) {
-    ExperimentConfig cfg = base_config(opts);
-    cfg.sim.ncores = n;
-    cfg.params.threads = n;
-    cfgs.push_back(cfg);
-  }
-  const auto cells = grid({"ssca2", "vacation", "kmeans"}, cfgs);
+  Sheet t(opts.csv_dir, "ablation_cores",
+          {{"Benchmark", "benchmark"}, {"Cores", "cores"},
+           {"Conflicts", "conflicts"}, {"False rate", "false_rate"}});
+  const auto cells = grid({"ssca2", "vacation", "kmeans"},
+                          {on_cores(opts, 2), on_cores(opts, 4),
+                           on_cores(opts, 8)});
   const auto res = run_cells(opts, cells, os, &status);
   for (std::size_t i = 0; i < res.size(); ++i) {
-    const auto& r = res[i];
-    const std::uint32_t n = cells[i].cfg.sim.ncores;
-    t.add_row({r.workload, std::to_string(n),
-               std::to_string(r.stats.conflicts_total),
-               TextTable::pct(r.stats.false_conflict_rate())});
-    csv.row({r.workload, std::to_string(n),
-             std::to_string(r.stats.conflicts_total),
-             TextTable::num(r.stats.false_conflict_rate(), 4)});
+    const Stats& s = res[i].stats;
+    t.add({text(res[i].workload), count(cells[i].cfg.sim.ncores),
+           count(s.conflicts_total), pct(s.false_conflict_rate())});
   }
   t.print(os);
   os << "(more cores -> more concurrent speculative state -> more false "
@@ -764,14 +714,14 @@ int ablation_variance(const CliOptions& opts, std::ostream& os) {
   os << "Ablation (extension): seed-to-seed variance of the Fig 9 metric "
         "(overall conflict reduction, sub-block 4 vs baseline), " << kSeeds
      << " seeds\n";
-  CsvWriter csv(opts.csv_dir, "ablation_variance");
-  csv.row({"benchmark", "mean_reduction", "stddev", "min", "max",
-           "mean_base_conflicts"});
-  TextTable t({"Benchmark", "Mean", "Stddev", "Min", "Max", "Base confl"});
+  Sheet t(opts.csv_dir, "ablation_variance",
+          {{"Benchmark", "benchmark"}, {"Mean", "mean_reduction"},
+           {"Stddev", "stddev"}, {"Min", "min"}, {"Max", "max"},
+           {"Base confl", "mean_base_conflicts"}});
   // Per benchmark and seed: the baseline, then sub-blocking at 4.
   std::vector<ExperimentConfig> cfgs;
   for (int seed = 1; seed <= kSeeds; ++seed) {
-    ExperimentConfig cfg = base_config(opts);
+    ExperimentConfig cfg = experiment_config(opts);
     cfg.params.seed = static_cast<std::uint64_t>(seed);
     cfgs.push_back(cfg.with(DetectorKind::kBaseline));
     cfgs.push_back(cfg.with(DetectorKind::kSubBlock, 4));
@@ -779,7 +729,6 @@ int ablation_variance(const CliOptions& opts, std::ostream& os) {
   const auto res = run_cells(
       opts, grid({"labyrinth", "ssca2", "vacation"}, cfgs), os, &status);
   for (std::size_t b = 0; b < res.size(); b += cfgs.size()) {
-    const std::string& name = res[b].workload;
     std::vector<double> red;
     double base_conf = 0;
     for (std::size_t i = b; i < b + cfgs.size(); i += 2) {
@@ -797,13 +746,8 @@ int ablation_variance(const CliOptions& opts, std::ostream& os) {
     mean /= red.size();
     double var = 0;
     for (const double v : red) var += (v - mean) * (v - mean);
-    const double sd = std::sqrt(var / red.size());
-    t.add_row({name, TextTable::pct(mean), TextTable::pct(sd),
-               TextTable::pct(lo), TextTable::pct(hi),
-               TextTable::num(base_conf / kSeeds, 0)});
-    csv.row({name, TextTable::num(mean, 4), TextTable::num(sd, 4),
-             TextTable::num(lo, 4), TextTable::num(hi, 4),
-             TextTable::num(base_conf / kSeeds, 1)});
+    t.add({text(res[b].workload), pct(mean), pct(std::sqrt(var / red.size())),
+           pct(lo), pct(hi), num(base_conf / kSeeds, 0, 1)});
   }
   t.print(os);
   os << "(paper §V-B: labyrinth's absolute conflict count is tiny — "
@@ -835,26 +779,21 @@ int ablation_overhead(const CliOptions& opts, std::ostream& os) {
   os << "(paper: 4 sub-blocks on a 64KB L1 => 0.75KB = 1.17%)\n\n";
 
   os << "Message traffic under sub-block(4):\n";
-  TextTable m({"Benchmark", "Probes", "Piggy-back msgs", "Dirty refetches",
-               "Piggy-back share"});
-  CsvWriter csv(opts.csv_dir, "ablation_overhead");
-  csv.row({"benchmark", "probes", "piggyback", "dirty_refetches"});
+  Sheet m(opts.csv_dir, "ablation_overhead",
+          {{"Benchmark", "benchmark"}, {"Probes", "probes"},
+           {"Piggy-back msgs", "piggyback"},
+           {"Dirty refetches", "dirty_refetches"}, {"Piggy-back share", ""}});
   const ExperimentConfig tcfg =
-      base_config(opts).with(DetectorKind::kSubBlock, 4);
+      experiment_config(opts).with(DetectorKind::kSubBlock, 4);
   for (const auto& r :
        run_cells(opts, grid(paper_benchmarks(), {tcfg}), os, &status)) {
-    const std::string& name = r.workload;
+    const Stats& s = r.stats;
     const double share =
-        r.stats.probes_sent == 0
-            ? 0.0
-            : double(r.stats.piggyback_messages) / r.stats.probes_sent;
-    m.add_row({name, std::to_string(r.stats.probes_sent),
-               std::to_string(r.stats.piggyback_messages),
-               std::to_string(r.stats.dirty_refetches),
-               TextTable::pct(share)});
-    csv.row({name, std::to_string(r.stats.probes_sent),
-             std::to_string(r.stats.piggyback_messages),
-             std::to_string(r.stats.dirty_refetches)});
+        s.probes_sent == 0 ? 0.0
+                           : double(s.piggyback_messages) / s.probes_sent;
+    m.add({text(r.workload), count(s.probes_sent),
+           count(s.piggyback_messages), count(s.dirty_refetches),
+           pct(share)});
   }
   m.print(os);
   os << "(piggy-back bits ride on messages that already exist; the paper "
@@ -902,25 +841,20 @@ int ablation_capacity(const CliOptions& opts, std::ostream& os) {
   int status = 0;
   os << "Ablation (paper §III footnote): why yada was excluded — its "
         "transactions overflow the 2-way L1's speculative capacity\n";
-  CsvWriter csv(opts.csv_dir, "ablation_capacity");
-  csv.row({"benchmark", "commits", "capacity_aborts", "fallback_runs",
-           "conflict_aborts"});
-  TextTable t({"Benchmark", "Commits", "Capacity aborts", "Fallback runs",
-               "Conflict aborts"});
+  Sheet t(opts.csv_dir, "ablation_capacity",
+          {{"Benchmark", "benchmark"}, {"Commits", "commits"},
+           {"Capacity aborts", "capacity_aborts"},
+           {"Fallback runs", "fallback_runs"},
+           {"Conflict aborts", "conflict_aborts"}});
   for (const auto& r : run_cells(
            opts,
            grid({"yada", "vacation", "genome", "kmeans"},
-                {base_config(opts).with(DetectorKind::kBaseline)}),
+                {experiment_config(opts).with(DetectorKind::kBaseline)}),
            os, &status)) {
-    const std::string& name = r.workload;
-    t.add_row({name, std::to_string(r.stats.tx_commits),
-               std::to_string(r.stats.aborts_by_cause[1]),
-               std::to_string(r.stats.fallback_runs),
-               std::to_string(r.stats.aborts_by_cause[0])});
-    csv.row({name, std::to_string(r.stats.tx_commits),
-             std::to_string(r.stats.aborts_by_cause[1]),
-             std::to_string(r.stats.fallback_runs),
-             std::to_string(r.stats.aborts_by_cause[0])});
+    const Stats& s = r.stats;
+    t.add({text(r.workload), count(s.tx_commits),
+           count(s.aborts_by_cause[1]), count(s.fallback_runs),
+           count(s.aborts_by_cause[0])});
   }
   t.print(os);
   os << "(yada's every transaction capacity-aborts and serializes through "
@@ -940,14 +874,14 @@ int ablation_l1_geometry(const CliOptions& opts, std::ostream& os) {
   os << "Ablation (extension): L1 geometry sensitivity (baseline ASF). ASF "
         "is best-effort: speculative footprints are bounded by the L1's "
         "associativity and size.\n";
-  CsvWriter csv(opts.csv_dir, "ablation_l1_geometry");
-  csv.row({"benchmark", "l1_kb", "ways", "capacity_aborts", "fallbacks",
-           "cycles"});
-  TextTable t({"Benchmark", "L1", "Capacity aborts", "Fallbacks", "Cycles"});
+  Sheet t(opts.csv_dir, "ablation_l1_geometry",
+          {{"Benchmark", "benchmark"}, {"L1", ""}, {"", "l1_kb"},
+           {"", "ways"}, {"Capacity aborts", "capacity_aborts"},
+           {"Fallbacks", "fallbacks"}, {"Cycles", "cycles"}});
   std::vector<ExperimentConfig> cfgs;
   for (const auto& [kb, ways] : {std::pair{16u, 1u}, std::pair{64u, 2u},
                                  std::pair{64u, 8u}}) {
-    ExperimentConfig cfg = base_config(opts);
+    ExperimentConfig cfg = experiment_config(opts);
     cfg.sim.l1.size_bytes = kb * 1024;
     cfg.sim.l1.ways = ways;
     cfgs.push_back(cfg.with(DetectorKind::kBaseline));
@@ -955,18 +889,13 @@ int ablation_l1_geometry(const CliOptions& opts, std::ostream& os) {
   const auto cells = grid({"vacation", "genome", "yada"}, cfgs);
   const auto res = run_cells(opts, cells, os, &status);
   for (std::size_t i = 0; i < res.size(); ++i) {
-    const auto& r = res[i];
+    const Stats& s = res[i].stats;
     const std::uint32_t kb = cells[i].cfg.sim.l1.size_bytes / 1024;
     const std::uint32_t ways = cells[i].cfg.sim.l1.ways;
-    const std::string geom =
-        std::to_string(kb) + "KB/" + std::to_string(ways) + "w";
-    t.add_row({r.workload, geom, std::to_string(r.stats.aborts_by_cause[1]),
-               std::to_string(r.stats.fallback_runs),
-               std::to_string(r.stats.total_cycles)});
-    csv.row({r.workload, std::to_string(kb), std::to_string(ways),
-             std::to_string(r.stats.aborts_by_cause[1]),
-             std::to_string(r.stats.fallback_runs),
-             std::to_string(r.stats.total_cycles)});
+    t.add({text(res[i].workload),
+           text(std::to_string(kb) + "KB/" + std::to_string(ways) + "w"),
+           count(kb), count(ways), count(s.aborts_by_cause[1]),
+           count(s.fallback_runs), count(s.total_cycles)});
   }
   t.print(os);
   os << "(a direct-mapped 16KB L1 forces even the evaluated benchmarks "
@@ -986,24 +915,21 @@ int ablation_scale(const CliOptions& opts, std::ostream& os) {
         "(baseline ASF). Smaller inputs concentrate sharing, raising the "
         "false rate above the paper's full-size runs — the key deviation "
         "documented in EXPERIMENTS.md.\n";
-  CsvWriter csv(opts.csv_dir, "ablation_scale");
-  csv.row({"benchmark", "scale", "conflicts", "false_rate"});
-  TextTable t({"Benchmark", "Scale", "Conflicts", "False rate"});
+  Sheet t(opts.csv_dir, "ablation_scale",
+          {{"Benchmark", "benchmark"}, {"Scale", "scale"},
+           {"Conflicts", "conflicts"}, {"False rate", "false_rate"}});
   std::vector<ExperimentConfig> cfgs;
   for (const double scale : {0.5, 1.0, 2.0, 4.0}) {
-    ExperimentConfig cfg = base_config(opts);
+    ExperimentConfig cfg = experiment_config(opts);
     cfg.params.scale = opts.scale * scale;
     cfgs.push_back(cfg.with(DetectorKind::kBaseline));
   }
   const auto cells = grid({"ssca2", "vacation", "kmeans"}, cfgs);
   const auto res = run_cells(opts, cells, os, &status);
   for (std::size_t i = 0; i < res.size(); ++i) {
-    const auto& r = res[i];
-    const std::string scale = TextTable::num(cells[i].cfg.params.scale, 2);
-    t.add_row({r.workload, scale, std::to_string(r.stats.conflicts_total),
-               TextTable::pct(r.stats.false_conflict_rate())});
-    csv.row({r.workload, scale, std::to_string(r.stats.conflicts_total),
-             TextTable::num(r.stats.false_conflict_rate(), 4)});
+    const Stats& s = res[i].stats;
+    t.add({text(res[i].workload), num(cells[i].cfg.params.scale, 2, 2),
+           count(s.conflicts_total), pct(s.false_conflict_rate())});
   }
   t.print(os);
   return status;
@@ -1020,27 +946,23 @@ int ablation_timing(const CliOptions& opts, std::ostream& os) {
         "checks run) that many cycles after issue, against the machine "
         "state at delivery — the substitution DESIGN.md §2 documents is "
         "valid if the conflict profile barely moves while cycles grow.\n";
-  CsvWriter csv(opts.csv_dir, "ablation_timing");
-  csv.row({"benchmark", "probe_delay", "conflicts", "false_rate", "cycles"});
-  TextTable t({"Benchmark", "Probe delay", "Conflicts", "False rate",
-               "Cycles"});
+  Sheet t(opts.csv_dir, "ablation_timing",
+          {{"Benchmark", "benchmark"}, {"Probe delay", "probe_delay"},
+           {"Conflicts", "conflicts"}, {"False rate", "false_rate"},
+           {"Cycles", "cycles"}});
   std::vector<ExperimentConfig> cfgs;
   for (const Cycle delay : {Cycle{0}, Cycle{20}, Cycle{50}}) {
-    ExperimentConfig cfg = base_config(opts);
+    ExperimentConfig cfg = experiment_config(opts);
     cfg.sim.probe_delay = delay;
     cfgs.push_back(cfg.with(DetectorKind::kBaseline));
   }
   const auto cells = grid({"ssca2", "vacation", "kmeans", "genome"}, cfgs);
   const auto res = run_cells(opts, cells, os, &status);
   for (std::size_t i = 0; i < res.size(); ++i) {
-    const auto& r = res[i];
-    const std::string delay = std::to_string(cells[i].cfg.sim.probe_delay);
-    t.add_row({r.workload, delay, std::to_string(r.stats.conflicts_total),
-               TextTable::pct(r.stats.false_conflict_rate()),
-               std::to_string(r.stats.total_cycles)});
-    csv.row({r.workload, delay, std::to_string(r.stats.conflicts_total),
-             TextTable::num(r.stats.false_conflict_rate(), 4),
-             std::to_string(r.stats.total_cycles)});
+    const Stats& s = res[i].stats;
+    t.add({text(res[i].workload), count(cells[i].cfg.sim.probe_delay),
+           count(s.conflicts_total), pct(s.false_conflict_rate()),
+           count(s.total_cycles)});
   }
   t.print(os);
   os << "(false-conflict rates are stable across probe timing; only the "
@@ -1059,10 +981,12 @@ int fig11_throughput_vs_skew(const CliOptions& opts, std::ostream& os) {
         "(mix: " << to_string(opts.oltp.mix)
      << "; latency = logical transaction begin -> commit/fallback, "
         "including retries and backoff; docs/workloads.md)\n";
-  CsvWriter csv(opts.csv_dir, "fig11_throughput_vs_skew");
-  csv.row({"theta", "cores", "detector", "commits", "commits_per_simsec",
-           "p50_cycles", "p95_cycles", "p99_cycles", "abort_rate",
-           "fallback_runs"});
+  Sheet t(opts.csv_dir, "fig11_throughput_vs_skew",
+          {{"theta", "theta"}, {"cores", "cores"}, {"detector", "detector"},
+           {"", "commits"}, {"commits/s", "commits_per_simsec"},
+           {"p50", "p50_cycles"}, {"p95", "p95_cycles"},
+           {"p99", "p99_cycles"}, {"abort%", "abort_rate"},
+           {"fallbacks", "fallback_runs"}});
   constexpr std::array<double, 4> kThetas{0.0, 0.6, 0.9, 1.2};
   constexpr std::array<std::uint32_t, 3> kCores{2u, 4u, 8u};
   constexpr std::array<std::pair<DetectorKind, std::uint32_t>, 3> kDets{
@@ -1073,39 +997,22 @@ int fig11_throughput_vs_skew(const CliOptions& opts, std::ostream& os) {
   for (const double theta : kThetas) {
     for (const std::uint32_t cores : kCores) {
       for (const auto& [det, nsub] : kDets) {
-        ExperimentConfig cfg = base_config(opts);
-        cfg.params.threads = cores;
-        cfg.sim.ncores = cores;
+        ExperimentConfig cfg = on_cores(opts, cores);
         cfg.params.oltp.theta = theta;
         cells.push_back({"oltp", cfg.with(det, nsub)});
       }
     }
   }
-  TextTable t({"theta", "cores", "detector", "commits/s", "p50", "p95", "p99",
-               "abort%", "fallbacks"});
   const auto res = run_cells(opts, cells, os, &status);
   for (std::size_t i = 0; i < res.size(); ++i) {
-    const auto& r = res[i];
-    const std::string theta = TextTable::num(cells[i].cfg.params.oltp.theta, 2);
-    const std::string cores = std::to_string(cells[i].cfg.sim.ncores);
-    const double abort_rate =
-        r.stats.tx_attempts == 0
-            ? 0.0
-            : double(r.stats.tx_aborts) / double(r.stats.tx_attempts);
-    t.add_row({theta, cores, r.detector,
-               TextTable::num(r.stats.commits_per_simsec(), 0),
-               TextTable::num(r.stats.latency_percentile(0.50), 0),
-               TextTable::num(r.stats.latency_percentile(0.95), 0),
-               TextTable::num(r.stats.latency_percentile(0.99), 0),
-               TextTable::pct(abort_rate),
-               std::to_string(r.stats.fallback_runs)});
-    csv.row({theta, cores, r.detector, std::to_string(r.stats.tx_commits),
-             TextTable::num(r.stats.commits_per_simsec(), 1),
-             TextTable::num(r.stats.latency_percentile(0.50), 1),
-             TextTable::num(r.stats.latency_percentile(0.95), 1),
-             TextTable::num(r.stats.latency_percentile(0.99), 1),
-             TextTable::num(abort_rate, 4),
-             std::to_string(r.stats.fallback_runs)});
+    const Stats& s = res[i].stats;
+    t.add({num(cells[i].cfg.params.oltp.theta, 2, 2),
+           count(cells[i].cfg.sim.ncores), text(res[i].detector),
+           count(s.tx_commits), num(s.commits_per_simsec(), 0, 1),
+           num(s.latency_percentile(0.50), 0, 1),
+           num(s.latency_percentile(0.95), 0, 1),
+           num(s.latency_percentile(0.99), 0, 1), pct(abort_rate(s)),
+           count(s.fallback_runs)});
   }
   t.print(os);
   os << "(skew concentrates traffic on adjacent hot records -> false "
@@ -1124,67 +1031,54 @@ int fig_conflict_attribution(const CliOptions& opts, std::ostream& os) {
         "allocation site and detector\n"
         "(site registry + per-conflict attribution; "
         "docs/observability.md, \"Conflict provenance\")\n";
-  CsvWriter csv(opts.csv_dir, "fig_conflict_attribution");
-  csv.row({"workload", "detector", "site", "objects", "false", "false_share",
-           "true", "avoided", "wasted_cycles"});
-  constexpr std::array<const char*, 3> kBenches{"oltp", "vacation", "genome"};
-  constexpr std::array<std::pair<DetectorKind, std::uint32_t>, 2> kDets{
-      std::pair{DetectorKind::kBaseline, 1u},
-      std::pair{DetectorKind::kSubBlock, 4u}};
+  Sheet t(opts.csv_dir, "fig_conflict_attribution",
+          {{"Benchmark", "workload"}, {"Detector", "detector"},
+           {"Site", "site"}, {"Objects", "objects"}, {"False", "false"},
+           {"Share", "false_share"}, {"True", "true"},
+           {"Avoided", "avoided"}, {"Wasted", "wasted_cycles"}});
   std::vector<Cell> cells;
-  for (const std::string name : kBenches) {
-    ExperimentConfig cfg = base_config(opts);
+  for (const std::string name : {"oltp", "vacation", "genome"}) {
+    ExperimentConfig cfg = experiment_config(opts);
     cfg.sim.provenance = true;  // the figure IS the attribution
     if (name == "oltp") {
       // Contended regime: skewed traffic over unpadded adjacent records.
       cfg.params.oltp.theta = std::max(cfg.params.oltp.theta, 0.9);
     }
-    for (const auto& [det, nsub] : kDets) {
+    for (const auto& [det, nsub] : kBaseAndSub4) {
       cells.push_back({name, cfg.with(det, nsub)});
     }
   }
-  TextTable t({"Benchmark", "Detector", "Site", "Objects", "False", "Share",
-               "True", "Avoided", "Wasted"});
   for (const auto& r : run_cells(opts, cells, os, &status)) {
-    const std::string& name = r.workload;
     const auto& tab = r.stats.prov_site_table;
-    const std::size_t nsites = tab.size() / prov::kSiteStride;
+    std::vector<std::size_t> order(tab.size() / prov::kSiteStride);
+    std::iota(order.begin(), order.end(), std::size_t{0});
     std::uint64_t total_false = 0;
-    std::vector<std::size_t> order(nsites);
-    for (std::size_t i = 0; i < nsites; ++i) {
-      order[i] = i;
-      const std::uint64_t* row = &tab[i * prov::kSiteStride];
-      total_false += row[3] + row[4] + row[5];
+    for (const std::size_t i : order) {
+      total_false += prov::site_false(prov::site_row(tab, i));
     }
     std::sort(order.begin(), order.end(), [&tab](std::size_t a,
                                                  std::size_t b) {
-      const std::uint64_t* ra = &tab[a * prov::kSiteStride];
-      const std::uint64_t* rb = &tab[b * prov::kSiteStride];
-      const std::uint64_t fa = ra[3] + ra[4] + ra[5];
-      const std::uint64_t fb = rb[3] + rb[4] + rb[5];
+      const std::uint64_t fa = prov::site_false(prov::site_row(tab, a));
+      const std::uint64_t fb = prov::site_false(prov::site_row(tab, b));
       if (fa != fb) return fa > fb;
       return a < b;
     });
     std::size_t shown = 0;
     for (const std::size_t i : order) {
-      const std::uint64_t* row = &tab[i * prov::kSiteStride];
-      const std::uint64_t f = row[3] + row[4] + row[5];
-      const std::uint64_t tr = row[6] + row[7] + row[8];
-      if (f + tr + row[9] == 0) continue;  // never conflicted
-      if (shown >= 4) break;  // top offenders only; CSV has them all too
+      const std::uint64_t* row = prov::site_row(tab, i);
+      const std::uint64_t f = prov::site_false(row);
+      const std::uint64_t tr = prov::site_true(row);
+      if (f + tr + row[prov::kSiteAvoided] == 0) continue;  // never conflicted
+      if (shown >= 4) break;  // top offenders only, in the CSV too
       ++shown;
       const double share =
           total_false == 0 ? 0.0
                            : static_cast<double>(f) /
                                  static_cast<double>(total_false);
-      t.add_row({name, r.detector, r.stats.prov_site_names[i],
-                 std::to_string(row[1]), std::to_string(f),
-                 TextTable::pct(share), std::to_string(tr),
-                 std::to_string(row[9]), std::to_string(row[10])});
-      csv.row({name, r.detector, r.stats.prov_site_names[i],
-               std::to_string(row[1]), std::to_string(f),
-               TextTable::num(share, 4), std::to_string(tr),
-               std::to_string(row[9]), std::to_string(row[10])});
+      t.add({text(r.workload), text(r.detector),
+             text(r.stats.prov_site_names[i]), count(row[prov::kSiteObjects]),
+             count(f), pct(share), count(tr), count(row[prov::kSiteAvoided]),
+             count(row[prov::kSiteWasted])});
     }
   }
   t.print(os);
@@ -1202,23 +1096,19 @@ int ablation_fault_sweep(const CliOptions& opts, std::ostream& os) {
   int status = 0;
   os << "Ablation (robustness): commit rate and wasted cycles vs injected "
         "spurious-abort rate (--fault-spurious), per detector\n";
-  CsvWriter csv(opts.csv_dir, "ablation_fault_sweep");
-  csv.row({"workload", "detector", "spurious_rate", "commit_rate",
-           "wasted_cycles", "commits_per_simsec"});
-  constexpr std::array<double, 4> kRates{0.0, 0.002, 0.01, 0.05};
-  constexpr std::array<std::pair<DetectorKind, std::uint32_t>, 2> kDets{
-      std::pair{DetectorKind::kBaseline, 1u},
-      std::pair{DetectorKind::kSubBlock, 4u}};
+  Sheet t(opts.csv_dir, "ablation_fault_sweep",
+          {{"Workload", "workload"}, {"Detector", "detector"},
+           {"Spurious", "spurious_rate"}, {"Commit rate", "commit_rate"},
+           {"Wasted cycles", "wasted_cycles"},
+           {"Commits/s", "commits_per_simsec"}});
   std::vector<ExperimentConfig> cfgs;
-  for (const auto& [det, nsub] : kDets) {
-    for (const double rate : kRates) {
-      ExperimentConfig cfg = base_config(opts);
+  for (const auto& [det, nsub] : kBaseAndSub4) {
+    for (const double rate : {0.0, 0.002, 0.01, 0.05}) {
+      ExperimentConfig cfg = experiment_config(opts);
       cfg.sim.fault.spurious_abort_rate = rate;
       cfgs.push_back(cfg.with(det, nsub));
     }
   }
-  TextTable t({"Workload", "Detector", "Spurious", "Commit rate",
-               "Wasted cycles", "Commits/s"});
   std::vector<std::pair<std::string, FaultCounters>> audits;
   const auto cells = grid({"vacation", "oltp"}, cfgs);
   const auto res = run_cells(opts, cells, os, &status);
@@ -1229,14 +1119,9 @@ int ablation_fault_sweep(const CliOptions& opts, std::ostream& os) {
         r.stats.tx_attempts == 0
             ? 0.0
             : double(r.stats.tx_commits) / double(r.stats.tx_attempts);
-    t.add_row({r.workload, r.detector, TextTable::num(rate, 3),
-               TextTable::pct(commit_rate),
-               std::to_string(r.stats.wasted_cycles),
-               TextTable::num(r.stats.commits_per_simsec(), 0)});
-    csv.row({r.workload, r.detector, TextTable::num(rate, 4),
-             TextTable::num(commit_rate, 4),
-             std::to_string(r.stats.wasted_cycles),
-             TextTable::num(r.stats.commits_per_simsec(), 1)});
+    t.add({text(r.workload), text(r.detector), num(rate, 3, 4),
+           pct(commit_rate), count(r.stats.wasted_cycles),
+           num(r.stats.commits_per_simsec(), 0, 1)});
     if (r.has_fault_counters) {
       audits.emplace_back(r.workload + " [" + r.detector + "] rate " +
                               TextTable::num(rate, 3),
@@ -1267,26 +1152,19 @@ int fig10_policy_sweep(const CliOptions& opts, std::ostream& os) {
         "policy, detector and core count\n"
         "(workloads: livelock storm, contended oltp (theta 1.1, 256 "
         "records), intruder; cm accounting on; docs/contention.md)\n";
-  CsvWriter csv(opts.csv_dir, "fig10_policy_sweep");
-  csv.row({"workload", "policy", "detector", "cores", "cycles", "abort_rate",
-           "fallback_runs", "requester_losses", "max_consec_aborts",
-           "wasted_gini"});
-  constexpr std::array<CmPolicyKind, 4> kPolicies{
-      CmPolicyKind::kRequesterWins, CmPolicyKind::kPolite,
-      CmPolicyKind::kTimestamp, CmPolicyKind::kSerialize};
-  constexpr std::array<std::pair<DetectorKind, std::uint32_t>, 2> kDets{
-      std::pair{DetectorKind::kBaseline, 1u},
-      std::pair{DetectorKind::kSubBlock, 4u}};
-  constexpr std::array<std::uint32_t, 3> kCores{2u, 4u, 8u};
-  constexpr std::array<const char*, 3> kWorkloads{"livelock", "oltp",
-                                                  "intruder"};
+  Sheet t(opts.csv_dir, "fig10_policy_sweep",
+          {{"workload", "workload"}, {"policy", "policy"},
+           {"detector", "detector"}, {"cores", "cores"}, {"cycles", "cycles"},
+           {"abort%", "abort_rate"}, {"fallbacks", "fallback_runs"},
+           {"req-losses", "requester_losses"},
+           {"max-streak", "max_consec_aborts"}, {"gini", "wasted_gini"}});
   std::vector<Cell> cells;
-  for (const std::string wl : kWorkloads) {
-    for (const CmPolicyKind pol : kPolicies) {
-      for (const std::uint32_t cores : kCores) {
-        ExperimentConfig cfg = base_config(opts);
-        cfg.params.threads = cores;
-        cfg.sim.ncores = cores;
+  for (const std::string wl : {"livelock", "oltp", "intruder"}) {
+    for (const CmPolicyKind pol :
+         {CmPolicyKind::kRequesterWins, CmPolicyKind::kPolite,
+          CmPolicyKind::kTimestamp, CmPolicyKind::kSerialize}) {
+      for (const std::uint32_t cores : {2u, 4u, 8u}) {
+        ExperimentConfig cfg = on_cores(opts, cores);
         cfg.sim.cm.policy = pol;
         cfg.sim.cm.stats = true;  // fairness columns need the v5 accounting
         if (wl == "oltp") {
@@ -1294,42 +1172,25 @@ int fig10_policy_sweep(const CliOptions& opts, std::ostream& os) {
           cfg.params.oltp.records = 256;
           cfg.params.oltp.theta = 1.1;
         }
-        for (const auto& [det, nsub] : kDets) {
+        for (const auto& [det, nsub] : kBaseAndSub4) {
           cells.push_back({wl, cfg.with(det, nsub)});
         }
       }
     }
   }
-  TextTable t({"workload", "policy", "detector", "cores", "cycles", "abort%",
-               "fallbacks", "req-losses", "max-streak", "gini"});
   const auto res = run_cells(opts, cells, os, &status);
   for (std::size_t i = 0; i < res.size(); ++i) {
-    const auto& r = res[i];
-    const char* policy = to_string(cells[i].cfg.sim.cm.policy);
-    const std::string cores = std::to_string(cells[i].cfg.sim.ncores);
-    const double abort_rate =
-        r.stats.tx_attempts == 0
-            ? 0.0
-            : double(r.stats.tx_aborts) / double(r.stats.tx_attempts);
+    const Stats& s = res[i].stats;
     const std::uint64_t streak =
-        r.stats.cm_max_consec_aborts.empty()
+        s.cm_max_consec_aborts.empty()
             ? 0
-            : *std::max_element(r.stats.cm_max_consec_aborts.begin(),
-                                r.stats.cm_max_consec_aborts.end());
-    t.add_row({r.workload, policy, r.detector, cores,
-               std::to_string(r.stats.total_cycles),
-               TextTable::pct(abort_rate),
-               std::to_string(r.stats.fallback_runs),
-               std::to_string(r.stats.cm_requester_losses),
-               std::to_string(streak),
-               TextTable::num(r.stats.cm_wasted_gini(), 3)});
-    csv.row({r.workload, policy, r.detector, cores,
-             std::to_string(r.stats.total_cycles),
-             TextTable::num(abort_rate, 4),
-             std::to_string(r.stats.fallback_runs),
-             std::to_string(r.stats.cm_requester_losses),
-             std::to_string(streak),
-             TextTable::num(r.stats.cm_wasted_gini(), 4)});
+            : *std::max_element(s.cm_max_consec_aborts.begin(),
+                                s.cm_max_consec_aborts.end());
+    t.add({text(res[i].workload), text(to_string(cells[i].cfg.sim.cm.policy)),
+           text(res[i].detector), count(cells[i].cfg.sim.ncores),
+           count(s.total_cycles), pct(abort_rate(s)), count(s.fallback_runs),
+           count(s.cm_requester_losses), count(streak),
+           num(s.cm_wasted_gini(), 3, 4)});
   }
   t.print(os);
   os << "(requester-wins is the throughput baseline; polite trades wasted "

@@ -91,23 +91,19 @@ void ProvCollector::flush(Stats& stats) const {
   const std::vector<SiteInfo>& sites = sites_.sites();
 
   stats.prov_site_names.clear();
-  stats.prov_site_table.clear();
-  stats.prov_site_table.reserve(sites.size() * kSiteStride);
+  stats.prov_site_table.assign(sites.size() * kSiteStride, 0);
   for (std::size_t i = 0; i < sites.size(); ++i) {
     stats.prov_site_names.push_back(sites[i].name);
     static const SiteRow kEmpty{};
     const SiteRow& sr = i < rows_.size() ? rows_[i] : kEmpty;
-    stats.prov_site_table.push_back(sites[i].obj_size);
-    stats.prov_site_table.push_back(sites[i].objects);
-    stats.prov_site_table.push_back(sites[i].bytes);
-    for (const std::uint64_t v : sr.false_by_type) {
-      stats.prov_site_table.push_back(v);
-    }
-    for (const std::uint64_t v : sr.true_by_type) {
-      stats.prov_site_table.push_back(v);
-    }
-    stats.prov_site_table.push_back(sr.avoided);
-    stats.prov_site_table.push_back(sr.wasted);
+    std::uint64_t* row = &stats.prov_site_table[i * kSiteStride];
+    row[kSiteObjSize] = sites[i].obj_size;
+    row[kSiteObjects] = sites[i].objects;
+    row[kSiteBytes] = sites[i].bytes;
+    std::copy_n(sr.false_by_type, 3, row + kSiteFalse);
+    std::copy_n(sr.true_by_type, 3, row + kSiteTrue);
+    row[kSiteAvoided] = sr.avoided;
+    row[kSiteWasted] = sr.wasted;
   }
 
   // Hot lines: rank by total conflicts, then ascending (line, site) so the

@@ -28,8 +28,30 @@ namespace asfsim::prov {
 /// full per-line map is unbounded, the blob is not.
 inline constexpr std::size_t kMaxHotLines = 32;
 
-/// Per-site stats-blob row layout (prov_site_table stride).
+/// Per-site stats-blob row layout: the offset of each column within one
+/// prov_site_table row, then the row's width (prov_site_table stride).
+inline constexpr std::size_t kSiteObjSize = 0;
+inline constexpr std::size_t kSiteObjects = 1;
+inline constexpr std::size_t kSiteBytes = 2;
+inline constexpr std::size_t kSiteFalse = 3;  // 3 columns: WAR, RAW, WAW
+inline constexpr std::size_t kSiteTrue = 6;   // 3 columns: WAR, RAW, WAW
+inline constexpr std::size_t kSiteAvoided = 9;
+inline constexpr std::size_t kSiteWasted = 10;
 inline constexpr std::size_t kSiteStride = 11;
+
+/// Site `i`'s row of a prov_site_table.
+[[nodiscard]] inline const std::uint64_t* site_row(
+    const std::vector<std::uint64_t>& table, std::size_t i) {
+  return &table[i * kSiteStride];
+}
+/// A site row's false (true) conflicts over all three types.
+[[nodiscard]] inline std::uint64_t site_false(const std::uint64_t* row) {
+  return row[kSiteFalse] + row[kSiteFalse + 1] + row[kSiteFalse + 2];
+}
+[[nodiscard]] inline std::uint64_t site_true(const std::uint64_t* row) {
+  return row[kSiteTrue] + row[kSiteTrue + 1] + row[kSiteTrue + 2];
+}
+
 /// Per-line stats-blob row layout (prov_hot_lines stride):
 /// line, victim_site, false, true.
 inline constexpr std::size_t kLineStride = 4;

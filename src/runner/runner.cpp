@@ -22,26 +22,13 @@ unsigned resolve_jobs(unsigned requested) {
 }
 
 bool resolve_progress(RunnerOptions::Progress p) {
-  if (const char* env = std::getenv("ASFSIM_PROGRESS");
-      env != nullptr && *env != '\0') {
-    return env[0] == '1';
-  }
-  switch (p) {
-    case RunnerOptions::Progress::kOn:
-      return true;
-    case RunnerOptions::Progress::kOff:
-      return false;
-    case RunnerOptions::Progress::kAuto:
-      break;
-  }
-  return ::isatty(::fileno(stderr)) == 1;
+  return p == RunnerOptions::Progress::kAuto &&
+         ::isatty(::fileno(stderr)) == 1;
 }
 
 std::string detector_label(const ExperimentConfig& cfg) {
   std::string label = to_string(cfg.detector);
-  if (cfg.detector == DetectorKind::kSubBlock ||
-      cfg.detector == DetectorKind::kSubBlockWawLine ||
-      cfg.detector == DetectorKind::kSubBlockNoDirty) {
+  if (tracks_subblocks(cfg.detector)) {
     label += "/" + std::to_string(cfg.nsub);
   }
   return label;

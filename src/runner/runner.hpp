@@ -45,8 +45,8 @@ struct RunnerOptions {
   /// "-" disables. $ASFSIM_RUN_MANIFEST overrides when set.
   std::string manifest_path;
   /// Progress/ETA line on stderr; default auto (only when stderr is a
-  /// TTY). $ASFSIM_PROGRESS=0/1 overrides when set.
-  enum class Progress : std::uint8_t { kAuto, kOff, kOn };
+  /// TTY).
+  enum class Progress : std::uint8_t { kAuto, kOff };
   Progress progress = Progress::kAuto;
   /// When non-empty, every *executed* job streams its full event timeline
   /// to <trace_dir>/<workload>-<hash>.<ext>. Cache *loads* are skipped for

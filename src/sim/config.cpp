@@ -1,5 +1,6 @@
 #include "sim/config.hpp"
 
+#include "core/detector.hpp"
 #include "mem/addr.hpp"
 
 namespace asfsim {
@@ -41,16 +42,9 @@ std::string SimConfig::validate(std::uint32_t nsub) const {
     return "l1.line_bytes must be " + std::to_string(kLineBytes) +
            " (ByteMask width)";
   }
-  if (nsub == 0 || (nsub & (nsub - 1)) != 0) {
-    return "nsub must be a power of two, got " + std::to_string(nsub);
-  }
-  if (nsub > kMaxSubBlocks) {
-    return "nsub must be <= " + std::to_string(kMaxSubBlocks) + ", got " +
-           std::to_string(nsub);
-  }
-  if (nsub > l1.line_bytes) {
-    return "nsub (" + std::to_string(nsub) + ") exceeds the line size (" +
-           std::to_string(l1.line_bytes) + " bytes)";
+  if (!valid_nsub(nsub)) {
+    return "nsub must be a power of two in [1, " +
+           std::to_string(kMaxSubBlocks) + "], got " + std::to_string(nsub);
   }
   if (backoff_base == 0) {
     return "backoff_base must be > 0 (zero backoff livelocks under "

@@ -1,11 +1,28 @@
 #include "stats/report.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <cstdio>
 #include <cstring>
 #include <utility>
 
 namespace asfsim {
+
+namespace {
+
+/// One side (`part`) of `row`, without the columns whose header leaves it
+/// out.
+std::vector<std::string> side(const std::vector<SheetValue>& headers,
+                              const std::vector<SheetValue>& row,
+                              std::string SheetValue::*part) {
+  std::vector<std::string> out;
+  for (std::size_t i = 0; i < headers.size(); ++i) {
+    if (!(headers[i].*part).empty()) out.push_back(row[i].*part);
+  }
+  return out;
+}
+
+}  // namespace
 
 TextTable::TextTable(std::vector<std::string> headers)
     : headers_(std::move(headers)) {}
@@ -89,6 +106,34 @@ void CsvWriter::row(const std::vector<std::string>& cells) {
     out_ << cells[i];
   }
   out_ << '\n';
+}
+
+Sheet::Sheet(const std::string& csv_dir, const std::string& csv_name,
+             const std::vector<SheetValue>& headers)
+    : headers_(headers),
+      table_(side(headers, headers, &SheetValue::table)),
+      csv_(csv_dir, csv_name) {
+  csv_.row(side(headers, headers, &SheetValue::csv));
+}
+
+void Sheet::add(const std::vector<SheetValue>& row) {
+  assert(row.size() == headers_.size() && "one value per column");
+  table_.add_row(side(headers_, row, &SheetValue::table));
+  csv_.row(side(headers_, row, &SheetValue::csv));
+}
+
+SheetValue count(std::uint64_t n) {
+  return {std::to_string(n), std::to_string(n)};
+}
+
+SheetValue text(std::string s) { return {s, std::move(s)}; }
+
+SheetValue pct(double fraction) {
+  return {TextTable::pct(fraction), TextTable::num(fraction, 4)};
+}
+
+SheetValue num(double v, int table_decimals, int csv_decimals) {
+  return {TextTable::num(v, table_decimals), TextTable::num(v, csv_decimals)};
 }
 
 }  // namespace asfsim

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <deque>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -223,6 +224,32 @@ TEST(CsvWriter, InactiveWithoutDirActiveWithIt) {
   on.row({"1", "2"});
 }
 
+TEST(Sheet, WritesEachValueOnceToTheTableAndTheCsv) {
+  const std::string dir = ::testing::TempDir();
+  std::ostringstream table;
+  {
+    // "Note" is table-only, "raw" CSV-only.
+    Sheet s(dir, "sheet_test",
+            {{"Name", "name"}, {"Rate", "rate"}, {"Note", ""}, {"", "raw"},
+             {"Mean", "mean"}});
+    s.add({text("a"), pct(0.1234), text("x"), count(7), num(2.345, 1, 3)});
+    s.add({text("bb"), pct(1.0), text("yy"), count(12345), num(10, 1, 3)});
+    s.print(table);
+  }
+  EXPECT_EQ(table.str(),
+            "Name  Rate    Note  Mean\n"
+            "------------------------\n"
+            "a     12.3%   x     2.3 \n"
+            "bb    100.0%  yy    10.0\n");
+  std::ifstream in(dir + "/sheet_test.csv", std::ios::binary);
+  const std::string csv((std::istreambuf_iterator<char>(in)),
+                        std::istreambuf_iterator<char>());
+  EXPECT_EQ(csv,
+            "name,rate,raw,mean\n"
+            "a,0.1234,7,2.345\n"
+            "bb,1.0000,12345,10.000\n");
+}
+
 // ---- CLI parsing ----------------------------------------------------------------
 
 /// parse_cli over `args`, with "prog" as argv[0]; every common flag group
@@ -276,7 +303,10 @@ TEST(Cli, UsageErrorsExitTwo) {
 
 TEST(Cli, ToolHookSeesOnlyUnknownFlags) {
   std::uint32_t nsub = 0;
-  const CliSpec spec{.groups = kCliAllGroups, .flags = {nsub_flag(nsub)}};
+  DetectorKind det = DetectorKind::kBaseline;
+  const CliSpec spec{.groups = kCliAllGroups,
+                     .flags = {nsub_flag(nsub)},
+                     .check = nsub_check(det, nsub)};
   const CliOptions o = parse({"--nsub", "8", "--seed", "3"}, spec);
   EXPECT_EQ(nsub, 8u);
   EXPECT_EQ(o.seed, 3u);
@@ -286,6 +316,12 @@ TEST(Cli, ToolHookSeesOnlyUnknownFlags) {
                 ::testing::ExitedWithCode(2),
                 std::string("^prog: bad value for --nsub: '") + bad + "'\n$");
   }
+  // One sub-block suits a per-line detector but not a sub-blocking one.
+  (void)parse({"--nsub", "1"}, spec);
+  EXPECT_EQ(nsub, 1u);
+  det = DetectorKind::kSubBlock;
+  EXPECT_EXIT((void)parse({"--nsub", "1"}, spec), ::testing::ExitedWithCode(2),
+              "^prog: bad value for --nsub: '1'\n$");
 }
 
 /// Passes the flag of table entry `f` of record `R` (CliOptions::*rec) a

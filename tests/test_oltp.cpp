@@ -301,13 +301,11 @@ class OltpRunnerDeterminism : public ::testing::Test {
   void SetUp() override {
     ::setenv("ASFSIM_CACHE_DIR", "oltp_determinism_cache", 1);
     ::setenv("ASFSIM_RUN_MANIFEST", "-", 1);
-    ::setenv("ASFSIM_PROGRESS", "0", 1);
   }
   void TearDown() override {
     std::filesystem::remove_all("oltp_determinism_cache");
     ::unsetenv("ASFSIM_CACHE_DIR");
     ::unsetenv("ASFSIM_RUN_MANIFEST");
-    ::unsetenv("ASFSIM_PROGRESS");
   }
 };
 

@@ -114,19 +114,19 @@ TEST(ProvCollector, AggregatesBySiteLineAndPair) {
   ASSERT_EQ(s.prov_site_names.size(), 3u);  // (untagged), a, b
   ASSERT_EQ(s.prov_site_table.size(), 3 * prov::kSiteStride);
 
-  const auto* ra = &s.prov_site_table[a * prov::kSiteStride];
-  EXPECT_EQ(ra[0], 8u);    // obj_size
-  EXPECT_EQ(ra[1], 8u);    // objects
-  EXPECT_EQ(ra[2], 64u);   // bytes
-  EXPECT_EQ(ra[3], 1u);    // false WAR
-  EXPECT_EQ(ra[6], 0u);    // true WAR
-  EXPECT_EQ(ra[9], 1u);    // avoided
-  EXPECT_EQ(ra[10], 100u); // wasted
+  const auto* ra = prov::site_row(s.prov_site_table, a);
+  EXPECT_EQ(ra[prov::kSiteObjSize], 8u);
+  EXPECT_EQ(ra[prov::kSiteObjects], 8u);
+  EXPECT_EQ(ra[prov::kSiteBytes], 64u);
+  EXPECT_EQ(ra[prov::kSiteFalse + 0], 1u);  // false WAR
+  EXPECT_EQ(ra[prov::kSiteTrue + 0], 0u);   // true WAR
+  EXPECT_EQ(ra[prov::kSiteAvoided], 1u);
+  EXPECT_EQ(ra[prov::kSiteWasted], 100u);
 
-  const auto* rb = &s.prov_site_table[b * prov::kSiteStride];
-  EXPECT_EQ(rb[5 /* false WAW */], 0u);
-  EXPECT_EQ(rb[8 /* true WAW */], 1u);
-  EXPECT_EQ(rb[10], 40u);
+  const auto* rb = prov::site_row(s.prov_site_table, b);
+  EXPECT_EQ(rb[prov::kSiteFalse + 2], 0u);  // false WAW
+  EXPECT_EQ(rb[prov::kSiteTrue + 2], 1u);   // true WAW
+  EXPECT_EQ(rb[prov::kSiteWasted], 40u);
 
   ASSERT_EQ(s.prov_hot_lines.size(), 2 * prov::kLineStride);
   // Equal totals (1 each): ascending line breaks the tie.
@@ -160,7 +160,7 @@ TEST(ProvStatsBlob, V4SectionRoundTrips) {
   s.prov_enabled = true;
   s.prov_site_names = {"(untagged)", "oltp.record"};
   s.prov_site_table.assign(2 * prov::kSiteStride, 0);
-  s.prov_site_table[prov::kSiteStride + 3] = 42;  // record false WARs
+  s.prov_site_table[prov::kSiteStride + prov::kSiteFalse] = 42;  // WARs
   s.prov_hot_lines = {4096, 1, 42, 0};
   s.prov_pairs = {1, 1, 42, 0};
 
@@ -222,14 +222,14 @@ TEST(ProvRun, PerSiteTotalsReconcileExactlyWithAggregateCounters) {
   std::uint64_t nfalse = 0, ntrue = 0, avoided = 0;
   std::array<std::uint64_t, 3> false_by_type{}, true_by_type{};
   for (std::size_t i = 0; i < s.prov_site_names.size(); ++i) {
-    const auto* row = &s.prov_site_table[i * prov::kSiteStride];
+    const auto* row = prov::site_row(s.prov_site_table, i);
+    nfalse += prov::site_false(row);
+    ntrue += prov::site_true(row);
     for (int t = 0; t < 3; ++t) {
-      nfalse += row[3 + t];
-      ntrue += row[6 + t];
-      false_by_type[t] += row[3 + t];
-      true_by_type[t] += row[6 + t];
+      false_by_type[t] += row[prov::kSiteFalse + t];
+      true_by_type[t] += row[prov::kSiteTrue + t];
     }
-    avoided += row[9];
+    avoided += row[prov::kSiteAvoided];
   }
   EXPECT_EQ(nfalse, s.conflicts_false);
   EXPECT_EQ(nfalse + ntrue, s.conflicts_total);
@@ -258,8 +258,8 @@ TEST(ProvRun, RecordTableIsTheTopFalseConflictSiteUnderBaseline) {
   std::size_t top = 0;
   std::uint64_t top_false = 0;
   for (std::size_t i = 0; i < s.prov_site_names.size(); ++i) {
-    const auto* row = &s.prov_site_table[i * prov::kSiteStride];
-    const std::uint64_t f = row[3] + row[4] + row[5];
+    const std::uint64_t f =
+        prov::site_false(prov::site_row(s.prov_site_table, i));
     if (f > top_false) {
       top_false = f;
       top = i;

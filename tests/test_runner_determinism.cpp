@@ -25,13 +25,11 @@ class RunnerDeterminism : public ::testing::Test {
   void SetUp() override {
     ::setenv("ASFSIM_CACHE_DIR", "runner_determinism_cache", 1);
     ::setenv("ASFSIM_RUN_MANIFEST", "-", 1);
-    ::setenv("ASFSIM_PROGRESS", "0", 1);
   }
   void TearDown() override {
     std::filesystem::remove_all("runner_determinism_cache");
     ::unsetenv("ASFSIM_CACHE_DIR");
     ::unsetenv("ASFSIM_RUN_MANIFEST");
-    ::unsetenv("ASFSIM_PROGRESS");
   }
 };
 

@@ -28,13 +28,11 @@ class TraceDeterminism : public ::testing::Test {
     base_ = std::string("trace_determinism_") + info->name();
     ::setenv("ASFSIM_CACHE_DIR", dir("cache").c_str(), 1);
     ::setenv("ASFSIM_RUN_MANIFEST", "-", 1);
-    ::setenv("ASFSIM_PROGRESS", "0", 1);
   }
   void TearDown() override {
     std::filesystem::remove_all(base_);
     ::unsetenv("ASFSIM_CACHE_DIR");
     ::unsetenv("ASFSIM_RUN_MANIFEST");
-    ::unsetenv("ASFSIM_PROGRESS");
   }
 
   [[nodiscard]] std::string dir(const std::string& leaf) const {

@@ -181,8 +181,7 @@ TEST(RunnerFailures, RunnerWideWallLimitAppliesToJobs) {
   // --job-timeout reaches every job as its wall_limit_s.
   CliOptions cli;
   cli.job_timeout = 1e-9;
-  ExperimentConfig cfg;
-  apply_robustness_options(cli, cfg);
+  const ExperimentConfig cfg = experiment_config(cli);
   try {
     (void)r.get("counter", cfg);
     FAIL() << "job ignored the wall limit";

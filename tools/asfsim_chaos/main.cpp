@@ -162,7 +162,7 @@ int main(int argc, char** argv) {
       // Ledger cell indices are 32-bit.
       number_flag<std::uint64_t>("--ncells", cell.ncells, 1,
                                  std::numeric_limits<std::uint32_t>::max()),
-  }};
+  }, .check = nsub_check(cell.detector, cell.nsub)};
   // From the tables: the mutation under test and the policy knobs.
   for (CliFlag& f : table_flags(cell.fault)) {
     if (f.flag == "--mutate") cell_spec.flags.push_back(std::move(f));

@@ -132,9 +132,8 @@ void print_report(const ExperimentResult& r, std::uint32_t threads) {
     std::vector<std::uint64_t> nfalse(order.size()), ntrue(order.size());
     for (std::size_t i = 0; i < order.size(); ++i) {
       order[i] = i;
-      const std::uint64_t* row = &s.prov_site_table[i * prov::kSiteStride];
-      nfalse[i] = row[3] + row[4] + row[5];
-      ntrue[i] = row[6] + row[7] + row[8];
+      nfalse[i] = prov::site_false(prov::site_row(s.prov_site_table, i));
+      ntrue[i] = prov::site_true(prov::site_row(s.prov_site_table, i));
     }
     std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
       if (nfalse[a] != nfalse[b]) return nfalse[a] > nfalse[b];
@@ -144,13 +143,15 @@ void print_report(const ExperimentResult& r, std::uint32_t threads) {
     std::printf("\n-- conflict provenance (top sites by false conflicts) --\n");
     std::size_t shown = 0;
     for (const std::size_t i : order) {
-      const std::uint64_t* row = &s.prov_site_table[i * prov::kSiteStride];
-      if (nfalse[i] + ntrue[i] + row[9] == 0) continue;
+      const std::uint64_t* row = prov::site_row(s.prov_site_table, i);
+      if (nfalse[i] + ntrue[i] + row[prov::kSiteAvoided] == 0) continue;
       std::printf("%-20s objects %-8llu false %-8llu true %-8llu "
                   "avoided %-8llu wasted %llu\n",
-                  s.prov_site_names[i].c_str(), (unsigned long long)row[1],
+                  s.prov_site_names[i].c_str(),
+                  (unsigned long long)row[prov::kSiteObjects],
                   (unsigned long long)nfalse[i], (unsigned long long)ntrue[i],
-                  (unsigned long long)row[9], (unsigned long long)row[10]);
+                  (unsigned long long)row[prov::kSiteAvoided],
+                  (unsigned long long)row[prov::kSiteWasted]);
       if (++shown == 8) break;
     }
   }
@@ -183,25 +184,17 @@ int main(int argc, char** argv) {
          }
          std::exit(0);
        }},
-  }};
+  }, .check = nsub_check(detector, nsub)};
   const CliOptions common = parse_cli(argc, argv, spec);
 
-  ExperimentConfig cfg;
-  cfg.detector = detector;
-  cfg.nsub = nsub;
-  cfg.params.threads = common.threads;
-  cfg.params.seed = common.seed;
-  cfg.params.scale = common.scale;
-  cfg.sim.ncores = common.threads;
+  ExperimentConfig cfg = experiment_config(common).with(detector, nsub);
   cfg.sim.enable_ats = ats;
-  apply_robustness_options(common, cfg);
 
   // --trace-dir: one full-timeline trace, named like the runner's
   // (<workload>-<jobspec hash>.<ext>); read it with asfsim_trace.
   TraceOptions trace;
   if (!common.trace_dir.empty()) {
-    trace.format = common.trace_format == "perfetto" ? TraceFormat::kPerfetto
-                                                     : TraceFormat::kJsonl;
+    trace.format = common.trace_format;
     trace.path = common.trace_dir + "/" + workload + "-" +
                  runner::make_job_spec(workload, cfg).hash_hex +
                  trace_file_extension(trace.format);
