@@ -35,6 +35,23 @@ void BM_TagArrayLookup(benchmark::State& state) {
 }
 BENCHMARK(BM_TagArrayLookup);
 
+// One private L2/L3 access at Table II L3 geometry (2 MB, 16-way) over a
+// working set four times the cache: mostly misses that evict the tail.
+void BM_RecencyTagsLookupOrFill(benchmark::State& state) {
+  SimConfig cfg;
+  RecencyTags l3(cfg.l3);
+  const std::size_t n = 4 * cfg.l3.size_bytes / kLineBytes;
+  std::vector<Addr> lines(n);
+  Rng rng(7);
+  for (Addr& line : lines) line = rng.below(Addr{1} << 28) << kLineShift;
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(l3.lookup_or_fill(lines[i]));
+    if (++i == n) i = 0;
+  }
+}
+BENCHMARK(BM_RecencyTagsLookupOrFill);
+
 void BM_SubBlockProbeCheck(benchmark::State& state) {
   SubBlockDetector det(static_cast<std::uint32_t>(state.range(0)));
   SpecState meta;

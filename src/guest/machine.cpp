@@ -11,6 +11,15 @@ namespace {
 Cycle kernel_clock_thunk(const void* kernel) {
   return static_cast<const Kernel*>(kernel)->now();
 }
+
+/// `cfg`, once validate() accepts it for `nsub`; runs before the memory
+/// system is built, so a bad geometry is reported as a config error.
+const SimConfig& validated(const SimConfig& cfg, std::uint32_t nsub) {
+  if (std::string err = cfg.validate(nsub); !err.empty()) {
+    throw std::invalid_argument("SimConfig: " + err);
+  }
+  return cfg;
+}
 }  // namespace
 
 Machine::Machine(const SimConfig& cfg, DetectorKind detector,
@@ -18,13 +27,10 @@ Machine::Machine(const SimConfig& cfg, DetectorKind detector,
     : cfg_(cfg),
       kernel_(cfg_.ncores),
       detector_(make_detector(detector, nsub)),
-      mem_(kernel_, cfg_, stats_),
+      mem_(kernel_, validated(cfg_, detector_->nsub()), stats_),
       runtime_(kernel_, mem_, backing_, stats_, cfg_) {
   mem_.set_detector(detector_.get());
   mem_.set_tx_control(&runtime_);
-  if (std::string err = cfg_.validate(detector_->nsub()); !err.empty()) {
-    throw std::invalid_argument("SimConfig: " + err);
-  }
   if (cfg_.fault.any_injection()) {
     fault_ = std::make_unique<FaultPlan>(cfg_.fault, cfg_.seed, cfg_.ncores);
     kernel_.set_fault_plan(fault_.get());

@@ -428,34 +428,19 @@ AccessResult MemorySystem::access(CoreId core, Addr addr, std::uint32_t size,
       r.source = DataSource::kRemoteL1;
       return cfg_.cache2cache_latency;
     }
-    const auto unpinned = [](Addr) { return false; };
-    if (const auto s2 = l2_[core].find(line); s2 != TagArray::kNoSlot) {
-      l2_[core].touch_slot(s2);
+    // A miss fills the level on the way (private, inclusive-ish).
+    if (l2_[core].lookup_or_fill(line)) {
       ++stats_.l2_hits;
       r.source = DataSource::kL2;
       return cfg_.l2.latency;
     }
-    if (const auto s3 = l3_[core].find(line); s3 != TagArray::kNoSlot) {
-      l3_[core].touch_slot(s3);
+    if (l3_[core].lookup_or_fill(line)) {
       ++stats_.l3_hits;
       r.source = DataSource::kL3;
-      // promote into L2 (private, inclusive-ish)
-      if (const auto v = l2_[core].find_victim(line, unpinned);
-          v != TagArray::kNoSlot) {
-        l2_[core].fill(v, line, Moesi::kShared);
-      }
       return cfg_.l3.latency;
     }
     ++stats_.mem_fetches;
     r.source = DataSource::kMemory;
-    if (const auto v = l3_[core].find_victim(line, unpinned);
-        v != TagArray::kNoSlot) {
-      l3_[core].fill(v, line, Moesi::kShared);
-    }
-    if (const auto v = l2_[core].find_victim(line, unpinned);
-        v != TagArray::kNoSlot) {
-      l2_[core].fill(v, line, Moesi::kShared);
-    }
     return cfg_.mem_latency;
   };
 

@@ -206,7 +206,9 @@ class MemorySystem {
   /// delay (cycles the requester stalls behind earlier broadcasts).
   Cycle bus_acquire();
 
-  std::vector<TagArray> l1_, l2_, l3_;  // one per core (private hierarchy)
+  // One per core (private hierarchy); L2/L3 are timing-only.
+  std::vector<TagArray> l1_;
+  std::vector<RecencyTags> l2_, l3_;
   Cycle bus_free_at_ = 0;  // snoop bus busy-until cycle
   // Speculative metadata for the core's current transaction, keyed by line.
   mutable std::vector<AddrMap<SpecState>> spec_meta_;

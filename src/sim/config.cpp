@@ -1,21 +1,37 @@
 #include "sim/config.hpp"
 
+#include <bit>
+#include <tuple>
+
 #include "core/detector.hpp"
 #include "mem/addr.hpp"
+#include "mem/cache.hpp"
 
 namespace asfsim {
 
 namespace {
 
-std::string check_level(const char* name, const CacheLevelConfig& c) {
+std::string check_level(const char* name, const CacheLevelConfig& c,
+                        std::uint32_t min_sets) {
   if (c.size_bytes == 0) return std::string(name) + ": size_bytes must be > 0";
   if (c.ways == 0) return std::string(name) + ": ways must be > 0";
-  if (c.line_bytes == 0 || (c.line_bytes & (c.line_bytes - 1)) != 0) {
-    return std::string(name) + ": line_bytes must be a power of two";
+  // Byte masks, sub-block math and the tag layouts assume the global line.
+  if (c.line_bytes != kLineBytes) {
+    return std::string(name) + ": line_bytes must be " +
+           std::to_string(kLineBytes);
   }
   if (c.size_bytes % (c.line_bytes * c.ways) != 0) {
     return std::string(name) +
            ": size_bytes must be a multiple of line_bytes * ways";
+  }
+  if (!std::has_single_bit(c.num_sets())) {
+    return std::string(name) + ": set count " + std::to_string(c.num_sets()) +
+           " must be a power of two";
+  }
+  if (c.num_sets() < min_sets) {
+    return std::string(name) + ": set count " + std::to_string(c.num_sets()) +
+           " must be >= " + std::to_string(min_sets) +
+           " (a 32-bit tag must hold any guest line)";
   }
   return {};
 }
@@ -31,16 +47,14 @@ std::string check_rate(const char* name, double rate) {
 
 std::string SimConfig::validate(std::uint32_t nsub) const {
   if (ncores == 0) return "ncores must be > 0";
-  for (const auto& [name, level] :
-       {std::pair<const char*, const CacheLevelConfig*>{"l1", &l1},
-        {"l2", &l2},
-        {"l3", &l3}}) {
-    if (std::string err = check_level(name, *level); !err.empty()) return err;
-  }
-  // Byte masks and sub-block math assume the global line size.
-  if (l1.line_bytes != kLineBytes) {
-    return "l1.line_bytes must be " + std::to_string(kLineBytes) +
-           " (ByteMask width)";
+  for (const auto& [name, level, min_sets] :
+       {std::tuple<const char*, const CacheLevelConfig*, std::uint32_t>{
+            "l1", &l1, 1},
+        {"l2", &l2, RecencyTags::kMinSets},
+        {"l3", &l3, RecencyTags::kMinSets}}) {
+    if (std::string err = check_level(name, *level, min_sets); !err.empty()) {
+      return err;
+    }
   }
   if (!valid_nsub(nsub)) {
     return "nsub must be a power of two in [1, " +

@@ -3,6 +3,7 @@
 // keying of every robustness knob (docs/robustness.md).
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "fault/plan.hpp"
@@ -51,6 +52,28 @@ TEST(SimConfigValidate, RejectsBrokenGeometry) {
     c.l1.size_bytes = 1000;  // not divisible by line*ways
     EXPECT_NE(c.validate(), "");
   }
+  {
+    SimConfig c;
+    c.l2.line_bytes = 128;  // a power of two, but not the 64-byte line
+    EXPECT_NE(c.validate(), "");
+  }
+  {
+    SimConfig c;
+    c.l3.size_bytes = 3 * 64 * 16 * 512;  // 1536 sets: not a power of two
+    EXPECT_NE(c.validate(), "");
+  }
+  {
+    SimConfig c;
+    c.l2.size_bytes = 4 * 64 * 16;  // 4 sets: a 32-bit tag may not fit
+    EXPECT_NE(c.validate(), "");
+    c.l2.size_bytes = 8 * 64 * 16;  // the smallest L2/L3 that fits
+    EXPECT_EQ(c.validate(), "");
+  }
+  {
+    SimConfig c;
+    c.l1.size_bytes = 2 * 64 * 2;  // a 2-set L1 is fine: it keeps full tags
+    EXPECT_EQ(c.validate(), "");
+  }
 }
 
 TEST(SimConfigValidate, RejectsBadSubBlockCounts) {
@@ -91,6 +114,17 @@ TEST(SimConfigValidate, MachineRejectsInvalidConfigsAtConstruction) {
                std::invalid_argument);
   EXPECT_THROW(Machine m(SimConfig{}, DetectorKind::kSubBlock, 3),
                std::invalid_argument);
+  // Geometry is checked before the caches are built, so the config error
+  // is what surfaces, not a cache constructor's.
+  c = SimConfig{};
+  c.l2.line_bytes = 128;
+  try {
+    Machine m(c, DetectorKind::kBaseline, 1);
+    ADD_FAILURE() << "an L2 with 128-byte lines must be rejected";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(std::string(e.what()).rfind("SimConfig: l2:", 0), 0u)
+        << e.what();
+  }
 }
 
 // ---- backoff saturation ----------------------------------------------------
