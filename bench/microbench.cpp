@@ -4,7 +4,7 @@
 #include <benchmark/benchmark.h>
 
 #include "core/classifier.hpp"
-#include "core/subblock_detector.hpp"
+#include "core/detector.hpp"
 #include "guest/garray.hpp"
 #include "guest/grbtree.hpp"
 #include "guest/machine.hpp"
@@ -53,7 +53,8 @@ void BM_RecencyTagsLookupOrFill(benchmark::State& state) {
 BENCHMARK(BM_RecencyTagsLookupOrFill);
 
 void BM_SubBlockProbeCheck(benchmark::State& state) {
-  SubBlockDetector det(static_cast<std::uint32_t>(state.range(0)));
+  const Detector det(DetectorKind::kSubBlock,
+                     static_cast<std::uint32_t>(state.range(0)));
   SpecState meta;
   meta.read_bytes = byte_mask(0, 8) | byte_mask(24, 8);
   meta.write_bytes = byte_mask(40, 8);

@@ -19,38 +19,56 @@ Usage:
   scripts/check_bench_ratchet.py fresh.json [--committed BENCH_kernel.json]
                                  [--threshold 0.10]
 
-Exit status: 0 when no cell regressed, 1 otherwise (and on schema errors).
+--committed defaults to the repository's BENCH_kernel.json wherever the
+script is run from.
+
+Exit status: 0 when no cell regressed, 1 otherwise (and on a missing,
+unreadable or malformed file, with one "ratchet: cannot read" line).
 """
 
 import argparse
 import json
+import pathlib
 import statistics
 import sys
 
+REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+class Unreadable(Exception):
+    pass
+
 
 def load_rows(path):
-    with open(path) as f:
-        doc = json.load(f)
-    rows = doc["rows"] if isinstance(doc, dict) else doc
-    out = {}
-    for r in rows:
-        out[r["name"]] = float(r["sim_cycles_per_host_sec"])
-    return out
+    try:
+        with open(path) as f:
+            doc = json.load(f)
+        rows = doc["rows"] if isinstance(doc, dict) else doc
+        return {r["name"]: float(r["sim_cycles_per_host_sec"]) for r in rows}
+    except OSError as e:
+        raise Unreadable(f"ratchet: cannot read {path}: {e.strerror}")
+    except (ValueError, KeyError, TypeError) as e:
+        raise Unreadable(f"ratchet: cannot read {path}: {e!r}")
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("fresh", help="fresh kernel_throughput JSON (rows array "
                                   "or full BENCH_kernel.json document)")
-    ap.add_argument("--committed", default="BENCH_kernel.json",
-                    help="committed benchmark file (default BENCH_kernel.json)")
+    ap.add_argument("--committed", default=str(REPO_ROOT / "BENCH_kernel.json"),
+                    help="committed benchmark file (default: the repository's "
+                         "BENCH_kernel.json)")
     ap.add_argument("--threshold", type=float, default=0.10,
                     help="allowed fractional regression below the host-speed "
                          "median (default 0.10)")
     args = ap.parse_args()
 
-    committed = load_rows(args.committed)
-    fresh = load_rows(args.fresh)
+    try:
+        committed = load_rows(args.committed)
+        fresh = load_rows(args.fresh)
+    except Unreadable as e:
+        print(e, file=sys.stderr)
+        return 1
 
     common = sorted(set(committed) & set(fresh))
     if len(common) < 2:

@@ -2,18 +2,6 @@
 
 namespace asfsim {
 
-bool true_conflict(const SpecState& victim, ByteMask probe, bool invalidating) {
-  const ByteMask relevant =
-      invalidating ? (victim.read_bytes | victim.write_bytes)
-                   : victim.write_bytes;
-  return (probe & relevant) != 0;
-}
-
-bool baseline_would_conflict(const SpecState& victim, bool invalidating) {
-  if (invalidating) return (victim.read_bytes | victim.write_bytes) != 0;
-  return victim.write_bytes != 0;
-}
-
 Classification classify_conflict(const SpecState& victim, ByteMask probe,
                                  bool invalidating) {
   Classification c;

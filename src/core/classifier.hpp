@@ -24,13 +24,19 @@ struct Classification {
                                                ByteMask probe,
                                                bool invalidating);
 
-/// Would baseline ASF (per-line SR/SW) have flagged this probe as a conflict?
-/// Used to count false conflicts *avoided* by finer-grained detectors.
-[[nodiscard]] bool baseline_would_conflict(const SpecState& victim,
-                                           bool invalidating);
+/// The victim bytes a probe is checked against: a store (invalidating)
+/// probe meets the read and write sets, a load probe the write set only.
+/// Baseline ASF conflicts exactly when this is non-empty.
+[[nodiscard]] constexpr ByteMask relevant_bytes(const SpecState& victim,
+                                                bool invalidating) {
+  return invalidating ? (victim.read_bytes | victim.write_bytes)
+                      : victim.write_bytes;
+}
 
 /// Is there a true (byte-overlap) conflict?
-[[nodiscard]] bool true_conflict(const SpecState& victim, ByteMask probe,
-                                 bool invalidating);
+[[nodiscard]] constexpr bool true_conflict(const SpecState& victim,
+                                           ByteMask probe, bool invalidating) {
+  return (probe & relevant_bytes(victim, invalidating)) != 0;
+}
 
 }  // namespace asfsim

@@ -1,8 +1,11 @@
-// Conflict-detection policies.
+// Conflict-detection policy: when a coherence probe meets a victim's
+// speculative state, is it a conflict?
 //
-// A ConflictDetector is a stateless policy object; the per-(core, line)
-// speculative metadata it operates on is the SpecState below, owned by the
-// MemorySystem and cleared when the owning transaction commits or aborts.
+// A Detector is a small immutable value — the policy kind and the sub-block
+// count it runs with — and every rule is one `switch` on the kind
+// (detector.cpp). The per-(core, line) speculative metadata it reads is the
+// SpecState below, owned by the MemorySystem and cleared when the owning
+// transaction commits or aborts.
 //
 // SpecState carries two views of the same speculative accesses:
 //   * exact byte masks (read_bytes / write_bytes) — the ground truth used by
@@ -15,7 +18,7 @@
 
 #include <bit>
 #include <cstdint>
-#include <memory>
+#include <string>
 
 #include "core/subblock_state.hpp"
 #include "mem/addr.hpp"
@@ -64,52 +67,64 @@ enum class DetectorKind : std::uint8_t {
 /// The sub-block-count rule: a power of two up to kMaxSubBlocks, and at
 /// least 2 when `kind` tracks sub-blocks (one sub-block is the whole line).
 /// Per-line detectors ignore the count, so the default kind admits every
-/// count some detector runs with. SubBlockDetector, SimConfig::validate and
-/// the --nsub flags all check this.
+/// count some detector runs with. The Detector constructor and the --nsub
+/// flags check this.
 [[nodiscard]] constexpr bool valid_nsub(
     std::uint32_t nsub, DetectorKind kind = DetectorKind::kBaseline) {
   return std::has_single_bit(nsub) && nsub <= kMaxSubBlocks &&
          (nsub >= 2 || !tracks_subblocks(kind));
 }
 
-class ConflictDetector {
- public:
-  virtual ~ConflictDetector() = default;
+/// The sub-block count `kind` runs with when asked for `nsub`: the per-line
+/// kinds track one "sub-block", the whole line. The Detector constructor and
+/// the jobspec hash both apply it, so one simulation has one cache key.
+[[nodiscard]] constexpr std::uint32_t effective_nsub(DetectorKind kind,
+                                                     std::uint32_t nsub) {
+  return tracks_subblocks(kind) ? nsub : 1;
+}
 
-  [[nodiscard]] virtual DetectorKind kind() const = 0;
-  [[nodiscard]] virtual const char* name() const = 0;
+class Detector {
+ public:
+  /// Throws std::invalid_argument when a sub-block kind cannot run with
+  /// `nsub` (valid_nsub); the per-line kinds store 1 (effective_nsub).
+  Detector(DetectorKind kind, std::uint32_t nsub);
+
+  [[nodiscard]] DetectorKind kind() const { return kind_; }
+  /// e.g. "baseline-asf", "subblock-4", "subblock-8-nodirty".
+  [[nodiscard]] std::string name() const;
 
   /// Number of sub-blocks per line this detector tracks (1 for per-line).
-  [[nodiscard]] virtual std::uint32_t nsub() const { return 1; }
+  [[nodiscard]] std::uint32_t nsub() const { return nsub_; }
 
   /// True for the perfect detector: conflicts are found by a centralized
   /// byte-overlap check on every access instead of via coherence probes.
-  [[nodiscard]] virtual bool global_oracle() const { return false; }
+  [[nodiscard]] bool global_oracle() const {
+    return kind_ == DetectorKind::kPerfect;
+  }
 
   /// True when the detector piggy-backs S-WR masks on load-probe responses
   /// so requesters mark those sub-blocks Dirty (paper §IV-C). Gates the
   /// piggyback-coverage invariant in MemorySystem::check_invariants().
-  [[nodiscard]] virtual bool dirty_handling() const { return false; }
+  [[nodiscard]] bool dirty_handling() const {
+    return kind_ == DetectorKind::kSubBlock ||
+           kind_ == DetectorKind::kSubBlockWawLine;
+  }
 
   /// Check an incoming probe (byte mask `probe`) against a remote victim's
   /// speculative state. `invalidating` = the probe is for a write/RFO.
-  [[nodiscard]] virtual ProbeCheck check_probe(const SpecState& victim,
-                                               ByteMask probe,
-                                               bool invalidating) const = 0;
+  [[nodiscard]] ProbeCheck check_probe(const SpecState& victim, ByteMask probe,
+                                       bool invalidating) const;
 
   /// Should a transactional load that hits the local L1 be treated as a miss
   /// because it touches Dirty sub-blocks? `dirty` is the line's dirty-mark
   /// sub-block mask, `access` the load's byte mask.
-  [[nodiscard]] virtual bool dirty_hit(SubBlockMask dirty,
-                                       ByteMask access) const {
-    (void)dirty;
-    (void)access;
-    return false;
+  [[nodiscard]] bool dirty_hit(SubBlockMask dirty, ByteMask access) const {
+    return dirty_handling() && (dirty & quantize(access, nsub_)) != 0;
   }
-};
 
-/// Factory. `nsub` is only meaningful for the sub-blocking detectors.
-[[nodiscard]] std::unique_ptr<ConflictDetector> make_detector(
-    DetectorKind kind, std::uint32_t nsub = 4);
+ private:
+  DetectorKind kind_;
+  std::uint32_t nsub_;
+};
 
 }  // namespace asfsim

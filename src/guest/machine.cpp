@@ -12,10 +12,10 @@ Cycle kernel_clock_thunk(const void* kernel) {
   return static_cast<const Kernel*>(kernel)->now();
 }
 
-/// `cfg`, once validate() accepts it for `nsub`; runs before the memory
-/// system is built, so a bad geometry is reported as a config error.
-const SimConfig& validated(const SimConfig& cfg, std::uint32_t nsub) {
-  if (std::string err = cfg.validate(nsub); !err.empty()) {
+/// `cfg`, once validate() accepts it; runs before the memory system is
+/// built, so a bad geometry is reported as a config error.
+const SimConfig& validated(const SimConfig& cfg) {
+  if (std::string err = cfg.validate(); !err.empty()) {
     throw std::invalid_argument("SimConfig: " + err);
   }
   return cfg;
@@ -26,10 +26,8 @@ Machine::Machine(const SimConfig& cfg, DetectorKind detector,
                  std::uint32_t nsub)
     : cfg_(cfg),
       kernel_(cfg_.ncores),
-      detector_(make_detector(detector, nsub)),
-      mem_(kernel_, validated(cfg_, detector_->nsub()), stats_),
+      mem_(kernel_, validated(cfg_), stats_, Detector(detector, nsub)),
       runtime_(kernel_, mem_, backing_, stats_, cfg_) {
-  mem_.set_detector(detector_.get());
   mem_.set_tx_control(&runtime_);
   if (cfg_.fault.any_injection()) {
     fault_ = std::make_unique<FaultPlan>(cfg_.fault, cfg_.seed, cfg_.ncores);
@@ -44,7 +42,7 @@ Machine::Machine(const SimConfig& cfg, DetectorKind detector,
   if (cfg_.provenance) {
     prov_sites_ = std::make_unique<prov::SiteRegistry>();
     prov_ = std::make_unique<prov::ProvCollector>(*prov_sites_,
-                                                 detector_->nsub());
+                                                 mem_.detector().nsub());
     galloc_.set_site_registry(prov_sites_.get());
     runtime_.set_provenance(prov_.get());
     mem_.set_provenance(prov_.get());

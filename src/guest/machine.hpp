@@ -41,7 +41,7 @@ class Machine {
   [[nodiscard]] MemorySystem& mem() { return mem_; }
   [[nodiscard]] AsfRuntime& runtime() { return runtime_; }
   [[nodiscard]] GAllocator& galloc() { return galloc_; }
-  [[nodiscard]] ConflictDetector& detector() { return *detector_; }
+  [[nodiscard]] const Detector& detector() const { return mem_.detector(); }
   [[nodiscard]] GuestCtx& ctx(CoreId core) { return *ctxs_[core]; }
 
   /// Bind a guest thread to a core (one thread per core).
@@ -86,7 +86,6 @@ class Machine {
   trace::TraceHub hub_{&stats_};
   Kernel kernel_;
   BackingStore backing_;
-  std::unique_ptr<ConflictDetector> detector_;
   MemorySystem mem_;
   AsfRuntime runtime_;
   GAllocator galloc_;

@@ -13,8 +13,13 @@
 
 namespace asfsim {
 
-MemorySystem::MemorySystem(Kernel& kernel, const SimConfig& cfg, Stats& stats)
-    : kernel_(kernel), cfg_(cfg), stats_(stats), mutation_(cfg.fault.mutation) {
+MemorySystem::MemorySystem(Kernel& kernel, const SimConfig& cfg, Stats& stats,
+                           Detector detector)
+    : kernel_(kernel),
+      cfg_(cfg),
+      stats_(stats),
+      detector_(detector),
+      mutation_(cfg.fault.mutation) {
   if (cfg_.ncores > 64) {
     throw std::invalid_argument(
         "MemorySystem: ncores > 64 (every probe broadcast reads each remote "
@@ -69,13 +74,13 @@ void MemorySystem::record_spec_access(CoreId core, TagArray::Slot slot,
   const std::size_t before = meta.size();
   SpecState& m = meta[line];
   if (meta.size() != before) spec_lines_[core].push_back(line);
-  SubBlockMask q = quantize(mask, nsub_);
+  SubBlockMask q = quantize(mask, detector_.nsub());
   // MUTATION kWrongSubblockIndexMath: commit the architectural bits under a
   // rotated sub-block index (classic off-by-one in index math) while the
   // byte-exact masks stay correct — the mask/bit-agreement invariant in
   // check_invariants() kills it.
   if (mutation_ == ProtocolMutation::kWrongSubblockIndexMath) {
-    const std::uint32_t n = nsub_;
+    const std::uint32_t n = detector_.nsub();
     if (n > 1) {
       q = static_cast<SubBlockMask>(((q << 1) | (q >> (n - 1))) &
                                     ((SubBlockMask{1} << n) - 1));
@@ -103,7 +108,7 @@ void MemorySystem::record_spec_access(CoreId core, TagArray::Slot slot,
 
 TxFootprint MemorySystem::tx_footprint(CoreId core) const {
   TxFootprint fp;
-  const std::uint32_t nsub = nsub_;
+  const std::uint32_t nsub = detector_.nsub();
   // Pure sum over disjoint per-line state; every visit order yields the
   // same totals.
   for (const Addr line : spec_lines_[core]) {
@@ -138,7 +143,7 @@ MemorySystem::ProbeOutcome MemorySystem::probe_remotes(CoreId requester,
                                                        SubBlockMask* piggyback) {
   ProbeOutcome out;
   ++stats_.probes_sent;
-  const bool oracle = oracle_;
+  const bool oracle = detector_.global_oracle();
 
   for (CoreId o = 0; o < cfg_.ncores; ++o) {
     if (o == requester) continue;
@@ -168,23 +173,10 @@ MemorySystem::ProbeOutcome MemorySystem::probe_remotes(CoreId requester,
       const SpecState* mp = it == spec_meta_[o].end() ? nullptr : &it->second;
       if (mp != nullptr) {
         const SpecState& meta = *mp;
-        const ProbeCheck pc = detector_->check_probe(meta, mask, invalidating);
-        const bool truly = true_conflict(meta, mask, invalidating);
+        const ProbeCheck pc = detector_.check_probe(meta, mask, invalidating);
         if (pc.conflict) {
-          ConflictRecord rec;
-          rec.requester = requester;
-          rec.victim = o;
-          rec.line = line;
-          rec.probe_bytes = mask;
-          rec.victim_bytes = invalidating
-                                 ? (meta.read_bytes | meta.write_bytes)
-                                 : meta.write_bytes;
-          rec.invalidating = invalidating;
-          const Classification cls =
-              classify_conflict(meta, mask, invalidating);
-          rec.is_false = cls.is_false;
-          rec.type = cls.type;
-          rec.cycle = kernel_.now();
+          const ConflictRecord rec =
+              conflict_record(requester, o, line, mask, invalidating, meta);
           stats_.on_conflict(rec);
           // Contention policy (docs/contention.md): under the default
           // requester-wins this dooms o exactly like the historical direct
@@ -201,29 +193,27 @@ MemorySystem::ProbeOutcome MemorySystem::probe_remotes(CoreId requester,
           // This detector declined a conflict baseline ASF would have
           // signaled (and, for the oracle, that the oracle will not signal
           // either).
-          if (baseline_would_conflict(meta, invalidating) &&
-              !(oracle && truly)) {
+          const ByteMask relevant = relevant_bytes(meta, invalidating);
+          if (relevant != 0 &&
+              !(oracle && true_conflict(meta, mask, invalidating))) {
             stats_.on_avoided_false_conflict();
-            const ByteMask victim_bytes =
-                invalidating ? (meta.read_bytes | meta.write_bytes)
-                             : meta.write_bytes;
             prov::ProvCollector::Attribution at;
             if (prov_ != nullptr) {
-              at = prov_->on_avoided(line, mask, victim_bytes);
+              at = prov_->on_avoided(line, mask, relevant);
             }
             if (hub_ != nullptr) {
-              const Classification cls =
-                  classify_conflict(meta, mask, invalidating);
+              const ConflictRecord rec =
+                  conflict_record(requester, o, line, mask, invalidating, meta);
               trace::TraceEvent ev;
               ev.kind = trace::TraceEventKind::kAvoided;
               ev.core = o;
               ev.other = requester;
-              ev.cycle = kernel_.now();
+              ev.cycle = rec.cycle;
               ev.line = line;
-              ev.type = cls.type;
-              ev.is_false = cls.is_false;
+              ev.type = rec.type;
+              ev.is_false = rec.is_false;
               ev.probe_mask = mask;
-              ev.victim_mask = victim_bytes;
+              ev.victim_mask = rec.victim_bytes;
               if (prov_ != nullptr) {
                 ev.has_prov = true;
                 ev.victim_site = at.victim_site;
@@ -325,7 +315,7 @@ TagArray::Slot MemorySystem::fill_l1(CoreId core, Addr line, Moesi state) {
   // survives eviction/refetch (flag lost on refill), so it keeps the map
   // lookup.
   const TagArray::Slot victim =
-      oracle_
+      detector_.global_oracle()
           ? t.find_victim(line, [&](Addr vl) { return line_pinned(core, vl); })
           : t.find_victim_unflagged(line);
   if (victim == TagArray::kNoSlot) {
@@ -338,6 +328,22 @@ TagArray::Slot MemorySystem::fill_l1(CoreId core, Addr line, Moesi state) {
   return victim;
 }
 
+ConflictRecord MemorySystem::conflict_record(CoreId requester, CoreId victim,
+                                             Addr line, ByteMask probe,
+                                             bool invalidating,
+                                             const SpecState& meta) const {
+  const Classification cls = classify_conflict(meta, probe, invalidating);
+  return {.requester = requester,
+          .victim = victim,
+          .line = line,
+          .probe_bytes = probe,
+          .victim_bytes = relevant_bytes(meta, invalidating),
+          .invalidating = invalidating,
+          .is_false = cls.is_false,
+          .type = cls.type,
+          .cycle = kernel_.now()};
+}
+
 bool MemorySystem::oracle_check(CoreId requester, Addr line, ByteMask mask,
                                 bool is_write) {
   for (CoreId o = 0; o < cfg_.ncores; ++o) {
@@ -348,18 +354,9 @@ bool MemorySystem::oracle_check(CoreId requester, Addr line, ByteMask mask,
     }
     const SpecState& meta = it->second;
     if (!true_conflict(meta, mask, is_write)) continue;
-    ConflictRecord rec;
-    rec.requester = requester;
-    rec.victim = o;
-    rec.line = line;
-    rec.probe_bytes = mask;
-    rec.victim_bytes =
-        is_write ? (meta.read_bytes | meta.write_bytes) : meta.write_bytes;
-    rec.invalidating = is_write;
-    const Classification cls = classify_conflict(meta, mask, is_write);
-    rec.is_false = cls.is_false;  // always false==false: oracle finds true only
-    rec.type = cls.type;
-    rec.cycle = kernel_.now();
+    // The oracle finds true conflicts only: rec.is_false is always false.
+    const ConflictRecord rec =
+        conflict_record(requester, o, line, mask, is_write, meta);
     stats_.on_conflict(rec);
     // Same policy hook as probe_remotes: a losing requester stops checking
     // (it is about to self-abort; its freshly-recorded speculative state
@@ -381,14 +378,14 @@ bool MemorySystem::would_broadcast(CoreId core, Addr addr, std::uint32_t size,
   }
   // dirty_hit is identically false unless the detector does dirty handling,
   // and trivially false with no marks — both gates checked before the
-  // lookup + virtual call.
-  return is_tx && dirty_handling_ && !dirty_marks_[core].empty() &&
-         detector_->dirty_hit(dirty_marks(core, line), byte_mask_of(addr, size));
+  // mark lookup.
+  return is_tx && detector_.dirty_handling() && !dirty_marks_[core].empty() &&
+         detector_.dirty_hit(dirty_marks(core, line), byte_mask_of(addr, size));
 }
 
 AccessResult MemorySystem::access(CoreId core, Addr addr, std::uint32_t size,
                                   bool is_write, bool is_tx) {
-  assert(detector_ != nullptr && txctl_ != nullptr);
+  assert(txctl_ != nullptr);
   assert(size >= 1 && size <= 8);
   assert(addr % size == 0 && "guest accesses must be naturally aligned");
   const Addr line = line_of(addr);
@@ -483,11 +480,12 @@ AccessResult MemorySystem::access(CoreId core, Addr addr, std::uint32_t size,
       }
     }
   } else {  // load
-    // Same double gate as would_broadcast(): skip the mark lookup and the
-    // virtual call whenever they cannot possibly fire.
+    // Same double gate as would_broadcast(): skip the mark lookup whenever
+    // it cannot possibly fire.
     const bool dirty_force =
-        valid && is_tx && dirty_handling_ && !dirty_marks_[core].empty() &&
-        detector_->dirty_hit(dirty_marks(core, line), mask);
+        valid && is_tx && detector_.dirty_handling() &&
+        !dirty_marks_[core].empty() &&
+        detector_.dirty_hit(dirty_marks(core, line), mask);
     if (valid && !dirty_force) {
       l1.touch_slot(slot);
       ++stats_.l1_hits;
@@ -536,7 +534,7 @@ AccessResult MemorySystem::access(CoreId core, Addr addr, std::uint32_t size,
   }
 
   if (is_tx) record_spec_access(core, slot, line, mask, is_write);
-  if (oracle_ && oracle_check(core, line, mask, is_write)) {
+  if (detector_.global_oracle() && oracle_check(core, line, mask, is_write)) {
     r.requester_lost = true;
   }
   return r;
@@ -544,7 +542,7 @@ AccessResult MemorySystem::access(CoreId core, Addr addr, std::uint32_t size,
 
 void MemorySystem::validate_readers_at_commit(CoreId committer, Addr line,
                                               ByteMask written) {
-  if (oracle_) return;  // the oracle never misses
+  if (detector_.global_oracle()) return;  // the oracle never misses
   // MUTATION kSkipCommitValidation: reopen the silent-store window that
   // retention creates (DESIGN.md §6.5) — the serializability replay kills it.
   if (mutation_ == ProtocolMutation::kSkipCommitValidation) return;
@@ -560,18 +558,9 @@ void MemorySystem::validate_readers_at_commit(CoreId committer, Addr line,
       continue;
     }
     const SpecState& meta = it->second;
-    if ((written & (meta.read_bytes | meta.write_bytes)) == 0) continue;
-    ConflictRecord rec;
-    rec.requester = committer;
-    rec.victim = o;
-    rec.line = line;
-    rec.probe_bytes = written;
-    rec.victim_bytes = meta.read_bytes | meta.write_bytes;
-    rec.invalidating = true;
-    const Classification cls = classify_conflict(meta, written, true);
-    rec.is_false = cls.is_false;  // true overlap by construction
-    rec.type = cls.type;
-    rec.cycle = kernel_.now();
+    if (!true_conflict(meta, written, /*invalidating=*/true)) continue;
+    const ConflictRecord rec =
+        conflict_record(committer, o, line, written, true, meta);
     stats_.on_conflict(rec);
     txctl_->doom(o, rec);
   }
@@ -624,7 +613,7 @@ std::string MemorySystem::check_invariants() const {
   // Metadata residency + mask/bit agreement. Residency only binds the
   // probe-based detectors: the perfect oracle checks metadata centrally and
   // deliberately survives invalidation + eviction (its upper-bound role).
-  const bool oracle = detector_->global_oracle();
+  const bool oracle = detector_.global_oracle();
   for (CoreId c = 0; c < cfg_.ncores; ++c) {
     for (const Addr line : lines) {
       const auto it = spec_meta_[c].find(line);
@@ -639,7 +628,7 @@ std::string MemorySystem::check_invariants() const {
         return "core " + std::to_string(c) + " line " + std::to_string(line) +
                ": speculative metadata but summary flag clear";
       }
-      const std::uint32_t n = detector_->nsub();
+      const std::uint32_t n = detector_.nsub();
       const SubBlockMask expect_spec = static_cast<SubBlockMask>(
           quantize(meta.read_bytes | meta.write_bytes, n));
       const SubBlockMask expect_wr =
@@ -673,7 +662,7 @@ std::string MemorySystem::check_invariants() const {
   // piggy-backs the S-WR set) must carry Dirty marks covering those
   // sub-blocks. M/O holders are exempt: write-origin fills carry no
   // piggyback and are protected by commit-time reader validation instead.
-  if (txctl_ != nullptr && detector_->dirty_handling()) {
+  if (txctl_ != nullptr && detector_.dirty_handling()) {
     for (CoreId c = 0; c < cfg_.ncores; ++c) {
       if (!txctl_->in_tx(c)) continue;
       for (const Addr line : lines) {

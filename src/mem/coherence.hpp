@@ -10,7 +10,7 @@
 // the paper's (relative) results depend on.
 //
 // Speculative metadata: one SpecState per (core, line) with an active
-// transaction, owned here, checked by the pluggable ConflictDetector on
+// transaction, owned here, checked by the Detector policy value on
 // every incoming probe — for valid lines and for invalidated lines whose
 // speculative info was retained (paper §IV-B). Dirty sub-block marks (paper
 // §IV-C) persist independently of transaction lifetime until refetch.
@@ -23,7 +23,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -77,18 +76,10 @@ struct AccessResult {
 
 class MemorySystem {
  public:
-  MemorySystem(Kernel& kernel, const SimConfig& cfg, Stats& stats);
+  MemorySystem(Kernel& kernel, const SimConfig& cfg, Stats& stats,
+               Detector detector);
 
   void set_tx_control(ITxControl* txctl) { txctl_ = txctl; }
-  void set_detector(ConflictDetector* det) {
-    detector_ = det;
-    // Cache the detector's policy facts: they are immutable per detector,
-    // and the per-access paths below would otherwise pay a virtual call for
-    // each of them on every single access (docs/performance.md).
-    nsub_ = det != nullptr ? det->nsub() : 1;
-    oracle_ = det != nullptr && det->global_oracle();
-    dirty_handling_ = det != nullptr && det->dirty_handling();
-  }
   /// Attach the trace hub (null while tracing is disabled; the only cost
   /// then is one null check on the avoided-conflict path).
   void set_trace_hub(trace::TraceHub* hub) { hub_ = hub; }
@@ -99,7 +90,7 @@ class MemorySystem {
   /// SimConfig::provenance). Only consulted on the avoided-false-conflict
   /// path — detected conflicts are attributed at the doom() hook.
   void set_provenance(prov::ProvCollector* prov) { prov_ = prov; }
-  [[nodiscard]] ConflictDetector& detector() const { return *detector_; }
+  [[nodiscard]] const Detector& detector() const { return detector_; }
   [[nodiscard]] const SimConfig& config() const { return cfg_; }
 
   /// Perform one aligned access (size 1..8, not crossing a line). Resolves
@@ -176,6 +167,12 @@ class MemorySystem {
   /// would be pure waste).
   void record_spec_access(CoreId core, TagArray::Slot slot, Addr line,
                           ByteMask mask, bool is_write);
+  /// The record of `victim`'s conflict with `requester`'s probe of `line`
+  /// (bytes `probe`), classified against the victim's state `meta`.
+  [[nodiscard]] ConflictRecord conflict_record(CoreId requester, CoreId victim,
+                                               Addr line, ByteMask probe,
+                                               bool invalidating,
+                                               const SpecState& meta) const;
   /// Returns true when the contention policy ruled the requester the loser.
   bool oracle_check(CoreId requester, Addr line, ByteMask mask, bool is_write);
   [[nodiscard]] bool line_pinned(CoreId core, Addr line) const;
@@ -192,11 +189,7 @@ class MemorySystem {
   const SimConfig cfg_;
   Stats& stats_;
   ITxControl* txctl_ = nullptr;
-  ConflictDetector* detector_ = nullptr;
-  // Cached detector facts (see set_detector); read on every access.
-  std::uint32_t nsub_ = 1;
-  bool oracle_ = false;
-  bool dirty_handling_ = false;
+  const Detector detector_;
   trace::TraceHub* hub_ = nullptr;
   FaultPlan* fault_ = nullptr;
   prov::ProvCollector* prov_ = nullptr;

@@ -65,7 +65,11 @@ JobSpec make_job_spec(const std::string& workload,
   s.reserve(2048);
   s += "asfsim-jobspec v6\n";
   s += "workload " + workload + "\n";
-  for_each_field(cfg, Canonical(s));
+  // The per-line detectors run every nsub as 1 (the Machine's Detector
+  // applies the same rule), so hash the count the simulation runs with.
+  ExperimentConfig hashed = cfg;
+  hashed.nsub = effective_nsub(cfg.detector, cfg.nsub);
+  for_each_field(hashed, Canonical(s));
 
   char buf[24];
   std::snprintf(buf, sizeof(buf), "%016llx",

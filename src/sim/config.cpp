@@ -3,7 +3,6 @@
 #include <bit>
 #include <tuple>
 
-#include "core/detector.hpp"
 #include "mem/addr.hpp"
 #include "mem/cache.hpp"
 
@@ -45,7 +44,7 @@ std::string check_rate(const char* name, double rate) {
 
 }  // namespace
 
-std::string SimConfig::validate(std::uint32_t nsub) const {
+std::string SimConfig::validate() const {
   if (ncores == 0) return "ncores must be > 0";
   for (const auto& [name, level, min_sets] :
        {std::tuple<const char*, const CacheLevelConfig*, std::uint32_t>{
@@ -55,10 +54,6 @@ std::string SimConfig::validate(std::uint32_t nsub) const {
     if (std::string err = check_level(name, *level, min_sets); !err.empty()) {
       return err;
     }
-  }
-  if (!valid_nsub(nsub)) {
-    return "nsub must be a power of two in [1, " +
-           std::to_string(kMaxSubBlocks) + "], got " + std::to_string(nsub);
   }
   if (backoff_base == 0) {
     return "backoff_base must be > 0 (zero backoff livelocks under "

@@ -102,11 +102,11 @@ struct SimConfig {
 
   std::uint64_t seed = 1;
 
-  /// Sanity-check the configuration. `nsub` is the conflict detector's
-  /// sub-block count (1 for per-line detectors). Returns an empty string
-  /// when valid, else a description of the first problem. Machine rejects
-  /// invalid configs at construction (std::invalid_argument).
-  [[nodiscard]] std::string validate(std::uint32_t nsub = 1) const;
+  /// Sanity-check the configuration. Returns an empty string when valid,
+  /// else a description of the first problem. Machine rejects invalid
+  /// configs at construction (std::invalid_argument); the sub-block count
+  /// is the Detector's to check.
+  [[nodiscard]] std::string validate() const;
 };
 
 template <>

@@ -35,9 +35,8 @@ class CoherenceTest : public ::testing::Test {
  protected:
   CoherenceTest()
       : cfg_(no_bus()), kernel_(cfg_.ncores), stats_(),
-        mem_(kernel_, cfg_, stats_), tx_(cfg_.ncores) {
-    detector_ = make_detector(DetectorKind::kSubBlock, 4);
-    mem_.set_detector(detector_.get());
+        mem_(kernel_, cfg_, stats_, Detector(DetectorKind::kSubBlock, 4)),
+        tx_(cfg_.ncores) {
     mem_.set_tx_control(&tx_);
     tx_.mem = &mem_;
   }
@@ -60,7 +59,6 @@ class CoherenceTest : public ::testing::Test {
   Stats stats_;
   MemorySystem mem_;
   FakeTxControl tx_;
-  std::unique_ptr<ConflictDetector> detector_;
   static constexpr Addr kA = 0x10000;
 };
 
@@ -273,7 +271,9 @@ TEST(CoherenceLimits, RejectsMoreThan64Cores) {
   cfg.ncores = 65;
   Kernel kernel(cfg.ncores);
   Stats stats;
-  EXPECT_THROW(MemorySystem(kernel, cfg, stats), std::invalid_argument);
+  EXPECT_THROW(
+      MemorySystem(kernel, cfg, stats, Detector(DetectorKind::kBaseline, 1)),
+      std::invalid_argument);
 }
 
 TEST_F(CoherenceTest, NonTxAccessesNeverCreateMetadata) {
@@ -332,10 +332,8 @@ TEST(BusContention, BackToBackProbesQueue) {
   SimConfig cfg;  // default bus_occupancy = 4
   Kernel kernel(cfg.ncores);
   Stats stats;
-  MemorySystem mem(kernel, cfg, stats);
+  MemorySystem mem(kernel, cfg, stats, Detector(DetectorKind::kBaseline, 4));
   FakeTxControl tx(cfg.ncores);
-  auto det = make_detector(DetectorKind::kBaseline);
-  mem.set_detector(det.get());
   mem.set_tx_control(&tx);
   tx.mem = &mem;
 
@@ -355,10 +353,8 @@ TEST(BusContention, LocalHitsNeverTouchTheBus) {
   SimConfig cfg;
   Kernel kernel(cfg.ncores);
   Stats stats;
-  MemorySystem mem(kernel, cfg, stats);
+  MemorySystem mem(kernel, cfg, stats, Detector(DetectorKind::kBaseline, 4));
   FakeTxControl tx(cfg.ncores);
-  auto det = make_detector(DetectorKind::kBaseline);
-  mem.set_detector(det.get());
   mem.set_tx_control(&tx);
   tx.mem = &mem;
 

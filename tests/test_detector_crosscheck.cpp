@@ -4,9 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "core/classifier.hpp"
-#include "core/line_detector.hpp"
-#include "core/subblock_detector.hpp"
-#include "core/waronly_detector.hpp"
+#include "core/detector.hpp"
 #include "sim/random.hpp"
 
 namespace asfsim {
@@ -37,7 +35,7 @@ class CrossCheck : public ::testing::TestWithParam<std::uint32_t> {};
 
 TEST_P(CrossCheck, SubBlockDetectorMatchesBruteForce) {
   const std::uint32_t nsub = GetParam();
-  SubBlockDetector det(nsub);
+  const Detector det(DetectorKind::kSubBlock, nsub);
   Rng rng(nsub * 1000 + 17);
   for (int trial = 0; trial < 4000; ++trial) {
     const SpecState victim = random_state(rng, nsub);
@@ -75,8 +73,8 @@ TEST_P(CrossCheck, SubBlockDetectorMatchesBruteForce) {
 
 TEST_P(CrossCheck, WawLineVariantOnlyAddsWawConflicts) {
   const std::uint32_t nsub = GetParam();
-  SubBlockDetector def(nsub);
-  SubBlockDetector strict(nsub, true, /*waw_line=*/true);
+  const Detector def(DetectorKind::kSubBlock, nsub);
+  const Detector strict(DetectorKind::kSubBlockWawLine, nsub);
   Rng rng(nsub * 777 + 3);
   for (int trial = 0; trial < 3000; ++trial) {
     const SpecState victim = random_state(rng, nsub);
@@ -100,8 +98,8 @@ TEST_P(CrossCheck, WawLineVariantOnlyAddsWawConflicts) {
 TEST_P(CrossCheck, FinerGranularityNeverAddsConflicts) {
   const std::uint32_t nsub = GetParam();
   if (nsub == 16) return;
-  SubBlockDetector coarse(nsub);
-  SubBlockDetector fine(nsub * 2);
+  const Detector coarse(DetectorKind::kSubBlock, nsub);
+  const Detector fine(DetectorKind::kSubBlock, nsub * 2);
   Rng rng(nsub * 99 + 1);
   for (int trial = 0; trial < 3000; ++trial) {
     // Build the SAME byte-level state at the two granularities.
@@ -126,25 +124,33 @@ INSTANTIATE_TEST_SUITE_P(Granularities, CrossCheck,
 
 TEST(CrossCheckLine, BaselineEqualsOneSubBlock) {
   // The baseline per-line SR/SW check must agree with "sub-blocking at
-  // granularity 1" semantics (any-byte overlap at line level).
-  LineDetector line;
+  // granularity 1" semantics: the whole line is one sub-block, SPEC when
+  // any byte was read or written, WR when any byte was written. A load
+  // probe conflicts with S-WR, a store probe with S-RD or S-WR, wherever
+  // the probe's bytes land; the baseline never piggybacks or retains.
+  const Detector line(DetectorKind::kBaseline, 1);
   Rng rng(5);
   for (int trial = 0; trial < 4000; ++trial) {
     const SpecState victim = random_state(rng, 1);
     const ByteMask probe = random_access(rng);
     const bool invalidating = rng.chance(0.5);
-    const bool got = line.check_probe(victim, probe, invalidating).conflict;
-    EXPECT_EQ(got, baseline_would_conflict(victim, invalidating));
+    const bool spec = (victim.read_bytes | victim.write_bytes) != 0;
+    const bool wr = victim.write_bytes != 0;
+    const bool expect = invalidating ? spec : wr;
+    const ProbeCheck pc = line.check_probe(victim, probe, invalidating);
+    EXPECT_EQ(pc.conflict, expect) << "trial " << trial;
+    EXPECT_EQ(pc.piggyback, 0u) << "trial " << trial;
+    EXPECT_FALSE(pc.retain_spec_info) << "trial " << trial;
   }
 }
 
 TEST(CrossCheckTruth, TrueConflictImpliesDetectionEverywhere) {
   // No detector may MISS a true (byte-overlap) conflict on a probe it sees.
-  LineDetector line;
-  WarOnlyDetector war;
+  const Detector line(DetectorKind::kBaseline, 1);
+  const Detector war(DetectorKind::kWarOnly, 1);
   Rng rng(11);
   for (const std::uint32_t nsub : {2u, 4u, 8u, 16u}) {
-    SubBlockDetector sub(nsub);
+    const Detector sub(DetectorKind::kSubBlock, nsub);
     for (int trial = 0; trial < 2000; ++trial) {
       const SpecState victim = random_state(rng, nsub);
       const ByteMask probe = random_access(rng);

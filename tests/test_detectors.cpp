@@ -2,12 +2,11 @@
 // checks at every granularity, classifier ground truth).
 #include <gtest/gtest.h>
 
+#include <array>
+
 #include "core/classifier.hpp"
-#include "core/line_detector.hpp"
-#include "core/perfect_detector.hpp"
-#include "core/subblock_detector.hpp"
+#include "core/detector.hpp"
 #include "core/subblock_state.hpp"
-#include "core/waronly_detector.hpp"
 
 namespace asfsim {
 namespace {
@@ -67,7 +66,7 @@ TEST(SubBlockState, SetOverwritesPreviousState) {
 // ---- baseline (per-line SR/SW) ----------------------------------------------
 
 TEST(LineDetector, InvalidatingProbeConflictsWithAnySpecState) {
-  LineDetector d;
+  const Detector d(DetectorKind::kBaseline, 1);
   EXPECT_TRUE(d.check_probe(read_state(byte_mask(0, 8), 1), byte_mask(32, 8),
                             true).conflict);
   EXPECT_TRUE(d.check_probe(write_state(byte_mask(0, 8), 1), byte_mask(32, 8),
@@ -76,7 +75,7 @@ TEST(LineDetector, InvalidatingProbeConflictsWithAnySpecState) {
 }
 
 TEST(LineDetector, LoadProbeConflictsOnlyWithSpecWrites) {
-  LineDetector d;
+  const Detector d(DetectorKind::kBaseline, 1);
   EXPECT_FALSE(d.check_probe(read_state(byte_mask(0, 8), 1), byte_mask(0, 8),
                              false).conflict);
   EXPECT_TRUE(d.check_probe(write_state(byte_mask(0, 8), 1), byte_mask(32, 8),
@@ -92,13 +91,13 @@ class SubBlockDetectorTest : public ::testing::TestWithParam<std::uint32_t> {
 };
 
 TEST_P(SubBlockDetectorTest, LoadVsRemoteWriteSameSubBlockConflicts) {
-  SubBlockDetector d(nsub());
+  const Detector d(DetectorKind::kSubBlock, nsub());
   const auto victim = write_state(byte_mask(0, 4), nsub());
   EXPECT_TRUE(d.check_probe(victim, byte_mask(0, 4), false).conflict);
 }
 
 TEST_P(SubBlockDetectorTest, LoadVsRemoteWriteOtherSubBlockPiggybacks) {
-  SubBlockDetector d(nsub());
+  const Detector d(DetectorKind::kSubBlock, nsub());
   const auto victim = write_state(byte_mask(0, 4), nsub());
   const ByteMask probe = byte_mask(64 - 4, 4);  // last sub-block
   const ProbeCheck pc = d.check_probe(victim, probe, false);
@@ -108,7 +107,7 @@ TEST_P(SubBlockDetectorTest, LoadVsRemoteWriteOtherSubBlockPiggybacks) {
 }
 
 TEST_P(SubBlockDetectorTest, StoreVsRemoteReadOtherSubBlockRetains) {
-  SubBlockDetector d(nsub());
+  const Detector d(DetectorKind::kSubBlock, nsub());
   const auto victim = read_state(byte_mask(0, 4), nsub());
   const ProbeCheck pc = d.check_probe(victim, byte_mask(64 - 4, 4), true);
   EXPECT_FALSE(pc.conflict);
@@ -117,13 +116,13 @@ TEST_P(SubBlockDetectorTest, StoreVsRemoteReadOtherSubBlockRetains) {
 }
 
 TEST_P(SubBlockDetectorTest, StoreVsRemoteReadSameSubBlockConflicts) {
-  SubBlockDetector d(nsub());
+  const Detector d(DetectorKind::kSubBlock, nsub());
   const auto victim = read_state(byte_mask(0, 4), nsub());
   EXPECT_TRUE(d.check_probe(victim, byte_mask(0, 4), true).conflict);
 }
 
 TEST_P(SubBlockDetectorTest, DirtyHitTriggersOnlyOnMarkedSubBlocks) {
-  SubBlockDetector d(nsub());
+  const Detector d(DetectorKind::kSubBlock, nsub());
   const SubBlockMask dirty0 = 1;  // sub-block 0 dirty
   EXPECT_TRUE(d.dirty_hit(dirty0, byte_mask(0, 4)));
   EXPECT_FALSE(d.dirty_hit(dirty0, byte_mask(64 - 4, 4)));
@@ -131,7 +130,7 @@ TEST_P(SubBlockDetectorTest, DirtyHitTriggersOnlyOnMarkedSubBlocks) {
 }
 
 TEST_P(SubBlockDetectorTest, NoDirtyVariantNeverPiggybacksOrForcesMisses) {
-  SubBlockDetector d(nsub(), /*dirty_handling=*/false);
+  const Detector d(DetectorKind::kSubBlockNoDirty, nsub());
   const auto victim = write_state(byte_mask(0, 4), nsub());
   const ProbeCheck pc = d.check_probe(victim, byte_mask(64 - 4, 4), false);
   EXPECT_FALSE(pc.conflict);
@@ -140,7 +139,7 @@ TEST_P(SubBlockDetectorTest, NoDirtyVariantNeverPiggybacksOrForcesMisses) {
 }
 
 TEST_P(SubBlockDetectorTest, WawDefaultIsSubBlockGranular) {
-  SubBlockDetector d(nsub());
+  const Detector d(DetectorKind::kSubBlock, nsub());
   const auto victim = write_state(byte_mask(0, 4), nsub());
   const ProbeCheck pc = d.check_probe(victim, byte_mask(64 - 4, 4), true);
   EXPECT_FALSE(pc.conflict);
@@ -149,7 +148,7 @@ TEST_P(SubBlockDetectorTest, WawDefaultIsSubBlockGranular) {
 }
 
 TEST_P(SubBlockDetectorTest, WawLineVariantAbortsOnAnySpecWrite) {
-  SubBlockDetector d(nsub(), true, /*waw_line=*/true);
+  const Detector d(DetectorKind::kSubBlockWawLine, nsub());
   const auto victim = write_state(byte_mask(0, 4), nsub());
   EXPECT_TRUE(d.check_probe(victim, byte_mask(64 - 4, 4), true).conflict)
       << "paper §IV-D2: losing a speculatively-written line must abort";
@@ -159,34 +158,40 @@ INSTANTIATE_TEST_SUITE_P(Granularities, SubBlockDetectorTest,
                          ::testing::Values(2u, 4u, 8u, 16u));
 
 TEST(SubBlockDetector, RejectsBadSubBlockCounts) {
-  EXPECT_THROW(SubBlockDetector(0), std::invalid_argument);
-  EXPECT_THROW(SubBlockDetector(1), std::invalid_argument);
-  EXPECT_THROW(SubBlockDetector(3), std::invalid_argument);
-  EXPECT_THROW(SubBlockDetector(32), std::invalid_argument);
+  for (const auto kind :
+       {DetectorKind::kSubBlock, DetectorKind::kSubBlockWawLine,
+        DetectorKind::kSubBlockNoDirty}) {
+    EXPECT_THROW(Detector(kind, 0), std::invalid_argument);
+    EXPECT_THROW(Detector(kind, 1), std::invalid_argument);
+    EXPECT_THROW(Detector(kind, 3), std::invalid_argument);   // not 2^k
+    EXPECT_THROW(Detector(kind, 32), std::invalid_argument);  // > kMaxSubBlocks
+    EXPECT_NO_THROW(Detector(kind, 4));
+    EXPECT_NO_THROW(Detector(kind, 16));  // kMaxSubBlocks
+  }
 }
 
 TEST(SubBlockDetector, CoarserGranularityConflictsMore) {
   // Adjacent 4-byte words: conflict at 2/4/8 sub-blocks, not at 16.
   const ByteMask a = byte_mask(16, 4), b = byte_mask(20, 4);
   for (const std::uint32_t n : {2u, 4u, 8u}) {
-    SubBlockDetector d(n);
+    const Detector d(DetectorKind::kSubBlock, n);
     EXPECT_TRUE(d.check_probe(write_state(a, n), b, false).conflict) << n;
   }
-  SubBlockDetector d16(16);
+  const Detector d16(DetectorKind::kSubBlock, 16);
   EXPECT_FALSE(d16.check_probe(write_state(a, 16), b, false).conflict);
 }
 
 // ---- perfect & WAR-only ------------------------------------------------------
 
 TEST(PerfectDetector, NeverSignalsOnProbes) {
-  PerfectDetector d;
+  const Detector d(DetectorKind::kPerfect, 1);
   EXPECT_TRUE(d.global_oracle());
   EXPECT_FALSE(d.check_probe(write_state(byte_mask(0, 8), 1), byte_mask(0, 8),
                              true).conflict);
 }
 
 TEST(WarOnlyDetector, FalseWarIsSpeculatedAway) {
-  WarOnlyDetector d;
+  const Detector d(DetectorKind::kWarOnly, 1);
   const auto victim = read_state(byte_mask(0, 8), 1);
   const ProbeCheck pc = d.check_probe(victim, byte_mask(32, 8), true);
   EXPECT_FALSE(pc.conflict);
@@ -194,13 +199,13 @@ TEST(WarOnlyDetector, FalseWarIsSpeculatedAway) {
 }
 
 TEST(WarOnlyDetector, TrueWarStillAborts) {
-  WarOnlyDetector d;
+  const Detector d(DetectorKind::kWarOnly, 1);
   const auto victim = read_state(byte_mask(0, 8), 1);
   EXPECT_TRUE(d.check_probe(victim, byte_mask(0, 4), true).conflict);
 }
 
 TEST(WarOnlyDetector, RawAndWawStayLineGranular) {
-  WarOnlyDetector d;
+  const Detector d(DetectorKind::kWarOnly, 1);
   const auto victim = write_state(byte_mask(0, 8), 1);
   EXPECT_TRUE(d.check_probe(victim, byte_mask(32, 8), false).conflict)
       << "false RAW is NOT handled by WAR-only schemes (paper §II)";
@@ -239,13 +244,23 @@ TEST(Classifier, TypeAndTruthMatrix) {
 }
 
 TEST(Classifier, BaselineWouldConflictMatchesLineDetector) {
-  LineDetector line;
+  // The relevant bytes are the read and write sets for a store probe and
+  // the write set for a load probe; baseline ASF conflicts exactly when
+  // they are non-empty, wherever in the line the probe lands.
+  const Detector line(DetectorKind::kBaseline, 1);
+  SpecState s;
+  s.read_bytes = byte_mask(0, 8);
+  s.write_bytes = byte_mask(16, 4);
+  EXPECT_EQ(relevant_bytes(s, true), byte_mask(0, 8) | byte_mask(16, 4));
+  EXPECT_EQ(relevant_bytes(s, false), byte_mask(16, 4));
   for (const bool victim_writes : {false, true}) {
     for (const bool invalidating : {false, true}) {
-      const SpecState s = victim_writes ? write_state(byte_mask(0, 8), 1)
+      const SpecState v = victim_writes ? write_state(byte_mask(0, 8), 1)
                                         : read_state(byte_mask(0, 8), 1);
-      EXPECT_EQ(baseline_would_conflict(s, invalidating),
-                line.check_probe(s, byte_mask(32, 8), invalidating).conflict);
+      EXPECT_EQ(relevant_bytes(v, invalidating) != 0,
+                victim_writes || invalidating);
+      EXPECT_EQ(line.check_probe(v, byte_mask(32, 8), invalidating).conflict,
+                victim_writes || invalidating);
     }
   }
 }
@@ -336,9 +351,54 @@ TEST(DetectorFactory, ProducesEveryKind) {
        {DetectorKind::kBaseline, DetectorKind::kSubBlock,
         DetectorKind::kSubBlockWawLine, DetectorKind::kSubBlockNoDirty,
         DetectorKind::kPerfect, DetectorKind::kWarOnly}) {
-    const auto d = make_detector(kind, 4);
-    ASSERT_NE(d, nullptr);
-    EXPECT_EQ(d->kind(), kind);
+    const Detector d(kind, 4);
+    EXPECT_EQ(d.kind(), kind);
+  }
+}
+
+// Every (kind, nsub) the constructor accepts, pinned to the policy facts
+// and report names the simulator has always used (asfsim_explore prints
+// name(); MemorySystem branches on the three facts).
+TEST(Detector, FactsAndNamesArePinned) {
+  struct Pin {
+    DetectorKind kind;
+    bool global_oracle;
+    bool dirty_handling;
+    // Index i is nsub = 1 << i; a null name means the constructor throws.
+    std::array<std::uint32_t, 5> nsub;
+    std::array<const char*, 5> name;
+  };
+  const Pin pins[] = {
+      {DetectorKind::kBaseline, false, false, {1, 1, 1, 1, 1},
+       {"baseline-asf", "baseline-asf", "baseline-asf", "baseline-asf",
+        "baseline-asf"}},
+      {DetectorKind::kSubBlock, false, true, {0, 2, 4, 8, 16},
+       {nullptr, "subblock-2", "subblock-4", "subblock-8", "subblock-16"}},
+      {DetectorKind::kSubBlockWawLine, false, true, {0, 2, 4, 8, 16},
+       {nullptr, "subblock-2-wawline", "subblock-4-wawline",
+        "subblock-8-wawline", "subblock-16-wawline"}},
+      {DetectorKind::kSubBlockNoDirty, false, false, {0, 2, 4, 8, 16},
+       {nullptr, "subblock-2-nodirty", "subblock-4-nodirty",
+        "subblock-8-nodirty", "subblock-16-nodirty"}},
+      {DetectorKind::kPerfect, true, false, {1, 1, 1, 1, 1},
+       {"perfect", "perfect", "perfect", "perfect", "perfect"}},
+      {DetectorKind::kWarOnly, false, false, {1, 1, 1, 1, 1},
+       {"war-only", "war-only", "war-only", "war-only", "war-only"}},
+  };
+  for (const Pin& p : pins) {
+    for (std::uint32_t i = 0; i < 5; ++i) {
+      const std::uint32_t n = 1u << i;
+      if (p.name[i] == nullptr) {
+        EXPECT_THROW(Detector(p.kind, n), std::invalid_argument)
+            << to_string(p.kind) << " nsub " << n;
+        continue;
+      }
+      const Detector d(p.kind, n);
+      EXPECT_EQ(d.nsub(), p.nsub[i]) << p.name[i];
+      EXPECT_EQ(d.global_oracle(), p.global_oracle) << p.name[i];
+      EXPECT_EQ(d.dirty_handling(), p.dirty_handling) << p.name[i];
+      EXPECT_EQ(d.name(), p.name[i]) << to_string(p.kind) << " nsub " << n;
+    }
   }
 }
 

@@ -22,8 +22,6 @@ namespace {
 
 TEST(SimConfigValidate, DefaultConfigIsValid) {
   EXPECT_EQ(SimConfig{}.validate(), "");
-  EXPECT_EQ(SimConfig{}.validate(4), "");
-  EXPECT_EQ(SimConfig{}.validate(16), "");  // kMaxSubBlocks
 }
 
 TEST(SimConfigValidate, RejectsBrokenGeometry) {
@@ -77,10 +75,17 @@ TEST(SimConfigValidate, RejectsBrokenGeometry) {
 }
 
 TEST(SimConfigValidate, RejectsBadSubBlockCounts) {
+  // The sub-block count belongs to the Detector, so an otherwise valid
+  // config is still refused at Machine construction when it is bad.
   const SimConfig c;
-  EXPECT_NE(c.validate(0), "");
-  EXPECT_NE(c.validate(3), "");   // not a power of two
-  EXPECT_NE(c.validate(32), "");  // beyond kMaxSubBlocks tracking width
+  ASSERT_EQ(c.validate(), "");
+  EXPECT_THROW(Machine m(c, DetectorKind::kSubBlock, 0), std::invalid_argument);
+  EXPECT_THROW(Machine m(c, DetectorKind::kSubBlock, 3),  // not a power of two
+               std::invalid_argument);
+  EXPECT_THROW(Machine m(c, DetectorKind::kSubBlock, 32),  // > kMaxSubBlocks
+               std::invalid_argument);
+  EXPECT_NO_THROW(Machine m(c, DetectorKind::kSubBlock, 4));
+  EXPECT_NO_THROW(Machine m(c, DetectorKind::kSubBlock, 16));  // kMaxSubBlocks
 }
 
 TEST(SimConfigValidate, RejectsZeroBackoffBase) {

@@ -104,9 +104,11 @@ struct LeafPerturber {
 };
 
 // Table-driven: every results-role leaf of every config record changes the
-// hash, every host-only leaf leaves it alone.
+// hash, every host-only leaf leaves it alone. The base runs a sub-block
+// detector, the only kind whose nsub reaches the simulation.
 TEST(JobSpec, EveryKnobChangesTheHash) {
-  const ExperimentConfig base = small_config();
+  const ExperimentConfig base =
+      small_config().with(DetectorKind::kSubBlock, 4);
   const JobSpec base_spec = make_job_spec("counter", base);
   EXPECT_NE(make_job_spec("bank", base).hash_hex, base_spec.hash_hex);
 
@@ -139,7 +141,7 @@ TEST(JobSpec, DefaultCanonicalTextIsPinned) {
   EXPECT_EQ(spec.canonical, R"(asfsim-jobspec v6
 workload counter
 detector 0
-nsub 4
+nsub 1
 sim.ncores 8
 sim.l1.size_bytes 65536
 sim.l1.line_bytes 64
@@ -196,7 +198,31 @@ params.oltp.mix 0
 timeseries 0
 max_cycles 68719476736
 )");
-  EXPECT_EQ(spec.hash_hex, "b327aed7df987af7");
+  EXPECT_EQ(spec.hash_hex, "804ebe27faa4e9f4");
+}
+
+// The per-line detectors run every nsub as 1, so one of their simulations
+// has one cache key whatever nsub the caller spelled; a sub-block
+// detector's nsub is part of the key.
+TEST(JobSpec, PerLineDetectorsIgnoreNsub) {
+  const ExperimentConfig base = small_config();
+  for (const auto kind : {DetectorKind::kBaseline, DetectorKind::kPerfect,
+                          DetectorKind::kWarOnly}) {
+    const std::string h1 = make_job_spec("counter", base.with(kind, 1)).hash_hex;
+    EXPECT_EQ(make_job_spec("counter", base.with(kind, 4)).hash_hex, h1)
+        << to_string(kind);
+    EXPECT_EQ(make_job_spec("counter", base.with(kind, 16)).hash_hex, h1)
+        << to_string(kind);
+  }
+  for (const auto kind :
+       {DetectorKind::kSubBlock, DetectorKind::kSubBlockWawLine,
+        DetectorKind::kSubBlockNoDirty}) {
+    std::set<std::string> hashes;
+    for (const std::uint32_t n : {2u, 4u, 16u}) {
+      hashes.insert(make_job_spec("counter", base.with(kind, n)).hash_hex);
+    }
+    EXPECT_EQ(hashes.size(), 3u) << to_string(kind);
+  }
 }
 
 TEST(JobSpec, MirrorsRunExperimentSeedOverride) {
@@ -308,6 +334,22 @@ TEST(RunnerCache, ConfigMutationMissesUnchangedRerunHits) {
     EXPECT_EQ(serialize_stats(cached.stats),
               serialize_stats(run_experiment("counter", cfg).stats));
   }
+}
+
+// fig1 spells the baseline (kBaseline, 4) and the fault sweep (kBaseline,
+// 1): one simulation, so the second is served from the first's entry.
+TEST(RunnerCache, PerLineNsubSpellingsShareOneEntry) {
+  TempCacheDir dir("perline_nsub");
+  const ExperimentConfig cfg = small_config();
+  {
+    Runner r(cached_opts(dir));
+    (void)r.get("counter", cfg.with(DetectorKind::kBaseline, 4));
+    EXPECT_EQ(r.totals().executed, 1u);
+  }
+  Runner r(cached_opts(dir));
+  (void)r.get("counter", cfg.with(DetectorKind::kBaseline, 1));
+  EXPECT_EQ(r.totals().executed, 0u);
+  EXPECT_EQ(r.totals().cache_hits, 1u);
 }
 
 TEST(RunnerCache, NoCacheModeAlwaysExecutes) {

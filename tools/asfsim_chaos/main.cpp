@@ -152,7 +152,6 @@ int main(int argc, char** argv) {
       choice_flag("--detector", {"baseline", "subblock"},
                   [&cell](std::size_t i) {  // in DetectorKind order
                     cell.detector = static_cast<DetectorKind>(i);
-                    if (i == 0) cell.nsub = 1;
                   }),
       nsub_flag(cell.nsub),
       number_flag("--seed", cell.seed),
