@@ -64,25 +64,8 @@ void AsfRuntime::doom(CoreId victim, const ConflictRecord& rec) {
   prov::ProvCollector::Attribution at;
   if (prov_) at = prov_->on_conflict(rec, kernel_.now() - p.tx_start);
   if (hub_) {
-    trace::TraceEvent ev;
-    ev.kind = trace::TraceEventKind::kConflict;
-    ev.core = victim;
-    ev.other = rec.requester;
-    ev.cycle = kernel_.now();
-    ev.line = rec.line;
-    ev.type = rec.type;
-    ev.is_false = rec.is_false;
-    ev.probe_mask = rec.probe_bytes;
-    ev.victim_mask = rec.victim_bytes;
-    if (prov_) {
-      ev.has_prov = true;
-      ev.victim_site = at.victim_site;
-      ev.victim_obj = at.victim_obj;
-      ev.victim_sub = at.victim_sub;
-      ev.req_site = at.req_site;
-      ev.req_obj = at.req_obj;
-    }
-    hub_->emit(ev);
+    hub_->emit(trace::conflict_event(trace::TraceEventKind::kConflict, rec,
+                                     prov_ ? &at : nullptr));
   }
   p.doomed = true;
   p.cause = AbortCause::kConflict;
@@ -137,13 +120,9 @@ bool AsfRuntime::resolve_via_policy(CoreId victim, const ConflictRecord& rec) {
   const CmLoser loser = policy_->resolve(req, vic);
   ++stats_.cm_policy_decisions;
   if (hub_) {
-    trace::TraceEvent ev;
-    ev.kind = trace::TraceEventKind::kPolicy;
-    ev.core = victim;
-    ev.other = rec.requester;
+    trace::TraceEvent ev =
+        trace::conflict_event(trace::TraceEventKind::kPolicy, rec);
     ev.loser = loser == CmLoser::kRequester ? rec.requester : victim;
-    ev.cycle = kernel_.now();
-    ev.line = rec.line;
     hub_->emit(ev);
   }
   if (loser == CmLoser::kRequester) {

@@ -202,27 +202,11 @@ MemorySystem::ProbeOutcome MemorySystem::probe_remotes(CoreId requester,
               at = prov_->on_avoided(line, mask, relevant);
             }
             if (hub_ != nullptr) {
-              const ConflictRecord rec =
-                  conflict_record(requester, o, line, mask, invalidating, meta);
-              trace::TraceEvent ev;
-              ev.kind = trace::TraceEventKind::kAvoided;
-              ev.core = o;
-              ev.other = requester;
-              ev.cycle = rec.cycle;
-              ev.line = line;
-              ev.type = rec.type;
-              ev.is_false = rec.is_false;
-              ev.probe_mask = mask;
-              ev.victim_mask = rec.victim_bytes;
-              if (prov_ != nullptr) {
-                ev.has_prov = true;
-                ev.victim_site = at.victim_site;
-                ev.victim_obj = at.victim_obj;
-                ev.victim_sub = at.victim_sub;
-                ev.req_site = at.req_site;
-                ev.req_obj = at.req_obj;
-              }
-              hub_->emit(ev);
+              hub_->emit(trace::conflict_event(
+                  trace::TraceEventKind::kAvoided,
+                  conflict_record(requester, o, line, mask, invalidating,
+                                  meta),
+                  prov_ != nullptr ? &at : nullptr));
             }
           }
           if (pc.piggyback != 0 && piggyback != nullptr) {

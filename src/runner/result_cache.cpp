@@ -1,12 +1,15 @@
 #include "runner/result_cache.hpp"
 
+#include <fcntl.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <string_view>
 #include <utility>
 
 #include "runner/version.hpp"
@@ -16,25 +19,70 @@ namespace asfsim::runner {
 
 namespace {
 
-constexpr const char* kHeader = "asfsim-cache v1";
+constexpr std::string_view kHeader = "asfsim-cache v1";
 
-/// Reads "<key> <count>\n<count raw bytes>\n" length-prefixed sections; the
-/// raw payload may contain anything (spec text, stats blob, error strings).
-/// `max_bytes` bounds the count (the file size): a corrupted length field
-/// must parse as damage, not as a multi-gigabyte allocation.
-bool read_section(std::istream& in, const std::string& key,
-                  std::string& payload, std::size_t max_bytes) {
-  std::string k;
+/// The bytes of the file at `path` in one pass, or nullopt when it cannot
+/// be opened or read (a miss, like an absent entry).
+std::optional<std::string> read_file(const std::string& path) {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return std::nullopt;
+  std::string bytes(8192, '\0');  // an entry is ~2.5 KB: one read() fills it
   std::size_t n = 0;
-  if (!(in >> k >> n) || k != key) return false;
-  if (n > max_bytes) return false;
-  if (in.get() != '\n') return false;
-  payload.resize(n);
-  if (n > 0 && !in.read(payload.data(), static_cast<std::streamsize>(n))) {
-    return false;
+  for (;;) {
+    if (n == bytes.size()) bytes.resize(2 * n);
+    const ssize_t got = ::read(fd, bytes.data() + n, bytes.size() - n);
+    if (got > 0) {
+      n += static_cast<std::size_t>(got);
+      continue;
+    }
+    if (got < 0 && errno == EINTR) continue;
+    ::close(fd);
+    if (got < 0) return std::nullopt;
+    bytes.resize(n);
+    return bytes;
   }
-  return in.get() == '\n';
 }
+
+/// Cursor over an entry's bytes: the header line, then
+/// "<key> <count>\n<count raw bytes>\n" length-prefixed sections whose raw
+/// payload may contain anything (spec text, stats blob, error strings).
+/// Payloads are views into the file's bytes.
+class EntryReader {
+ public:
+  explicit EntryReader(std::string_view bytes) : rest_(bytes) {}
+
+  bool literal(std::string_view text) {
+    if (rest_.substr(0, text.size()) != text) return false;
+    rest_.remove_prefix(text.size());
+    return true;
+  }
+
+  /// The next section, which must be named `key`. The count is decimal
+  /// digits no larger than the bytes left: a corrupted length must parse
+  /// as damage, not as a read past the file.
+  bool section(std::string_view key, std::string_view& payload) {
+    if (!literal(key) || !literal(" ")) return false;
+    std::size_t n = 0;
+    std::size_t digits = 0;
+    while (digits < rest_.size() && rest_[digits] >= '0' &&
+           rest_[digits] <= '9') {
+      n = n * 10 + static_cast<std::size_t>(rest_[digits] - '0');
+      if (n > rest_.size()) return false;  // also rules out wrapping
+      ++digits;
+    }
+    if (digits == 0) return false;
+    rest_.remove_prefix(digits);
+    if (!literal("\n") || n > rest_.size()) return false;
+    payload = rest_.substr(0, n);
+    rest_.remove_prefix(n);
+    return literal("\n");
+  }
+
+  [[nodiscard]] bool done() const { return rest_.empty(); }
+
+ private:
+  std::string_view rest_;
+};
 
 void write_section(std::ostream& out, const std::string& key,
                    const std::string& payload) {
@@ -59,33 +107,28 @@ std::string ResultCache::entry_path(const JobSpec& spec) const {
 
 std::optional<ExperimentResult> ResultCache::load(const JobSpec& spec) const {
   const std::string path = entry_path(spec);
-  std::ifstream in(path, std::ios::binary);
-  if (!in.is_open()) return std::nullopt;
-  std::error_code size_ec;
-  const auto file_size = static_cast<std::size_t>(
-      std::filesystem::file_size(path, size_ec));
-  if (size_ec) return std::nullopt;
+  const std::optional<std::string> bytes = read_file(path);
+  if (!bytes) return std::nullopt;
 
   // Every anomaly past this point quarantines the file: a truncated write,
   // a flipped bit, or tampering must degrade to one recomputation, never to
   // wrong results or a permanently poisoned entry.
   const auto corrupt = [&]() -> std::optional<ExperimentResult> {
-    in.close();
     quarantine(path);
     return std::nullopt;
   };
 
-  std::string header;
-  if (!std::getline(in, header) || header != kHeader) return corrupt();
-  std::string stored_spec, workload, detector, error, stats_blob;
-  if (!read_section(in, "spec", stored_spec, file_size) ||
-      !read_section(in, "workload", workload, file_size) ||
-      !read_section(in, "detector", detector, file_size) ||
-      !read_section(in, "validation_error", error, file_size) ||
-      !read_section(in, "stats", stats_blob, file_size)) {
+  EntryReader in(*bytes);
+  std::string_view stored_spec, workload, detector, error, stats_blob;
+  if (!in.literal(kHeader) || !in.literal("\n") ||
+      !in.section("spec", stored_spec) ||
+      !in.section("workload", workload) ||
+      !in.section("detector", detector) ||
+      !in.section("validation_error", error) ||
+      !in.section("stats", stats_blob)) {
     return corrupt();
   }
-  if (in.peek() != std::ifstream::traits_type::eof()) {
+  if (!in.done()) {
     return corrupt();  // trailing bytes: truncated write or tampering
   }
   // The hash addressed the file; the spec text authenticates it. A clean

@@ -72,16 +72,15 @@ Runner::~Runner() {
 
 std::shared_future<ExperimentResult> Runner::submit(
     const std::string& workload, const ExperimentConfig& cfg) {
-  JobSpec spec = make_job_spec(workload, cfg);
+  std::string key = job_key(workload, cfg);
 
   std::lock_guard<std::mutex> lk(mu_);
-  if (auto it = inflight_.find(spec.hash_hex); it != inflight_.end()) {
+  if (auto it = inflight_.find(key); it != inflight_.end()) {
     ++totals_.deduped;
     return it->second;
   }
   const std::size_t entry_index = entries_.size();
-  ManifestEntry entry;
-  entry.hash_hex = spec.hash_hex;
+  ManifestEntry entry;  // hash_hex: filled in by the job's worker
   entry.workload = workload;
   entry.detector = detector_label(cfg);
   entry.seed = cfg.params.seed;
@@ -92,12 +91,19 @@ std::shared_future<ExperimentResult> Runner::submit(
   entries_.push_back(std::move(entry));
   ++totals_.submitted;
 
+  // The spec text and its hash are built on the worker, so a warm sweep's
+  // submitting thread only builds keys while the pool serves cache hits.
   auto task = std::make_shared<std::packaged_task<ExperimentResult()>>(
-      [this, spec = std::move(spec), entry_index] {
+      [this, workload, cfg, entry_index] {
+        const JobSpec spec = make_job_spec(workload, cfg);
+        {
+          std::lock_guard<std::mutex> lk(mu_);
+          entries_[entry_index].hash_hex = spec.hash_hex;
+        }
         return run_one(spec, entry_index);
       });
   std::shared_future<ExperimentResult> fut = task->get_future().share();
-  inflight_.emplace(entries_[entry_index].hash_hex, fut);
+  inflight_.emplace(std::move(key), fut);
   pool_->post([task] { (*task)(); });
   return fut;
 }

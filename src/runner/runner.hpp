@@ -5,7 +5,9 @@
 // fold away repeated work:
 //
 //   1. in-process dedup — identical specs submitted twice share one future
-//      (fig8 re-running each baseline per sub-block count costs nothing);
+//      (fig8 re-running each baseline per sub-block count costs nothing),
+//      keyed by the exact binary job_key so that the canonical spec text
+//      is only built on a worker;
 //   2. on-disk result cache — identical specs across *processes* reuse the
 //      stored result (fig9 reuses fig1's baseline runs; a warm re-run of
 //      scripts/reproduce_all.sh executes zero simulations);
@@ -105,7 +107,7 @@ class Runner {
 
  private:
   struct ManifestEntry {
-    std::string hash_hex;
+    std::string hash_hex;  // set by the worker before the job runs
     std::string workload;
     std::string detector;  // DetectorKind name + nsub at submit time
     std::uint64_t seed = 0;
@@ -134,6 +136,7 @@ class Runner {
   std::unique_ptr<ThreadPool> pool_;  // destroyed first in ~Runner (drain)
 
   mutable std::mutex mu_;
+  /// Keyed by job_key; the worker builds the spec (and its hash) itself.
   std::map<std::string, std::shared_future<ExperimentResult>> inflight_;
   std::vector<ManifestEntry> entries_;  // submission order
   RunnerTotals totals_;

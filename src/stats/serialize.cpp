@@ -1,8 +1,7 @@
 #include "stats/serialize.hpp"
 
 #include <algorithm>
-#include <cinttypes>
-#include <cstdio>
+#include <charconv>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -51,23 +50,24 @@ bool name_char_ok(char c) {
          c == '(' || c == ')' || c == '-';
 }
 
+/// Appends " <v>" in decimal.
+void put_value(std::string& out, std::uint64_t v) {
+  char buf[24];
+  buf[0] = ' ';
+  out.append(buf, std::to_chars(buf + 1, buf + sizeof(buf), v).ptr);
+}
+
 void put(std::string& out, const char* key, std::uint64_t v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%s %" PRIu64 "\n", key, v);
-  out += buf;
+  out += key;
+  put_value(out, v);
+  out += '\n';
 }
 
 template <typename Range>
 void put_seq(std::string& out, const char* key, const Range& values) {
   out += key;
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), " %zu",
-                static_cast<std::size_t>(std::size(values)));
-  out += buf;
-  for (const std::uint64_t v : values) {
-    std::snprintf(buf, sizeof(buf), " %" PRIu64, v);
-    out += buf;
-  }
+  put_value(out, std::size(values));
+  for (const std::uint64_t v : values) put_value(out, v);
   out += '\n';
 }
 
@@ -85,9 +85,7 @@ void put(std::string& out, const char* key,
 void put(std::string& out, const char* key,
          const std::vector<std::string>& names) {
   out += key;
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), " %zu", names.size());
-  out += buf;
+  put_value(out, names.size());
   for (const std::string& name : names) {
     out += ' ';
     out += name;

@@ -19,6 +19,30 @@ const char* to_string(TraceEventKind k) {
   return "?";
 }
 
+TraceEvent conflict_event(TraceEventKind kind, const ConflictRecord& rec,
+                          const prov::ProvCollector::Attribution* at) {
+  TraceEvent ev;
+  ev.kind = kind;
+  ev.core = rec.victim;
+  ev.other = rec.requester;
+  ev.cycle = rec.cycle;
+  ev.line = rec.line;
+  if (kind == TraceEventKind::kPolicy) return ev;
+  ev.type = rec.type;
+  ev.is_false = rec.is_false;
+  ev.probe_mask = rec.probe_bytes;
+  ev.victim_mask = rec.victim_bytes;
+  if (at != nullptr) {
+    ev.has_prov = true;
+    ev.victim_site = at->victim_site;
+    ev.victim_obj = at->victim_obj;
+    ev.victim_sub = at->victim_sub;
+    ev.req_site = at->req_site;
+    ev.req_obj = at->req_obj;
+  }
+  return ev;
+}
+
 void TraceHub::emit(const TraceEvent& ev) {
   if (sinks_.empty()) return;
   // kBackoff is the one future-dated event (timestamped at its end while

@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "prov/collector.hpp"
 #include "stats/counters.hpp"
 #include "trace/event.hpp"
 
@@ -65,5 +66,14 @@ class TraceHub {
   std::uint32_t live_tx_ = 0;
   bool finished_ = false;
 };
+
+/// The event a detected conflict traces as: the victim as `core` and the
+/// requester as `other`, at the record's cycle and line. kConflict and
+/// kAvoided also carry its type and byte masks, plus `at`'s provenance
+/// when given; kPolicy carries only the shared fields (the caller adds the
+/// loser).
+[[nodiscard]] TraceEvent conflict_event(
+    TraceEventKind kind, const ConflictRecord& rec,
+    const prov::ProvCollector::Attribution* at = nullptr);
 
 }  // namespace asfsim::trace

@@ -12,6 +12,8 @@
 #include <set>
 #include <tuple>
 #include <type_traits>
+#include <utility>
+#include <vector>
 
 #include "runner/job_spec.hpp"
 #include "runner/result_cache.hpp"
@@ -60,6 +62,13 @@ RunnerOptions cached_opts(const TempCacheDir& dir, unsigned jobs = 2) {
   return o;
 }
 
+std::string slurp(const std::string& path) {
+  std::ifstream in(path);
+  EXPECT_TRUE(in.is_open()) << path;
+  return {std::istreambuf_iterator<char>(in),
+          std::istreambuf_iterator<char>()};
+}
+
 // ---- JobSpec ---------------------------------------------------------------
 
 TEST(JobSpec, IdenticalConfigsHashIdentically) {
@@ -104,13 +113,17 @@ struct LeafPerturber {
 };
 
 // Table-driven: every results-role leaf of every config record changes the
-// hash, every host-only leaf leaves it alone. The base runs a sub-block
-// detector, the only kind whose nsub reaches the simulation.
+// hash, the canonical text and the dedup key; every host-only leaf leaves
+// all three alone. The base runs a sub-block detector, the only kind whose
+// nsub reaches the simulation.
 TEST(JobSpec, EveryKnobChangesTheHash) {
   const ExperimentConfig base =
       small_config().with(DetectorKind::kSubBlock, 4);
   const JobSpec base_spec = make_job_spec("counter", base);
+  const std::string base_key = runner::job_key("counter", base);
   EXPECT_NE(make_job_spec("bank", base).hash_hex, base_spec.hash_hex);
+  EXPECT_NE(runner::job_key("bank", base), base_key);
+  EXPECT_NE(runner::job_key("counte", base), base_key);
 
   std::set<std::string> host_only;
   std::size_t leaves = 0;
@@ -119,12 +132,17 @@ TEST(JobSpec, EveryKnobChangesTheHash) {
     LeafPerturber p{.target = leaves};
     for_each_field(c, p);
     if (p.path.empty()) break;
-    const std::string hash = make_job_spec("counter", c).hash_hex;
+    const JobSpec spec = make_job_spec("counter", c);
+    const std::string key = runner::job_key("counter", c);
     if (p.role == FieldRole::kHostOnly) {
       host_only.insert(p.path);
-      EXPECT_EQ(hash, base_spec.hash_hex) << p.path;
+      EXPECT_EQ(spec.hash_hex, base_spec.hash_hex) << p.path;
+      EXPECT_EQ(spec.canonical, base_spec.canonical) << p.path;
+      EXPECT_EQ(key, base_key) << p.path;
     } else {
-      EXPECT_NE(hash, base_spec.hash_hex) << p.path;
+      EXPECT_NE(spec.hash_hex, base_spec.hash_hex) << p.path;
+      EXPECT_NE(spec.canonical, base_spec.canonical) << p.path;
+      EXPECT_NE(key, base_key) << p.path;
     }
   }
   // The host-side wall-clock budget never changes a result, and
@@ -202,26 +220,32 @@ max_cycles 68719476736
 }
 
 // The per-line detectors run every nsub as 1, so one of their simulations
-// has one cache key whatever nsub the caller spelled; a sub-block
-// detector's nsub is part of the key.
+// has one cache key and one dedup key whatever nsub the caller spelled; a
+// sub-block detector's nsub is part of both.
 TEST(JobSpec, PerLineDetectorsIgnoreNsub) {
   const ExperimentConfig base = small_config();
   for (const auto kind : {DetectorKind::kBaseline, DetectorKind::kPerfect,
                           DetectorKind::kWarOnly}) {
     const std::string h1 = make_job_spec("counter", base.with(kind, 1)).hash_hex;
-    EXPECT_EQ(make_job_spec("counter", base.with(kind, 4)).hash_hex, h1)
-        << to_string(kind);
-    EXPECT_EQ(make_job_spec("counter", base.with(kind, 16)).hash_hex, h1)
-        << to_string(kind);
+    const std::string k1 = runner::job_key("counter", base.with(kind, 1));
+    for (const std::uint32_t n : {4u, 16u}) {
+      EXPECT_EQ(make_job_spec("counter", base.with(kind, n)).hash_hex, h1)
+          << to_string(kind) << " " << n;
+      EXPECT_EQ(runner::job_key("counter", base.with(kind, n)), k1)
+          << to_string(kind) << " " << n;
+    }
   }
   for (const auto kind :
        {DetectorKind::kSubBlock, DetectorKind::kSubBlockWawLine,
         DetectorKind::kSubBlockNoDirty}) {
     std::set<std::string> hashes;
+    std::set<std::string> keys;
     for (const std::uint32_t n : {2u, 4u, 16u}) {
       hashes.insert(make_job_spec("counter", base.with(kind, n)).hash_hex);
+      keys.insert(runner::job_key("counter", base.with(kind, n)));
     }
     EXPECT_EQ(hashes.size(), 3u) << to_string(kind);
+    EXPECT_EQ(keys.size(), 3u) << to_string(kind);
   }
 }
 
@@ -379,6 +403,41 @@ TEST(Runner, DedupesIdenticalInFlightSpecs) {
   EXPECT_EQ(r.totals().executed, 1u);
 }
 
+// The worker fills each manifest entry's hash from the spec it builds: one
+// entry per distinct spec, in submission order, each hash the spec's own.
+TEST(Runner, ManifestHashesAreTheJobSpecHashesInSubmissionOrder) {
+  TempCacheDir dir("manifest_hashes");
+  const std::string manifest = dir.str() + "/manifest.json";
+  std::filesystem::create_directories(dir.str());
+  std::vector<std::pair<std::string, ExperimentConfig>> jobs;
+  for (const char* wl : {"counter", "bank"}) {
+    for (const std::uint64_t seed : {1u, 2u, 3u}) {
+      ExperimentConfig cfg = small_config();
+      cfg.params.seed = seed;
+      jobs.emplace_back(wl, cfg);
+    }
+  }
+  {
+    auto opts = cached_opts(dir, /*jobs=*/3);
+    opts.manifest_path = manifest;
+    Runner r(opts);
+    for (const auto& [wl, cfg] : jobs) (void)r.submit(wl, cfg);
+    (void)r.submit(jobs[1].first, jobs[1].second);  // deduped: no entry
+  }
+  const std::string text = slurp(manifest);
+  std::vector<std::string> hashes;
+  const std::string tag = "{\"hash\": \"";
+  for (std::size_t at = text.find(tag); at != std::string::npos;
+       at = text.find(tag, at + 1)) {
+    hashes.push_back(text.substr(at + tag.size(), 16));
+  }
+  ASSERT_EQ(hashes.size(), jobs.size()) << text;
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    EXPECT_EQ(hashes[i], make_job_spec(jobs[i].first, jobs[i].second).hash_hex)
+        << "entry " << i;
+  }
+}
+
 TEST(Runner, WritesMachineReadableManifest) {
   TempCacheDir dir("manifest");
   const std::string manifest = dir.str() + "/manifest.json";
@@ -398,13 +457,6 @@ TEST(Runner, WritesMachineReadableManifest) {
   EXPECT_NE(text.find("\"workload\": \"counter\""), std::string::npos);
   EXPECT_NE(text.find("\"wall_ms\""), std::string::npos);
   EXPECT_NE(text.find(runner::code_version_stamp()), std::string::npos);
-}
-
-std::string slurp(const std::string& path) {
-  std::ifstream in(path);
-  EXPECT_TRUE(in.is_open()) << path;
-  return {std::istreambuf_iterator<char>(in),
-          std::istreambuf_iterator<char>()};
 }
 
 TEST(Runner, ManifestEmbedsFaultCountersWhenOptedIn) {

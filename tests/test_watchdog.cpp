@@ -5,6 +5,8 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <tuple>
+#include <utility>
 
 #include "fault/watchdog.hpp"
 #include "guest/machine.hpp"
@@ -270,6 +272,154 @@ TEST(CacheQuarantine, EveryBitFlipIsAMissNeverAWrongResult) {
       EXPECT_FALSE(std::filesystem::exists(path)) << "pos " << pos;
     }
   }
+}
+
+/// One stored entry whose on-disk bytes a test rewrites before each load:
+/// every rewrite must load as a miss that quarantines the file, never as a
+/// result.
+class StoredEntry {
+ public:
+  explicit StoredEntry(const char* name)
+      : dir_(name),
+        cache_(dir_.str()),
+        spec_(make_job_spec("counter", small_config())) {
+    cache_.store(spec_, run_experiment("counter", spec_.config));
+    std::ifstream in(entry_path(dir_, spec_), std::ios::binary);
+    pristine_.assign((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+  }
+
+  [[nodiscard]] const std::string& pristine() const { return pristine_; }
+
+  /// Writes `bytes` as the entry, loads it, and reports whether the load
+  /// missed and moved the file to <hash>.bad.
+  testing::AssertionResult quarantines(const std::string& bytes) {
+    const std::string path = entry_path(dir_, spec_);
+    std::filesystem::remove(bad_path(dir_, spec_));
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out << bytes;
+    }
+    if (cache_.load(spec_).has_value()) {
+      return testing::AssertionFailure() << "loaded a result";
+    }
+    if (std::filesystem::exists(path)) {
+      return testing::AssertionFailure() << "entry still live";
+    }
+    if (!std::filesystem::exists(bad_path(dir_, spec_))) {
+      return testing::AssertionFailure() << "no .bad copy kept";
+    }
+    return testing::AssertionSuccess();
+  }
+
+  /// The pristine bytes with the "<key> <count>" line that opens section
+  /// `key` replaced by `line`.
+  [[nodiscard]] std::string with_length_line(const std::string& key,
+                                             const std::string& line) const {
+    std::string bytes = pristine_;
+    const auto [at, len] = length_line(key);
+    bytes.replace(at, len, line);
+    return bytes;
+  }
+
+  /// Offset and size of the "<key> <count>" line opening section `key`,
+  /// found by walking the sections (the spec payload holds a "workload"
+  /// line of its own).
+  [[nodiscard]] std::pair<std::size_t, std::size_t> length_line(
+      const std::string& key) const {
+    std::size_t at = pristine_.find('\n') + 1;  // past the header
+    while (at < pristine_.size()) {
+      const std::size_t nl = pristine_.find('\n', at);
+      const std::size_t sp = pristine_.find(' ', at);
+      if (pristine_.compare(at, sp - at, key) == 0) return {at, nl - at};
+      at = nl + 1 + std::stoul(pristine_.substr(sp + 1, nl - sp - 1)) + 1;
+    }
+    ADD_FAILURE() << "no section " << key;
+    return {0, 0};
+  }
+
+ private:
+  TempDir dir_;
+  ResultCache cache_;
+  JobSpec spec_;
+  std::string pristine_;
+};
+
+constexpr const char* kSections[] = {"spec", "workload", "detector",
+                                     "validation_error", "stats"};
+
+TEST(CacheQuarantine, EveryTruncationLengthIsQuarantined) {
+  StoredEntry entry("truncations");
+  const std::string& full = entry.pristine();
+  ASSERT_GT(full.size(), 1000u);
+  for (std::size_t len = 0; len < full.size(); ++len) {
+    EXPECT_TRUE(entry.quarantines(full.substr(0, len))) << "length " << len;
+  }
+}
+
+TEST(CacheQuarantine, SectionLengthPastTheFileIsQuarantined) {
+  StoredEntry entry("long_length");
+  const std::string size = std::to_string(entry.pristine().size());
+  for (const std::string key : kSections) {
+    for (const std::string n :
+         {size.c_str(), "99999999",
+          "18446744073709551616",     // 2^64: wraps if unchecked
+          "36893488147419103232"}) {  // 2^65
+      EXPECT_TRUE(entry.quarantines(entry.with_length_line(key, key + " " + n)))
+          << key << " " << n;
+    }
+  }
+}
+
+TEST(CacheQuarantine, NonDigitOrEmptyLengthIsQuarantined) {
+  StoredEntry entry("bad_length");
+  for (const std::string key : kSections) {
+    for (const std::string n :
+         {"", "x", "-1", "+7", " 7", "7 ", "0x10", "1e3"}) {
+      EXPECT_TRUE(entry.quarantines(entry.with_length_line(key, key + " " + n)))
+          << key << " '" << n << "'";
+    }
+  }
+}
+
+TEST(CacheQuarantine, WrongSectionKeyIsQuarantined) {
+  StoredEntry entry("bad_key");
+  for (const std::string key : kSections) {
+    const auto [at, len] = entry.length_line(key);
+    const std::string line = entry.pristine().substr(at, len);
+    const std::string count = line.substr(key.size());  // " <count>"
+    const std::string other = key == "spec" ? "stats" : "spec";
+    for (const std::string& wrong : {key + "x", key.substr(1), other}) {
+      EXPECT_TRUE(entry.quarantines(entry.with_length_line(key, wrong + count)))
+          << key << " -> " << wrong;
+    }
+  }
+  std::string header = entry.pristine();
+  header[header.find('\n') - 1] = '2';  // "asfsim-cache v2"
+  EXPECT_TRUE(entry.quarantines(header));
+}
+
+TEST(CacheQuarantine, StoredEntryLoadsBackFieldEqual) {
+  TempDir dir("field_equal");
+  ResultCache cache(dir.str());
+  ExperimentConfig cfg = small_config();
+  cfg.timeseries = true;  // non-empty vector fields
+  const JobSpec spec = make_job_spec("counter", cfg);
+  ExperimentResult stored = run_experiment("counter", spec.config);
+  // Raw payloads may hold anything, section syntax included.
+  stored.validation_error = "two\nlines\nstats 3\n\x01";
+  cache.store(spec, stored);
+
+  const auto loaded = cache.load(spec);
+  ASSERT_TRUE(loaded.has_value());
+  EXPECT_EQ(loaded->workload, stored.workload);
+  EXPECT_EQ(loaded->detector, stored.detector);
+  EXPECT_EQ(loaded->validation_error, stored.validation_error);
+  const auto same = [&](const auto& f) {
+    EXPECT_EQ(loaded->stats.*f.member, stored.stats.*f.member) << f.info.key;
+  };
+  std::apply([&](const auto&... f) { (same(f), ...); },
+             FieldTable<Stats>::fields);
 }
 
 }  // namespace
