@@ -9,7 +9,9 @@
 #include "guest/grbtree.hpp"
 #include "guest/machine.hpp"
 #include "harness/experiment.hpp"
+#include "mem/backing_store.hpp"
 #include "mem/cache.hpp"
+#include "mem/gallocator.hpp"
 #include "sim/random.hpp"
 
 namespace asfsim {
@@ -92,6 +94,32 @@ void BM_SimulatedTxThroughput(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SimulatedTxThroughput)->Unit(benchmark::kMillisecond);
+
+// One BackingStore write plus read, the shape of Machine::poke/peek in a
+// workload set-up. Arg 0: the same resident page every time. Arg 1: a
+// strided walk over records placed like oltp's, record i in core i % 4's
+// per-core 4 KB arena, so consecutive accesses land on different pages.
+void BM_BackingStoreReadWrite(benchmark::State& state) {
+  BackingStore bs;
+  std::vector<Addr> addrs;
+  if (state.range(0) == 0) {
+    const Addr page = 0x10000;
+    for (Addr off = 0; off < BackingStore::kPageBytes; off += 64) {
+      addrs.push_back(page + off);
+    }
+  } else {
+    GAllocator ga;
+    for (CoreId i = 0; i < 4096; ++i) addrs.push_back(ga.alloc_local(i % 4, 64));
+  }
+  for (const Addr a : addrs) bs.write(a, 8, a);
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const Addr a = addrs[i++ % addrs.size()];
+    bs.write(a + 8, 8, a);
+    benchmark::DoNotOptimize(bs.read(a, 8));
+  }
+}
+BENCHMARK(BM_BackingStoreReadWrite)->Arg(0)->Arg(1);
 
 void BM_GuestRbTreeInsert(benchmark::State& state) {
   for (auto _ : state) {

@@ -319,13 +319,12 @@ std::uint64_t AsfRuntime::read_value(CoreId core, Addr a,
   if (it == p.overlay.end()) return v;
   const OverlayLine& ov = it->second;
   const std::uint32_t off = line_offset(a);
-  for (std::uint32_t b = 0; b < size; ++b) {
-    if (ov.mask & (ByteMask{1} << (off + b))) {
-      v &= ~(std::uint64_t{0xff} << (8 * b));
-      v |= std::uint64_t{ov.data[off + b]} << (8 * b);
-    }
-  }
-  return v;
+  // The access's slice of the overlay mask, one bit per byte of `v`.
+  const auto bits = static_cast<std::uint32_t>(ov.mask >> off) &
+                    ((1u << size) - 1);
+  if (bits == 0) return v;
+  const std::uint64_t lanes = byte_lanes(bits);
+  return (v & ~lanes) | (load_bytes(ov.data.data() + off, size) & lanes);
 }
 
 void AsfRuntime::write_value(CoreId core, Addr a, std::uint32_t size,
@@ -337,10 +336,8 @@ void AsfRuntime::write_value(CoreId core, Addr a, std::uint32_t size,
   }
   OverlayLine& ov = p.overlay[line_of(a)];
   const std::uint32_t off = line_offset(a);
-  for (std::uint32_t b = 0; b < size; ++b) {
-    ov.data[off + b] = static_cast<std::uint8_t>(v >> (8 * b));
-    ov.mask |= ByteMask{1} << (off + b);
-  }
+  store_bytes(ov.data.data() + off, size, v);
+  ov.mask |= byte_mask(off, size);
 }
 
 }  // namespace asfsim

@@ -19,6 +19,10 @@ namespace asfsim {
 inline constexpr std::uint32_t kLineBytes = 64;
 inline constexpr std::uint32_t kLineShift = 6;
 inline constexpr std::uint32_t kMaxSubBlocks = 16;
+/// Guest addresses stay below 2^40: the GAllocator heap ends there, the
+/// BackingStore page table holds nothing above it, and the 32-bit L2/L3
+/// tags (RecencyTags) assume it.
+inline constexpr Addr kAddrLimit = Addr{1} << 40;
 
 /// Mask of bytes within one line; bit i = byte i.
 using ByteMask = std::uint64_t;
@@ -39,6 +43,17 @@ using SubBlockMask = std::uint16_t;
 
 [[nodiscard]] constexpr ByteMask byte_mask_of(Addr a, std::uint32_t size) {
   return byte_mask(line_offset(a), size);
+}
+
+/// Widen the low 8 bits of `bits` to a 64-bit value lane mask: byte i is
+/// 0xff iff bit i is set. Three spread steps (nibbles, pairs, bits) put bit
+/// i on bit 8i; the final multiply cannot carry across bytes.
+[[nodiscard]] constexpr std::uint64_t byte_lanes(std::uint32_t bits) {
+  std::uint64_t x = bits & 0xffu;
+  x = (x | (x << 28)) & 0x0000000F0000000FULL;
+  x = (x | (x << 14)) & 0x0003000300030003ULL;
+  x = (x | (x << 7)) & 0x0101010101010101ULL;
+  return x * 0xff;
 }
 
 namespace detail {

@@ -1,48 +1,22 @@
 #include "mem/backing_store.hpp"
 
 #include <bit>
-#include <cassert>
-#include <cstring>
+#include <stdexcept>
 
 namespace asfsim {
 
-const BackingStore::Page* BackingStore::find_page(Addr a) const {
-  const Addr no = a / kPageBytes;
-  if (no == memo_page_no_) return memo_page_;
-  const auto it = pages_.find(no);
-  if (it == pages_.end()) return nullptr;  // absence is never memoized
-  memo_page_no_ = no;
-  memo_page_ = it->second.get();
-  return memo_page_;
-}
-
-BackingStore::Page& BackingStore::page_for(Addr a) {
-  const Addr no = a / kPageBytes;
-  if (no == memo_page_no_) return *memo_page_;
-  auto& slot = pages_[no];
-  if (!slot) {
-    slot = std::make_unique<Page>();
-    slot->fill(0);
+BackingStore::Page& BackingStore::allocate_page(Addr page_no) {
+  if (page_no >= kAddrLimit / kPageBytes) {
+    throw std::out_of_range("BackingStore: write above the guest address limit");
   }
-  memo_page_no_ = no;
-  memo_page_ = slot.get();
+  const Addr d = page_no >> kLeafBits;
+  if (d >= dir_.size()) dir_.resize(d + 1);
+  if (!dir_[d]) dir_[d] = std::make_unique<Leaf>();
+  auto& slot = (*dir_[d])[page_no % kLeafPages];
+  assert(!slot);
+  slot = std::make_unique<Page>();  // value-initialized: zero-filled
+  ++pages_;
   return *slot;
-}
-
-std::uint64_t BackingStore::read(Addr a, std::uint32_t size) const {
-  assert(size >= 1 && size <= 8);
-  assert(a % kPageBytes + size <= kPageBytes);
-  const Page* p = find_page(a);
-  if (!p) return 0;
-  std::uint64_t v = 0;
-  std::memcpy(&v, p->data() + a % kPageBytes, size);
-  return v;
-}
-
-void BackingStore::write(Addr a, std::uint32_t size, std::uint64_t v) {
-  assert(size >= 1 && size <= 8);
-  assert(a % kPageBytes + size <= kPageBytes);
-  std::memcpy(page_for(a).data() + a % kPageBytes, &v, size);
 }
 
 void BackingStore::write_line(Addr line, ByteMask mask,

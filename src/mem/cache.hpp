@@ -193,7 +193,7 @@ class TagArray {
 class RecencyTags {
  public:
   /// Tag of an empty way. The tag is the line address above the set-index
-  /// bits; guest addresses stay below 2^40 (the GAllocator limit) and a
+  /// bits; guest addresses stay below kAddrLimit (2^40) and a
   /// level has at least kMinSets sets, so a real tag is below 2^31.
   static constexpr std::uint32_t kEmpty = ~std::uint32_t{0};
   static constexpr std::uint32_t kMinSets = 8;

@@ -27,7 +27,7 @@ namespace asfsim {
 class GAllocator {
  public:
   /// Guest heap starts away from address 0 so null-ish guest pointers trap.
-  explicit GAllocator(Addr base = 0x10000, Addr limit = Addr{1} << 40)
+  explicit GAllocator(Addr base = 0x10000, Addr limit = kAddrLimit)
       : next_(base), limit_(limit) {}
 
   /// Arm conflict provenance: subsequent site-tagged allocations record

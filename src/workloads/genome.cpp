@@ -6,7 +6,7 @@
 // genome, Fig 2). Phase 2 links unique segments whose (L-1)-overlap matches,
 // rebuilding the sequence order; link cells are unpadded 8-byte slots.
 // Phase transitions give genome its bursty false-conflict timeline (Fig 3).
-#include <set>
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -54,11 +54,13 @@ class GenomeWorkload final : public Workload {
     for (std::uint64_t i = 0; i <= glen_; ++i) successor_.poke(m, i, kNoLink);
 
     // Host-side expectations for validation.
-    std::set<std::uint64_t> uniq;
+    std::vector<std::uint64_t> codes(nsegments_);
     for (std::uint64_t i = 0; i < nsegments_; ++i) {
-      uniq.insert(encode(genome_.data() + i));
+      codes[i] = encode(genome_.data() + i);
     }
-    expected_unique_ = uniq.size();
+    std::sort(codes.begin(), codes.end());
+    expected_unique_ = static_cast<std::uint64_t>(
+        std::unique(codes.begin(), codes.end()) - codes.begin());
 
     barrier_ = std::make_unique<GuestBarrier>(m.kernel(), threads_);
     const std::uint64_t per = nsegments_ / threads_;

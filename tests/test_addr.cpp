@@ -26,6 +26,16 @@ TEST(Addr, ByteMaskBasics) {
   EXPECT_EQ(byte_mask(0, 64), ~ByteMask{0});
 }
 
+TEST(Addr, ByteLanesWidensEachBitToAByte) {
+  for (std::uint32_t bits = 0; bits < 256; ++bits) {
+    std::uint64_t want = 0;
+    for (std::uint32_t i = 0; i < 8; ++i) {
+      if (bits & (1u << i)) want |= std::uint64_t{0xff} << (8 * i);
+    }
+    ASSERT_EQ(byte_lanes(bits), want) << bits;
+  }
+}
+
 TEST(Addr, ByteMaskOfAddress) {
   EXPECT_EQ(byte_mask_of(0x100, 8), 0xffull);
   EXPECT_EQ(byte_mask_of(0x104, 4), 0xfull << 4);  // bytes 4..7

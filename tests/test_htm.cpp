@@ -2,8 +2,11 @@
 // backoff, fallback accounting.
 #include <gtest/gtest.h>
 
+#include <array>
+
 #include "guest/machine.hpp"
 #include "htm/backoff.hpp"
+#include "sim/random.hpp"
 
 namespace asfsim {
 namespace {
@@ -58,6 +61,65 @@ TEST_F(HtmTest, OverlayMergesPartialBytes) {
   EXPECT_EQ(rt.read_value(0, a_, 8), expect);
   rt.commit(0);
   EXPECT_EQ(m_.peek(a_, 8), expect);
+}
+
+TEST_F(HtmTest, OverlayMergeMatchesAPerByteModel) {
+  // Random transactional writes and reads of every size at every offset of
+  // two lines, over random committed bytes, against a per-byte
+  // model of committed memory plus the overlay. Reads come both before and
+  // after writes to the same bytes, so every overlay-mask shape is merged.
+  AsfRuntime& rt = m_.runtime();
+  const Addr base = m_.galloc().alloc_lines(2);
+  constexpr std::uint32_t kBytes = 2 * kLineBytes;
+  Rng rng(17);
+  for (int round = 0; round < 200; ++round) {
+    std::array<std::uint8_t, kBytes> committed{};
+    for (std::uint32_t b = 0; b < kBytes; b += 8) {
+      const std::uint64_t v = rng.next_u64();
+      m_.poke(base + b, 8, v);
+      for (std::uint32_t k = 0; k < 8; ++k) {
+        committed[b + k] = static_cast<std::uint8_t>(v >> (8 * k));
+      }
+    }
+    std::array<std::uint8_t, kBytes> model = committed;
+    const auto model_read = [&](std::uint32_t off, std::uint32_t size) {
+      std::uint64_t v = 0;
+      for (std::uint32_t k = 0; k < size; ++k) {
+        v |= std::uint64_t{model[off + k]} << (8 * k);
+      }
+      return v;
+    };
+    rt.begin(0);
+    for (int op = 0; op < 40; ++op) {
+      // Any size 1..8 at any offset that keeps the access inside a line.
+      const auto size = static_cast<std::uint32_t>(1 + rng.below(8));
+      const auto off = static_cast<std::uint32_t>(
+          kLineBytes * rng.below(2) + rng.below(kLineBytes - size + 1));
+      if (rng.below(2) == 0) {
+        const std::uint64_t v = rng.next_u64();
+        rt.write_value(0, base + off, size, v);
+        for (std::uint32_t k = 0; k < size; ++k) {
+          model[off + k] = static_cast<std::uint8_t>(v >> (8 * k));
+        }
+      } else {
+        ASSERT_EQ(rt.read_value(0, base + off, size), model_read(off, size))
+            << "round " << round << ", read of " << size << " at +" << off;
+        // Another core sees only committed bytes.
+        std::uint64_t old = 0;
+        for (std::uint32_t k = 0; k < size; ++k) {
+          old |= std::uint64_t{committed[off + k]} << (8 * k);
+        }
+        ASSERT_EQ(rt.read_value(1, base + off, size), old);
+      }
+    }
+    for (std::uint32_t off = 0; off < kBytes; off += 8) {
+      ASSERT_EQ(rt.read_value(0, base + off, 8), model_read(off, 8));
+    }
+    rt.commit(0);
+    for (std::uint32_t off = 0; off < kBytes; off += 8) {
+      ASSERT_EQ(m_.peek(base + off, 8), model_read(off, 8)) << "after commit";
+    }
+  }
 }
 
 TEST_F(HtmTest, DoomViaConflictRecordsCauseAndClearsSpec) {

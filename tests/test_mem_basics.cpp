@@ -2,7 +2,9 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <map>
 #include <set>
+#include <stdexcept>
 
 #include "mem/backing_store.hpp"
 #include "mem/gallocator.hpp"
@@ -87,6 +89,115 @@ TEST(BackingStore, WriteLineWithEmptyMaskCreatesNoPage) {
   bs.write_line(0x7000, 0b100, data.data());
   EXPECT_EQ(bs.pages_touched(), 1u);
   EXPECT_EQ(bs.read(0x7000, 4), 0x030000u);
+}
+
+TEST(BackingStore, MatchesAByteMapUnderRandomAccesses) {
+  // Random writes of every size 1..8 and masked write_lines over a few
+  // pages spread across two leaves, checked against a per-byte reference.
+  Rng rng(29);
+  BackingStore bs;
+  std::map<Addr, std::uint8_t> ref;
+  const auto ref_read = [&](Addr a, std::uint32_t size) {
+    std::uint64_t v = 0;
+    for (std::uint32_t b = 0; b < size; ++b) {
+      const auto it = ref.find(a + b);
+      if (it != ref.end()) v |= std::uint64_t{it->second} << (8 * b);
+    }
+    return v;
+  };
+  const std::array<Addr, 4> bases = {0, 0x3000, 0x1ff000, 0x200000};
+  const auto random_addr = [&](std::uint32_t size) {
+    const Addr base = bases[rng.below(bases.size())];
+    const Addr off = rng.below(BackingStore::kPageBytes - size + 1);
+    return base + off;
+  };
+  for (int i = 0; i < 20000; ++i) {
+    const auto size = static_cast<std::uint32_t>(1 + rng.below(8));
+    const Addr a = random_addr(size);
+    switch (rng.below(3)) {
+      case 0: {
+        const std::uint64_t v = rng.next_u64();
+        bs.write(a, size, v);
+        for (std::uint32_t b = 0; b < size; ++b) {
+          ref[a + b] = static_cast<std::uint8_t>(v >> (8 * b));
+        }
+        break;
+      }
+      case 1: {
+        const Addr line = line_of(a);
+        const ByteMask mask = rng.next_u64() & rng.next_u64();
+        std::array<std::uint8_t, kLineBytes> data{};
+        for (auto& b : data) b = static_cast<std::uint8_t>(rng.next_u64());
+        bs.write_line(line, mask, data.data());
+        for (std::uint32_t b = 0; b < kLineBytes; ++b) {
+          if (mask & (ByteMask{1} << b)) ref[line + b] = data[b];
+        }
+        break;
+      }
+      default:
+        ASSERT_EQ(bs.read(a, size), ref_read(a, size))
+            << "read of " << size << " at " << a;
+    }
+  }
+  for (const Addr base : bases) {
+    for (Addr a = base; a < base + BackingStore::kPageBytes; a += 8) {
+      ASSERT_EQ(bs.read(a, 8), ref_read(a, 8)) << "at " << a;
+    }
+  }
+}
+
+TEST(BackingStore, PageAndLeafBoundaries) {
+  constexpr Addr kPage = BackingStore::kPageBytes;
+  constexpr Addr kLeaf = kPage * BackingStore::kLeafPages;  // 2 MB
+  static_assert(kLeaf == Addr{2} << 20);
+  const std::array<Addr, 5> edges = {kPage, kLeaf, 2 * kLeaf,
+                                     kAddrLimit - kPage,
+                                     kAddrLimit};
+  BackingStore bs;
+  bs.write(0, 8, 0x0102030405060708ull);
+  std::uint64_t v = 1;
+  for (const Addr e : edges) {
+    // The last 8 bytes below the edge and the first 8 at it sit on
+    // different pages (and, past the 2 MB edges, different leaves).
+    bs.write(e - 8, 8, v);
+    if (e < kAddrLimit) bs.write(e, 8, ~v);
+    ++v;
+  }
+  EXPECT_EQ(bs.read(0, 8), 0x0102030405060708ull);
+  v = 1;
+  for (const Addr e : edges) {
+    SCOPED_TRACE(e);
+    EXPECT_EQ(bs.read(e - 8, 8), v);
+    EXPECT_EQ(bs.read(e - 1, 1), 0u);  // top byte of v
+    if (e < kAddrLimit) {
+      EXPECT_EQ(bs.read(e, 8), ~v);
+      EXPECT_EQ(bs.read(e + 8, 8), 0u);
+    }
+    ++v;
+  }
+  // Pages 0 and 1 for the first edge, two per 2 MB edge, two for the last
+  // page below the limit; the limit's own `e - 8` shares that last page.
+  EXPECT_EQ(bs.pages_touched(), 8u);
+  EXPECT_THROW(bs.write(kAddrLimit, 8, 1), std::out_of_range);
+  EXPECT_EQ(bs.read(kAddrLimit, 8), 0u);
+}
+
+TEST(BackingStore, ReadsOfAbsentMemoryAllocateNothing) {
+  BackingStore bs;
+  Rng rng(5);
+  for (int i = 0; i < 10000; ++i) {
+    const Addr a = rng.next_u64() & ~Addr{7};
+    ASSERT_EQ(bs.read(a, 8), 0u);
+  }
+  EXPECT_EQ(bs.read(kAddrLimit - 8, 8), 0u);
+  EXPECT_EQ(bs.read(~Addr{7}, 8), 0u);
+  EXPECT_EQ(bs.pages_touched(), 0u);
+  // A written page next to absent ones: reads around it still allocate
+  // nothing more.
+  bs.write(0x400000, 4, 7);
+  EXPECT_EQ(bs.read(0x400000 + BackingStore::kPageBytes, 8), 0u);
+  EXPECT_EQ(bs.read(0x400000 - 8, 8), 0u);
+  EXPECT_EQ(bs.pages_touched(), 1u);
 }
 
 TEST(GAllocator, RespectsAlignment) {
