@@ -11,7 +11,9 @@
 #include "harness/experiment.hpp"
 #include "mem/backing_store.hpp"
 #include "mem/cache.hpp"
+#include "mem/coherence.hpp"
 #include "mem/gallocator.hpp"
+#include "sim/kernel.hpp"
 #include "sim/random.hpp"
 
 namespace asfsim {
@@ -24,8 +26,7 @@ void BM_TagArrayLookup(benchmark::State& state) {
   Rng rng(7);
   for (int i = 0; i < 512; ++i) {
     const Addr line = rng.below(1 << 22) << kLineShift;
-    if (const auto v = l1.find_victim(line, [](Addr) { return false; });
-        v != TagArray::kNoSlot) {
+    if (const auto v = l1.find_victim(line); v != TagArray::kNoSlot) {
       l1.fill(v, line, Moesi::kShared);
     }
     lines.push_back(line);
@@ -94,6 +95,36 @@ void BM_SimulatedTxThroughput(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SimulatedTxThroughput)->Unit(benchmark::kMillisecond);
+
+// One transaction of k speculative accesses through MemorySystem::access
+// (one 8-byte access per line, reads and writes alternating), then its
+// commit (clear_spec). After the first iteration every line is resident,
+// so this times the speculative bookkeeping: recording k entries in the L1
+// ways and clearing them again.
+void BM_SpecRecordAndClear(benchmark::State& state) {
+  struct AlwaysInTx final : ITxControl {
+    bool in_tx(CoreId) const override { return true; }
+    void doom(CoreId, const ConflictRecord&) override {}
+  };
+  SimConfig cfg;
+  cfg.ncores = 2;
+  Kernel kernel(cfg.ncores);
+  Stats stats;
+  MemorySystem mem(kernel, cfg, stats, Detector(DetectorKind::kSubBlock, 4));
+  AlwaysInTx tx;
+  mem.set_tx_control(&tx);
+  const auto k = static_cast<std::uint32_t>(state.range(0));
+  for (auto _ : state) {
+    for (std::uint32_t i = 0; i < k; ++i) {
+      benchmark::DoNotOptimize(
+          mem.access(0, 0x100000 + Addr{i} * kLineBytes, 8, (i & 1) != 0,
+                     true));
+    }
+    mem.clear_spec(0, /*discard_written_lines=*/false);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * k);
+}
+BENCHMARK(BM_SpecRecordAndClear)->Arg(4)->Arg(64);
 
 // One BackingStore write plus read, the shape of Machine::poke/peek in a
 // workload set-up. Arg 0: the same resident page every time. Arg 1: a

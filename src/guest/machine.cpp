@@ -47,11 +47,11 @@ Machine::Machine(const SimConfig& cfg, DetectorKind detector,
     runtime_.set_provenance(prov_.get());
     mem_.set_provenance(prov_.get());
   }
-  // The software-fallback lock word gets a cache line of its own.
+  // The software-fallback lock word gets a cache line of its own. It needs
+  // no store: guest memory that was never written reads 0 (unlocked).
   fallback_lock_ = galloc_.alloc(kLineBytes, kLineBytes,
                                  galloc_.register_site("fallback.lock",
                                                        kLineBytes));
-  backing_.write(fallback_lock_, 8, 0);
   ctxs_.reserve(cfg_.ncores);
   for (CoreId c = 0; c < cfg_.ncores; ++c) {
     ctxs_.push_back(std::make_unique<GuestCtx>(

@@ -43,6 +43,8 @@ class Machine {
   [[nodiscard]] GAllocator& galloc() { return galloc_; }
   [[nodiscard]] const Detector& detector() const { return mem_.detector(); }
   [[nodiscard]] GuestCtx& ctx(CoreId core) { return *ctxs_[core]; }
+  /// The software-fallback lock word (0 = free).
+  [[nodiscard]] Addr fallback_lock() const { return fallback_lock_; }
 
   /// Bind a guest thread to a core (one thread per core).
   void spawn(CoreId core, Task<void> thread) {

@@ -1,6 +1,7 @@
 #include "mem/cache.hpp"
 
 #include <bit>
+#include <cstddef>
 #include <stdexcept>
 #include <string>
 
@@ -38,12 +39,20 @@ const char* to_string(Moesi s) {
 }
 
 TagArray::TagArray(const CacheLevelConfig& cfg)
-    : sets_(cfg.num_sets()),
-      ways_(cfg.ways),
-      tags_(static_cast<std::size_t>(sets_) * ways_, kEmptyTag),
-      meta_(tags_.size(), 0),
-      lru_(tags_.size(), 0) {
+    : sets_(cfg.num_sets()), ways_(cfg.ways) {
   check_geometry("TagArray", cfg, 1);
+  reset(static_cast<std::size_t>(sets_) * ways_);
+}
+
+void TagArray::reset(std::size_t slots) {
+  tags_.assign(slots, kEmptyTag);
+  meta_.assign(slots, 0);
+  lru_.assign(slots, 0);
+  entry_.assign(slots, kNoEntry);
+  dirty_.assign(slots, 0);
+  tick_ = 0;
+  fills_ = 0;
+  evictions_ = 0;
 }
 
 RecencyTags::RecencyTags(const CacheLevelConfig& cfg)
@@ -53,15 +62,32 @@ RecencyTags::RecencyTags(const CacheLevelConfig& cfg)
                  static_cast<std::uint32_t>(std::countr_zero(sets_))),
       tags_(static_cast<std::size_t>(sets_) * ways_, kEmpty) {
   check_geometry("RecencyTags", cfg, kMinSets);
+  filled_sets_.reserve(sets_ / 8);
+}
+
+void RecencyTags::clear() {
+  if (filled_sets_.size() == filled_sets_.capacity()) {
+    std::fill(tags_.begin(), tags_.end(), kEmpty);
+  } else {
+    for (const std::size_t base : filled_sets_) {
+      std::fill_n(tags_.begin() + static_cast<std::ptrdiff_t>(base), ways_,
+                  kEmpty);
+    }
+  }
+  filled_sets_.clear();
+  fills_ = 0;
+  evictions_ = 0;
 }
 
 void TagArray::fill(Slot victim, Addr line, Moesi state) {
   assert(victim != kNoSlot);
   assert(state != Moesi::kInvalid);
+  assert(entry_[victim] == kNoEntry && "a speculative way is never a victim");
   if (tags_[victim] != kEmptyTag) ++evictions_;
   tags_[victim] = line;
-  meta_[victim] = static_cast<std::uint8_t>(state);  // retained/spec cleared
+  meta_[victim] = static_cast<std::uint8_t>(state);  // retained cleared
   lru_[victim] = ++tick_;
+  dirty_[victim] = 0;
   ++fills_;
 }
 

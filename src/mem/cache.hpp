@@ -5,10 +5,14 @@
 //
 // TagArray is the L1: a set-associative array with true-LRU replacement
 // whose ways carry MOESI state, the retained flag (paper §IV-B) and the
-// speculative summary. Its layout is SoA (docs/performance.md): the
+// line's speculative state. Its layout is SoA (docs/performance.md): the
 // set-probe loop walks a dense vector of line tags — one host cache line
-// covers a whole set — and the per-way MOESI/retained/spec-summary metadata
-// lives in a separate packed byte vector that only hit processing touches.
+// covers a whole set — and the per-way MOESI/retained byte, the speculative
+// entry index and the Dirty sub-block mask live in separate vectors that
+// only hit processing touches. The entry index names the way's record in
+// its core's dense speculative-entry vector (MemorySystem), or is kNoEntry:
+// it stands for the paper's per-line SPEC/WR bits, at 4 bytes per way, so
+// the full SpecState record exists only for lines a transaction touched.
 // An empty way holds the kEmptyTag sentinel (never a legal line-aligned
 // address), so find() is a pure tag compare with no per-way validity test:
 // tag occupancy and the "valid or retained" predicate are the same thing by
@@ -20,7 +24,9 @@
 // RecencyTags is a private L2/L3. Those levels only charge latency, never
 // pin a way and hold no slot across operations, so their observable state
 // is each set's lines and their recency order, which is all it stores:
-// `ways` 32-bit tags per set, most recently used first.
+// `ways` 32-bit tags per set, most recently used first. It also lists the
+// sets filled since the last clear() (up to 1/8 of them), so that an array
+// reused for a new Machine is emptied in time proportional to its use.
 #pragma once
 
 #include <algorithm>
@@ -49,6 +55,9 @@ class TagArray {
  public:
   using Slot = std::uint32_t;
   static constexpr Slot kNoSlot = ~Slot{0};
+  /// Index into the owning core's speculative-entry vector.
+  using EntryIndex = std::uint32_t;
+  static constexpr EntryIndex kNoEntry = ~EntryIndex{0};
   /// Sentinel tag for an empty way; low line-offset bits set, so it can
   /// never equal a line-aligned address.
   static constexpr Addr kEmptyTag = ~Addr{0};
@@ -84,44 +93,37 @@ class TagArray {
   [[nodiscard]] bool retained(Slot s) const {
     return (meta_[s] & kRetainedBit) != 0;
   }
-  /// Per-line speculative summary: the coherence layer keeps this bit equal
-  /// to "this core has live speculative metadata for this line", giving
-  /// probes an early-out before the metadata lookup and sub-block walk.
-  [[nodiscard]] bool spec_flag(Slot s) const {
-    return (meta_[s] & kSpecBit) != 0;
-  }
+  /// The way's speculative entry, or kNoEntry. A way with an entry is
+  /// pinned against victim choice and is what incoming probes check.
+  [[nodiscard]] EntryIndex entry(Slot s) const { return entry_[s]; }
+  void set_entry(Slot s, EntryIndex e) { entry_[s] = e; }
+  /// The way's Dirty sub-block marks (paper §IV-C). They live until the
+  /// line is refetched or leaves the way: fill() and drop_slot() zero them.
+  [[nodiscard]] SubBlockMask dirty(Slot s) const { return dirty_[s]; }
+  void set_dirty(Slot s, SubBlockMask d) { dirty_[s] = d; }
 
   /// Re-state a slot (revalidation, MOESI downgrades/upgrades). Clears the
   /// retained flag — a valid line holds its info in the line itself — and
-  /// keeps the speculative summary. `st` must not be kInvalid: emptying a
-  /// way goes through drop_slot() so the tag invariant holds.
+  /// keeps the speculative entry and Dirty marks. `st` must not be
+  /// kInvalid: emptying a way goes through drop_slot() so the tag
+  /// invariant holds.
   void set_state(Slot s, Moesi st) {
     assert(st != Moesi::kInvalid);
-    meta_[s] = static_cast<std::uint8_t>(
-        (meta_[s] & kSpecBit) | static_cast<std::uint8_t>(st));
+    meta_[s] = static_cast<std::uint8_t>(st);
   }
 
   /// Invalidate a slot while retaining its speculative info inside the line
   /// (paper §IV-B): state becomes kInvalid, the retained flag is set, the
-  /// tag and speculative summary stay.
-  void retain_invalid(Slot s) {
-    meta_[s] = static_cast<std::uint8_t>((meta_[s] & kSpecBit) | kRetainedBit);
-  }
-
-  void set_spec_flag(Slot s, bool v) {
-    meta_[s] = static_cast<std::uint8_t>(v ? (meta_[s] | kSpecBit)
-                                           : (meta_[s] & ~kSpecBit));
-  }
+  /// tag, speculative entry and Dirty marks stay.
+  void retain_invalid(Slot s) { meta_[s] = kRetainedBit; }
 
   /// Mark a slot most-recently-used.
   void touch_slot(Slot s) { lru_[s] = ++tick_; }
 
-  /// Pick a victim way in `line`'s set. `pinned(victim_line)` marks ways that
-  /// must not be evicted (lines holding speculative info). Preference order:
-  /// empty way, then LRU among unpinned. Returns kNoSlot when every way is
-  /// pinned, which the caller turns into an ASF capacity abort.
-  template <typename PinnedFn>
-  [[nodiscard]] Slot find_victim(Addr line, PinnedFn&& pinned) const {
+  /// Pick a victim way in `line`'s set: an empty way, else the LRU way
+  /// without a speculative entry. Returns kNoSlot when every way holds
+  /// one, which the caller turns into an ASF capacity abort.
+  [[nodiscard]] Slot find_victim(Addr line) const {
     const std::uint32_t base = set_base(line);
     for (std::uint32_t w = 0; w < ways_; ++w) {
       if (tags_[base + w] == kEmptyTag) return base + w;
@@ -129,62 +131,52 @@ class TagArray {
     Slot best = kNoSlot;
     for (std::uint32_t w = 0; w < ways_; ++w) {
       const Slot s = base + w;
-      if (pinned(tags_[s])) continue;
-      if (best == kNoSlot || lru_[s] < lru_[best]) best = s;
-    }
-    return best;
-  }
-
-  /// find_victim specialized for the probe-based detectors' pin predicate:
-  /// a way is pinned iff its speculative-summary flag is set (the flag
-  /// mirrors metadata existence exactly — audited in both directions by
-  /// MemorySystem::check_invariants). Reads one packed byte per way instead
-  /// of calling back into a metadata hash lookup per occupied way.
-  [[nodiscard]] Slot find_victim_unflagged(Addr line) const {
-    const std::uint32_t base = set_base(line);
-    for (std::uint32_t w = 0; w < ways_; ++w) {
-      if (tags_[base + w] == kEmptyTag) return base + w;
-    }
-    Slot best = kNoSlot;
-    for (std::uint32_t w = 0; w < ways_; ++w) {
-      const Slot s = base + w;
-      if ((meta_[s] & kSpecBit) != 0) continue;
+      if (entry_[s] != kNoEntry) continue;
       if (best == kNoSlot || lru_[s] < lru_[best]) best = s;
     }
     return best;
   }
 
   /// Install `line` into `victim` (obtained from find_victim) with `state`.
+  /// The way starts with no speculative entry and no Dirty marks.
   void fill(Slot victim, Addr line, Moesi state);
 
   /// Empty a slot entirely (eviction / plain invalidation without
-  /// retention).
+  /// retention). The owner of the way's speculative entry, if any, must
+  /// read entry() first.
   void drop_slot(Slot s) {
     tags_[s] = kEmptyTag;
     meta_[s] = 0;
     lru_[s] = 0;
+    entry_[s] = kNoEntry;
+    dirty_[s] = 0;
   }
 
   [[nodiscard]] std::uint64_t fills() const { return fills_; }
   [[nodiscard]] std::uint64_t evictions() const { return evictions_; }
 
+  /// Return to the state the constructor left: every way empty, no
+  /// entries or Dirty marks, counters zero. Reuses the host memory.
+  void clear() { reset(tags_.size()); }
+
  private:
-  // meta_ byte layout: bits 0..2 MOESI state, bit 3 retained, bit 4 spec
-  // summary.
+  // meta_ byte layout: bits 0..2 MOESI state, bit 3 retained.
   static constexpr std::uint8_t kStateMask = 0x07;
   static constexpr std::uint8_t kRetainedBit = 0x08;
-  static constexpr std::uint8_t kSpecBit = 0x10;
 
   [[nodiscard]] std::uint32_t set_base(Addr line) const {
     return static_cast<std::uint32_t>((line >> kLineShift) & (sets_ - 1)) *
            ways_;
   }
+  void reset(std::size_t slots);
 
   std::uint32_t sets_;
   std::uint32_t ways_;
   std::vector<Addr> tags_;          // sets_ * ways_, set-major; kEmptyTag=free
-  std::vector<std::uint8_t> meta_;  // packed state/retained/spec per way
+  std::vector<std::uint8_t> meta_;  // packed state/retained per way
   std::vector<std::uint64_t> lru_;  // larger = more recently used
+  std::vector<EntryIndex> entry_;   // speculative entry; kNoEntry = none
+  std::vector<SubBlockMask> dirty_;  // Dirty sub-block marks
   std::uint64_t tick_ = 0;
   std::uint64_t fills_ = 0;
   std::uint64_t evictions_ = 0;
@@ -218,6 +210,7 @@ class RecencyTags {
       set[w] = carry;
       if (cur == tag) return true;
       if (cur == kEmpty) {
+        if (w == 0) note_filled_set(line);
         ++fills_;
         return false;
       }
@@ -248,6 +241,10 @@ class RecencyTags {
   [[nodiscard]] std::uint64_t fills() const { return fills_; }
   [[nodiscard]] std::uint64_t evictions() const { return evictions_; }
 
+  /// Empty every set and zero the counters, as constructed. Its cost is
+  /// proportional to the sets filled since the last clear.
+  void clear();
+
  private:
   [[nodiscard]] std::size_t set_base(Addr line) const {
     return static_cast<std::size_t>((line >> kLineShift) & (sets_ - 1)) * ways_;
@@ -256,11 +253,20 @@ class RecencyTags {
     assert((line >> tag_shift_) < kEmpty && "line beyond the 32-bit tag");
     return static_cast<std::uint32_t>(line >> tag_shift_);
   }
+  /// Remember that `line`'s set left the all-empty state, for clear(). Past
+  /// the list's capacity, clear() empties every set instead.
+  void note_filled_set(Addr line) {
+    if (filled_sets_.size() < filled_sets_.capacity()) {
+      filled_sets_.push_back(set_base(line));
+    }
+  }
 
   std::uint32_t sets_;
   std::uint32_t ways_;
   std::uint32_t tag_shift_;          // kLineShift + log2(sets_)
   std::vector<std::uint32_t> tags_;  // sets_ * ways_, set-major, MRU first
+  // Set bases filled since the last clear; a full list means "maybe all".
+  std::vector<std::size_t> filled_sets_;
   std::uint64_t fills_ = 0;
   std::uint64_t evictions_ = 0;
 };

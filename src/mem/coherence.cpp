@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
+#include <mutex>
 #include <stdexcept>
 #include <utility>
 
@@ -12,6 +13,74 @@
 #include "trace/sink.hpp"
 
 namespace asfsim {
+
+namespace {
+
+/// The private tag arrays of one MemorySystem.
+struct TagArrays {
+  std::vector<TagArray> l1;
+  std::vector<RecencyTags> l2, l3;
+};
+
+template <class Tags>
+bool same_geometry(const Tags& t, const CacheLevelConfig& c) {
+  return t.num_sets() == c.num_sets() && t.ways() == c.ways;
+}
+
+/// Tag arrays of destroyed MemorySystems, for the next one of the same
+/// geometry to clear and reuse. At Table II geometry they are 1.5 MB of
+/// host memory per Machine. Freed to malloc, whether that memory goes back
+/// to the OS depends on what else the heap holds, and taking it again as
+/// fresh pages made Machine construction about 5x slower in a sweep of
+/// short jobs (docs/performance.md, "Speculative state in the L1 way").
+/// One pool serves every thread, so a spare is reused by whichever thread
+/// builds next. A constructor that finds no fitting spare frees the oldest
+/// one, so live MemorySystems plus spares never outnumber the most
+/// MemorySystems that were alive at once.
+class SparePool {
+ public:
+  static SparePool& get() {
+    static SparePool pool;
+    return pool;
+  }
+
+  /// A spare fitting `cfg`, cleared; empty vectors when there is none.
+  TagArrays take(const SimConfig& cfg) {
+    TagArrays t;
+    {
+      const std::lock_guard<std::mutex> lock(mu_);
+      if (spares_.empty()) return t;
+      auto it = std::find_if(
+          spares_.begin(), spares_.end(), [&](const TagArrays& s) {
+            return s.l1.size() == cfg.ncores &&
+                   same_geometry(s.l1[0], cfg.l1) &&
+                   same_geometry(s.l2[0], cfg.l2) &&
+                   same_geometry(s.l3[0], cfg.l3);
+          });
+      const bool fits = it != spares_.end();
+      if (!fits) it = spares_.begin();
+      t = std::move(*it);
+      spares_.erase(it);
+      if (!fits) return {};  // `t`, the oldest spare, is freed on return
+    }
+    for (TagArray& a : t.l1) a.clear();
+    for (RecencyTags& a : t.l2) a.clear();
+    for (RecencyTags& a : t.l3) a.clear();
+    return t;
+  }
+
+  void give(TagArrays t) {
+    if (t.l1.empty()) return;
+    const std::lock_guard<std::mutex> lock(mu_);
+    spares_.push_back(std::move(t));
+  }
+
+ private:
+  std::mutex mu_;
+  std::vector<TagArrays> spares_;  // oldest first
+};
+
+}  // namespace
 
 MemorySystem::MemorySystem(Kernel& kernel, const SimConfig& cfg, Stats& stats,
                            Detector detector)
@@ -25,29 +94,83 @@ MemorySystem::MemorySystem(Kernel& kernel, const SimConfig& cfg, Stats& stats,
         "MemorySystem: ncores > 64 (every probe broadcast reads each remote "
         "L1 tag set; the snooping model is limited to 64 cores)");
   }
-  for (std::uint32_t c = 0; c < cfg_.ncores; ++c) {
-    l1_.emplace_back(cfg_.l1);
-    l2_.emplace_back(cfg_.l2);
-    l3_.emplace_back(cfg_.l3);
+  TagArrays spare = SparePool::get().take(cfg_);
+  l1_ = std::move(spare.l1);
+  l2_ = std::move(spare.l2);
+  l3_ = std::move(spare.l3);
+  if (l1_.empty()) {
+    l1_.reserve(cfg_.ncores);
+    l2_.reserve(cfg_.ncores);
+    l3_.reserve(cfg_.ncores);
+    for (std::uint32_t c = 0; c < cfg_.ncores; ++c) {
+      l1_.emplace_back(cfg_.l1);
+      l2_.emplace_back(cfg_.l2);
+      l3_.emplace_back(cfg_.l3);
+    }
   }
-  spec_meta_.resize(cfg_.ncores);
-  spec_lines_.resize(cfg_.ncores);
-  dirty_marks_.resize(cfg_.ncores);
+  entries_.resize(cfg_.ncores);
+  orphans_.assign(cfg_.ncores, 0);
   stale_pb_.assign(cfg_.ncores, 0);
 }
 
-bool MemorySystem::line_pinned(CoreId core, Addr line) const {
-  return spec_meta_[core].find(line) != spec_meta_[core].end();
+MemorySystem::~MemorySystem() {
+  SparePool::get().give({std::move(l1_), std::move(l2_), std::move(l3_)});
+}
+
+TagArray::EntryIndex MemorySystem::find_orphan(CoreId core, Addr line) const {
+  if (orphans_[core] == 0) return TagArray::kNoEntry;
+  const std::vector<SpecEntry>& es = entries_[core];
+  for (std::size_t i = 0; i < es.size(); ++i) {
+    if (es[i].slot == TagArray::kNoSlot && es[i].line == line) {
+      return static_cast<TagArray::EntryIndex>(i);
+    }
+  }
+  return TagArray::kNoEntry;
+}
+
+const MemorySystem::SpecEntry* MemorySystem::find_entry(CoreId core,
+                                                        Addr line) const {
+  // A resident line's entry, if any, is attached to its way (fill_l1
+  // re-attaches an orphan), so only a non-resident line needs the scan.
+  const TagArray& t = l1_[core];
+  const TagArray::Slot s = t.find(line);
+  const TagArray::EntryIndex e =
+      s != TagArray::kNoSlot ? t.entry(s) : find_orphan(core, line);
+  return e == TagArray::kNoEntry ? nullptr : &entries_[core][e];
+}
+
+void MemorySystem::drop_l1(CoreId core, TagArray::Slot slot) {
+  TagArray& t = l1_[core];
+  if (const TagArray::EntryIndex e = t.entry(slot); e != TagArray::kNoEntry) {
+    entries_[core][e].slot = TagArray::kNoSlot;
+    ++orphans_[core];
+  }
+  t.drop_slot(slot);
+}
+
+void MemorySystem::erase_entry(CoreId core, TagArray::EntryIndex e) {
+  std::vector<SpecEntry>& es = entries_[core];
+  TagArray& t = l1_[core];
+  if (es[e].slot != TagArray::kNoSlot) {
+    t.set_entry(es[e].slot, TagArray::kNoEntry);
+  } else {
+    --orphans_[core];
+  }
+  if (e + 1 != es.size()) {
+    es[e] = es.back();
+    if (es[e].slot != TagArray::kNoSlot) t.set_entry(es[e].slot, e);
+  }
+  es.pop_back();
 }
 
 const SpecState* MemorySystem::spec_state(CoreId core, Addr line) const {
-  auto it = spec_meta_[core].find(line);
-  return it == spec_meta_[core].end() ? nullptr : &it->second;
+  const SpecEntry* e = find_entry(core, line);
+  return e == nullptr ? nullptr : &e->meta;
 }
 
 SubBlockMask MemorySystem::dirty_marks(CoreId core, Addr line) const {
-  auto it = dirty_marks_[core].find(line);
-  return it == dirty_marks_[core].end() ? SubBlockMask{0} : it->second;
+  const TagArray::Slot s = l1_[core].find(line);
+  return s == TagArray::kNoSlot ? SubBlockMask{0} : l1_[core].dirty(s);
 }
 
 Moesi MemorySystem::l1_state(CoreId core, Addr line) const {
@@ -70,10 +193,18 @@ SubBlockState MemorySystem::subblock_state(CoreId core, Addr line,
 void MemorySystem::record_spec_access(CoreId core, TagArray::Slot slot,
                                       Addr line, ByteMask mask,
                                       bool is_write) {
-  AddrMap<SpecState>& meta = spec_meta_[core];
-  const std::size_t before = meta.size();
-  SpecState& m = meta[line];
-  if (meta.size() != before) spec_lines_[core].push_back(line);
+  // The line is resident at `slot`: access() fills it before recording and
+  // passes the slot it already holds.
+  TagArray& t = l1_[core];
+  assert(t.line(slot) == line);
+  std::vector<SpecEntry>& es = entries_[core];
+  TagArray::EntryIndex e = t.entry(slot);
+  if (e == TagArray::kNoEntry) {
+    e = static_cast<TagArray::EntryIndex>(es.size());
+    es.push_back({.slot = slot, .line = line, .meta = {}});
+    t.set_entry(slot, e);
+  }
+  SpecState& m = es[e].meta;
   SubBlockMask q = quantize(mask, detector_.nsub());
   // MUTATION kWrongSubblockIndexMath: commit the architectural bits under a
   // rotated sub-block index (classic off-by-one in index math) while the
@@ -98,12 +229,6 @@ void MemorySystem::record_spec_access(CoreId core, TagArray::Slot slot,
   // Word-wide kTxRead/kTxWrite over all touched sub-blocks (a read of an
   // S-WR sub-block leaves it S-WR — LUT row 0b11).
   m.bits.apply_tx(q, is_write);
-  // Keep the L1 speculative-summary bit in sync with metadata existence so
-  // incoming probes can skip the metadata lookup for untouched lines. The
-  // line is resident at `slot`: access() fills it before recording and
-  // passes the slot it already holds.
-  assert(l1_[core].line(slot) == line);
-  l1_[core].set_spec_flag(slot, true);
 }
 
 TxFootprint MemorySystem::tx_footprint(CoreId core) const {
@@ -111,8 +236,8 @@ TxFootprint MemorySystem::tx_footprint(CoreId core) const {
   const std::uint32_t nsub = detector_.nsub();
   // Pure sum over disjoint per-line state; every visit order yields the
   // same totals.
-  for (const Addr line : spec_lines_[core]) {
-    const SpecState& meta = spec_meta_[core].find(line)->second;
+  for (const SpecEntry& e : entries_[core]) {
+    const SpecState& meta = e.meta;
     if (meta.read_bytes != 0) {
       ++fp.read_lines;
       fp.read_subs += static_cast<std::uint32_t>(
@@ -150,81 +275,69 @@ MemorySystem::ProbeOutcome MemorySystem::probe_remotes(CoreId requester,
     TagArray& tl1 = l1_[o];
     TagArray::Slot slot = tl1.find(line);
     // For probe-based detectors, a core without the line in its L1 tag array
-    // can neither conflict (the spec gate below requires a resident slot)
-    // nor react in MOESI terms — skip it. The oracle keeps the full
-    // broadcast: its metadata outlives residency.
+    // can neither conflict (its metadata lives in the way) nor react in
+    // MOESI terms — skip it. The oracle keeps the full broadcast: an orphan
+    // entry of its outlives residency, and the avoided-false accounting
+    // below needs it.
     if (slot == TagArray::kNoSlot && !oracle) continue;
 
     // --- conflict detection against o's speculative state -----------------
-    // Early-outs before the metadata hash lookup: a core with no metadata at
-    // all, or (for probe-based detectors) no speculative-summary bit on the
-    // resident line, cannot be a victim — metadata residency guarantees the
-    // bit is authoritative. The global oracle bypasses the gate: its
-    // metadata deliberately survives invalidation and eviction, and the
-    // avoided-false accounting below needs the lookup even when no resident
-    // line exists.
     bool retain = false;
     bool doomed = false;
-    const bool may_hold_spec =
-        !spec_meta_[o].empty() &&
-        (oracle || (slot != TagArray::kNoSlot && tl1.spec_flag(slot)));
-    if (may_hold_spec && txctl_ && txctl_->in_tx(o)) {
-      const auto it = spec_meta_[o].find(line);
-      const SpecState* mp = it == spec_meta_[o].end() ? nullptr : &it->second;
-      if (mp != nullptr) {
-        const SpecState& meta = *mp;
-        const ProbeCheck pc = detector_.check_probe(meta, mask, invalidating);
-        if (pc.conflict) {
-          const ConflictRecord rec =
-              conflict_record(requester, o, line, mask, invalidating, meta);
-          stats_.on_conflict(rec);
-          // Contention policy (docs/contention.md): under the default
-          // requester-wins this dooms o exactly like the historical direct
-          // doom() call. Other policies may rule the REQUESTER the loser:
-          // the probe is then nacked — no MOESI effect here or at any
-          // later core — and the outcome propagates up so the requester
-          // self-aborts instead of completing the access.
-          if (txctl_->resolve_conflict(o, rec)) {
-            out.requester_lost = true;
-            return out;
+    const TagArray::EntryIndex e =
+        slot != TagArray::kNoSlot ? tl1.entry(slot) : find_orphan(o, line);
+    if (e != TagArray::kNoEntry && txctl_ && txctl_->in_tx(o)) {
+      const SpecState& meta = entries_[o][e].meta;
+      const ProbeCheck pc = detector_.check_probe(meta, mask, invalidating);
+      if (pc.conflict) {
+        const ConflictRecord rec =
+            conflict_record(requester, o, line, mask, invalidating, meta);
+        stats_.on_conflict(rec);
+        // Contention policy (docs/contention.md): under the default
+        // requester-wins this dooms o exactly like the historical direct
+        // doom() call. Other policies may rule the REQUESTER the loser:
+        // the probe is then nacked — no MOESI effect here or at any
+        // later core — and the outcome propagates up so the requester
+        // self-aborts instead of completing the access.
+        if (txctl_->resolve_conflict(o, rec)) {
+          out.requester_lost = true;
+          return out;
+        }
+        doomed = true;  // requester won: o was doomed (clear_spec ran)
+      } else {
+        // This detector declined a conflict baseline ASF would have
+        // signaled (and, for the oracle, that the oracle will not signal
+        // either).
+        const ByteMask relevant = relevant_bytes(meta, invalidating);
+        if (relevant != 0 &&
+            !(oracle && true_conflict(meta, mask, invalidating))) {
+          stats_.on_avoided_false_conflict();
+          prov::ProvCollector::Attribution at;
+          if (prov_ != nullptr) {
+            at = prov_->on_avoided(line, mask, relevant);
           }
-          doomed = true;  // requester won: o was doomed (clear_spec ran)
-        } else {
-          // This detector declined a conflict baseline ASF would have
-          // signaled (and, for the oracle, that the oracle will not signal
-          // either).
-          const ByteMask relevant = relevant_bytes(meta, invalidating);
-          if (relevant != 0 &&
-              !(oracle && true_conflict(meta, mask, invalidating))) {
-            stats_.on_avoided_false_conflict();
-            prov::ProvCollector::Attribution at;
-            if (prov_ != nullptr) {
-              at = prov_->on_avoided(line, mask, relevant);
-            }
-            if (hub_ != nullptr) {
-              hub_->emit(trace::conflict_event(
-                  trace::TraceEventKind::kAvoided,
-                  conflict_record(requester, o, line, mask, invalidating,
-                                  meta),
-                  prov_ != nullptr ? &at : nullptr));
-            }
+          if (hub_ != nullptr) {
+            hub_->emit(trace::conflict_event(
+                trace::TraceEventKind::kAvoided,
+                conflict_record(requester, o, line, mask, invalidating,
+                                meta),
+                prov_ != nullptr ? &at : nullptr));
           }
-          if (pc.piggyback != 0 && piggyback != nullptr) {
-            *piggyback |= pc.piggyback;
-            ++stats_.piggyback_messages;
-          }
-          retain = pc.retain_spec_info;
-          // MUTATION kForgetInvalidatedSpecinfo: drop the victim's
-          // speculative info (and its metadata, so no structural audit can
-          // see the hole) instead of retaining it inside the invalidated
-          // line (§IV-B). Only the serializability replay catches the
-          // missed late conflict.
-          if (retain &&
-              mutation_ == ProtocolMutation::kForgetInvalidatedSpecinfo) {
-            retain = false;
-            erase_spec(o, line);
-            if (slot != TagArray::kNoSlot) tl1.set_spec_flag(slot, false);
-          }
+        }
+        if (pc.piggyback != 0 && piggyback != nullptr) {
+          *piggyback |= pc.piggyback;
+          ++stats_.piggyback_messages;
+        }
+        retain = pc.retain_spec_info;
+        // MUTATION kForgetInvalidatedSpecinfo: drop the victim's
+        // speculative info (and its metadata, so no structural audit can
+        // see the hole) instead of retaining it inside the invalidated
+        // line (§IV-B). Only the serializability replay catches the
+        // missed late conflict.
+        if (retain &&
+            mutation_ == ProtocolMutation::kForgetInvalidatedSpecinfo) {
+          retain = false;
+          erase_entry(o, e);
         }
       }
     }
@@ -239,8 +352,7 @@ MemorySystem::ProbeOutcome MemorySystem::probe_remotes(CoreId requester,
         if (retain) {
           tl1.retain_invalid(slot);  // speculative info stays inside the line
         } else {
-          tl1.drop_slot(slot);
-          dirty_marks_[o].erase(line);
+          drop_l1(o, slot);
         }
         l2_[o].drop(line);
         l3_[o].drop(line);
@@ -256,59 +368,52 @@ MemorySystem::ProbeOutcome MemorySystem::probe_remotes(CoreId requester,
 
 bool MemorySystem::evict_speculative_line(CoreId core) {
   // Deterministic victim choice: the lowest-addressed speculative line.
-  // Container order (spec_meta_'s hash slots, spec_lines_' swap-removals)
-  // never picks the victim; the min-reduce below is order-insensitive.
-  Addr victim = ~Addr{0};
-  for (const Addr line : spec_lines_[core]) {
-    if (line < victim) victim = line;
+  // Entry order (insertion, then swap-removals) never picks the victim; the
+  // min-reduce below is order-insensitive.
+  const std::vector<SpecEntry>& es = entries_[core];
+  if (es.empty()) return false;
+  TagArray::EntryIndex victim = 0;
+  for (TagArray::EntryIndex e = 1; e < es.size(); ++e) {
+    if (es[e].line < es[victim].line) victim = e;
   }
-  if (victim == ~Addr{0}) return false;
-  if (const TagArray::Slot s = l1_[core].find(victim);
-      s != TagArray::kNoSlot) {
-    l1_[core].drop_slot(s);
+  const Addr line = es[victim].line;
+  if (es[victim].slot != TagArray::kNoSlot) {
+    l1_[core].drop_slot(es[victim].slot);
   }
-  l2_[core].drop(victim);
-  l3_[core].drop(victim);
-  dirty_marks_[core].erase(victim);
+  l2_[core].drop(line);
+  l3_[core].drop(line);
   // The entry dies with the imminent capacity abort; erase it now so the
   // metadata-residency invariant holds at every audit point.
-  erase_spec(core, victim);
+  erase_entry(core, victim);
   return true;
 }
 
-void MemorySystem::erase_spec(CoreId core, Addr line) {
-  if (spec_meta_[core].erase(line) == 0) return;
-  std::vector<Addr>& lines = spec_lines_[core];
-  *std::find(lines.begin(), lines.end(), line) = lines.back();
-  lines.pop_back();
-}
-
-TagArray::Slot MemorySystem::fill_l1(CoreId core, Addr line, Moesi state) {
+TagArray::Slot MemorySystem::fill_l1(CoreId core, TagArray::Slot slot,
+                                     Addr line, Moesi state) {
   TagArray& t = l1_[core];
   // A line can already be present as an invalid-but-retained entry (paper
-  // §IV-B); refetching must revalidate that entry, never duplicate the tag.
-  if (const TagArray::Slot s = t.find(line); s != TagArray::kNoSlot) {
-    t.set_state(s, state);
-    t.touch_slot(s);
-    return s;
+  // §IV-B); refetching revalidates that way, never duplicates the tag. The
+  // full-line refetch brings fresh data, so the way's Dirty marks go.
+  if (slot != TagArray::kNoSlot) {
+    t.set_state(slot, state);
+    t.set_dirty(slot, 0);
+    t.touch_slot(slot);
+    return slot;
   }
-  // Pinned = "holds live speculative metadata". For probe-based detectors
-  // the L1 speculative-summary flag IS that predicate (both directions are
-  // audited in check_invariants), so victim search reads the flag instead of
-  // paying a metadata hash lookup per occupied way. The oracle's metadata
-  // survives eviction/refetch (flag lost on refill), so it keeps the map
-  // lookup.
-  const TagArray::Slot victim =
-      detector_.global_oracle()
-          ? t.find_victim(line, [&](Addr vl) { return line_pinned(core, vl); })
-          : t.find_victim_unflagged(line);
+  // Pinned = "the way holds a speculative entry".
+  const TagArray::Slot victim = t.find_victim(line);
   if (victim == TagArray::kNoSlot) {
     return TagArray::kNoSlot;  // every way pinned: capacity abort
   }
-  if (t.line(victim) != TagArray::kEmptyTag) {
-    dirty_marks_[core].erase(t.line(victim));
-  }
   t.fill(victim, line, state);
+  // The perfect detector's entry survives the loss of its way: the refill
+  // re-attaches it, so a resident line's entry is always its way's.
+  if (const TagArray::EntryIndex e = find_orphan(core, line);
+      e != TagArray::kNoEntry) {
+    entries_[core][e].slot = victim;
+    t.set_entry(victim, e);
+    --orphans_[core];
+  }
   return victim;
 }
 
@@ -331,12 +436,10 @@ ConflictRecord MemorySystem::conflict_record(CoreId requester, CoreId victim,
 bool MemorySystem::oracle_check(CoreId requester, Addr line, ByteMask mask,
                                 bool is_write) {
   for (CoreId o = 0; o < cfg_.ncores; ++o) {
-    if (o == requester || spec_meta_[o].empty()) continue;
-    auto it = spec_meta_[o].find(line);
-    if (it == spec_meta_[o].end() || txctl_ == nullptr || !txctl_->in_tx(o)) {
-      continue;
-    }
-    const SpecState& meta = it->second;
+    if (o == requester || entries_[o].empty()) continue;
+    const SpecEntry* e = find_entry(o, line);
+    if (e == nullptr || txctl_ == nullptr || !txctl_->in_tx(o)) continue;
+    const SpecState& meta = e->meta;
     if (!true_conflict(meta, mask, is_write)) continue;
     // The oracle finds true conflicts only: rec.is_false is always false.
     const ConflictRecord rec =
@@ -360,11 +463,7 @@ bool MemorySystem::would_broadcast(CoreId core, Addr addr, std::uint32_t size,
   if (is_write) {
     return t.state(s) != Moesi::kModified && t.state(s) != Moesi::kExclusive;
   }
-  // dirty_hit is identically false unless the detector does dirty handling,
-  // and trivially false with no marks — both gates checked before the
-  // mark lookup.
-  return is_tx && detector_.dirty_handling() && !dirty_marks_[core].empty() &&
-         detector_.dirty_hit(dirty_marks(core, line), byte_mask_of(addr, size));
+  return is_tx && detector_.dirty_hit(t.dirty(s), byte_mask_of(addr, size));
 }
 
 AccessResult MemorySystem::access(CoreId core, Addr addr, std::uint32_t size,
@@ -385,7 +484,7 @@ AccessResult MemorySystem::access(CoreId core, Addr addr, std::uint32_t size,
   if (fault_ != nullptr && is_tx) {
     // Capacity-pressure fault: one of the requester's own speculative lines
     // is pushed out, which ASF surfaces as a capacity abort.
-    if (!spec_meta_[core].empty() && fault_->forced_eviction(core) &&
+    if (!entries_[core].empty() && fault_->forced_eviction(core) &&
         evict_speculative_line(core)) {
       r.capacity_abort = true;
       r.latency = cfg_.l1.latency;
@@ -455,21 +554,16 @@ AccessResult MemorySystem::access(CoreId core, Addr addr, std::uint32_t size,
         r.latency += cfg_.upgrade_latency;
       } else {
         r.latency += source_latency(po.remote_owner);
-        slot = fill_l1(core, line, Moesi::kModified);
+        slot = fill_l1(core, slot, line, Moesi::kModified);
         if (slot == TagArray::kNoSlot) {
           r.capacity_abort = true;
           return r;
         }
-        dirty_marks_[core].erase(line);  // full-line refetch
       }
     }
   } else {  // load
-    // Same double gate as would_broadcast(): skip the mark lookup whenever
-    // it cannot possibly fire.
     const bool dirty_force =
-        valid && is_tx && detector_.dirty_handling() &&
-        !dirty_marks_[core].empty() &&
-        detector_.dirty_hit(dirty_marks(core, line), mask);
+        valid && is_tx && detector_.dirty_hit(l1.dirty(slot), mask);
     if (valid && !dirty_force) {
       l1.touch_slot(slot);
       ++stats_.l1_hits;
@@ -486,19 +580,17 @@ AccessResult MemorySystem::access(CoreId core, Addr addr, std::uint32_t size,
       r.latency = bus_wait + source_latency(po.remote_owner);
       if (fault_ != nullptr) r.latency += fault_->probe_jitter(core);
       if (valid) {
-        // Dirty-forced refetch: the line stays resident; its stale marks are
-        // cleared and fresh piggy-back info (if any) re-applied below.
+        // Dirty-forced refetch: the line stays resident; its stale marks
+        // give way to the fresh piggy-back info set below.
         ++stats_.dirty_refetches;
-        dirty_marks_[core].erase(line);
         l1.touch_slot(slot);
       } else {
         const Moesi st = po.remote_owner ? Moesi::kShared : Moesi::kExclusive;
-        slot = fill_l1(core, line, st);
+        slot = fill_l1(core, slot, line, st);
         if (slot == TagArray::kNoSlot) {
           r.capacity_abort = true;
           return r;
         }
-        dirty_marks_[core].erase(line);
       }
       // MUTATION kStalePiggybackMask: apply the PREVIOUS fill response's
       // piggy-backed S-WR set instead of the one that just arrived (a
@@ -511,9 +603,8 @@ AccessResult MemorySystem::access(CoreId core, Addr addr, std::uint32_t size,
       // instead of marking those sub-blocks Dirty (§IV-C / Fig 7). Replay
       // alone cannot see this (commit-time validation rescues the schedule);
       // the piggyback-coverage invariant in check_invariants() kills it.
-      if (pb != 0 && mutation_ != ProtocolMutation::kDropDirtySubblock) {
-        dirty_marks_[core][line] |= pb;
-      }
+      l1.set_dirty(slot,
+                   mutation_ == ProtocolMutation::kDropDirtySubblock ? 0 : pb);
     }
   }
 
@@ -531,17 +622,17 @@ void MemorySystem::validate_readers_at_commit(CoreId committer, Addr line,
   // retention creates (DESIGN.md §6.5) — the serializability replay kills it.
   if (mutation_ == ProtocolMutation::kSkipCommitValidation) return;
   // Only probe-based detectors reach this point (the oracle returned
-  // above), so any reader metadata for `line` implies tag-array residency
-  // (metadata-residency invariant) — cores whose L1 does not hold the line
-  // (valid or retained) are skipped before the metadata lookup.
+  // above), so any reader metadata for `line` sits in the way holding it —
+  // cores whose L1 does not hold the line (valid or retained) are skipped.
   for (CoreId o = 0; o < cfg_.ncores; ++o) {
-    if (o == committer || spec_meta_[o].empty()) continue;
-    if (l1_[o].find(line) == TagArray::kNoSlot) continue;
-    auto it = spec_meta_[o].find(line);
-    if (it == spec_meta_[o].end() || txctl_ == nullptr || !txctl_->in_tx(o)) {
+    if (o == committer || entries_[o].empty()) continue;
+    const TagArray::Slot s = l1_[o].find(line);
+    if (s == TagArray::kNoSlot) continue;
+    const TagArray::EntryIndex e = l1_[o].entry(s);
+    if (e == TagArray::kNoEntry || txctl_ == nullptr || !txctl_->in_tx(o)) {
       continue;
     }
-    const SpecState& meta = it->second;
+    const SpecState& meta = entries_[o][e].meta;
     if (!true_conflict(meta, written, /*invalidating=*/true)) continue;
     const ConflictRecord rec =
         conflict_record(committer, o, line, written, true, meta);
@@ -551,28 +642,53 @@ void MemorySystem::validate_readers_at_commit(CoreId committer, Addr line,
 }
 
 std::string MemorySystem::check_invariants() const {
+  // Way/entry links: an entry's way holds its line and points back at it,
+  // and a way's entry index names an entry that points back at the way. An
+  // orphan (perfect detector only) is counted and its line is not resident
+  // — a refill re-attaches it.
+  for (CoreId c = 0; c < cfg_.ncores; ++c) {
+    const TagArray& t = l1_[c];
+    const std::vector<SpecEntry>& es = entries_[c];
+    auto where = [c](Addr line) {
+      return "core " + std::to_string(c) + " line " + std::to_string(line);
+    };
+    std::uint32_t orphans = 0;
+    for (TagArray::EntryIndex e = 0; e < es.size(); ++e) {
+      if (es[e].slot == TagArray::kNoSlot) {
+        ++orphans;
+        if (t.find(es[e].line) != TagArray::kNoSlot) {
+          return where(es[e].line) +
+                 ": orphan speculative entry for a resident line";
+        }
+      } else if (t.line(es[e].slot) != es[e].line ||
+                 t.entry(es[e].slot) != e) {
+        return where(es[e].line) +
+               ": speculative entry's way does not point back at it";
+      }
+    }
+    if (orphans != orphans_[c]) {
+      return "core " + std::to_string(c) + ": orphan count is stale";
+    }
+    for (TagArray::Slot s = 0; s < t.num_slots(); ++s) {
+      const TagArray::EntryIndex e = t.entry(s);
+      if (e != TagArray::kNoEntry && (e >= es.size() || es[e].slot != s)) {
+        return where(t.line(s)) +
+               ": way names a speculative entry that is not its own";
+      }
+    }
+  }
   // Candidate lines: everything any core's metadata or dirty marks mention
   // (the interesting lines); exclusivity is verified by direct state
   // queries on each of them. The candidate set is sorted and deduplicated
   // so that the FIRST violation reported — which the chaos oracles match on
-  // and operators diff across runs — is the same on every stdlib, not an
-  // accident of unordered_map enumeration order.
+  // and operators diff across runs — does not depend on entry order.
   std::vector<Addr> lines;
   for (CoreId c = 0; c < cfg_.ncores; ++c) {
-    // The dense spec-line list must be exactly spec_meta_'s key set: a
-    // missing line would escape clear_spec, a stale or duplicate one would
-    // be walked after its metadata is gone.
-    std::vector<Addr> keys;
-    for (const auto& [line, meta] : spec_meta_[c]) keys.push_back(line);
-    std::vector<Addr> listed = spec_lines_[c];
-    std::sort(keys.begin(), keys.end());
-    std::sort(listed.begin(), listed.end());
-    if (listed != keys) {
-      return "core " + std::to_string(c) +
-             ": speculative line list disagrees with the metadata map";
+    for (const SpecEntry& e : entries_[c]) lines.push_back(e.line);
+    const TagArray& t = l1_[c];
+    for (TagArray::Slot s = 0; s < t.num_slots(); ++s) {
+      if (t.dirty(s) != 0) lines.push_back(t.line(s));
     }
-    for (const Addr line : keys) lines.push_back(line);
-    for (const auto& [line, marks] : dirty_marks_[c]) lines.push_back(line);
   }
   std::sort(lines.begin(), lines.end());
   lines.erase(std::unique(lines.begin(), lines.end()), lines.end());
@@ -596,21 +712,17 @@ std::string MemorySystem::check_invariants() const {
   }
   // Metadata residency + mask/bit agreement. Residency only binds the
   // probe-based detectors: the perfect oracle checks metadata centrally and
-  // deliberately survives invalidation + eviction (its upper-bound role).
+  // deliberately survives invalidation (its upper-bound role).
   const bool oracle = detector_.global_oracle();
   for (CoreId c = 0; c < cfg_.ncores; ++c) {
     for (const Addr line : lines) {
-      const auto it = spec_meta_[c].find(line);
-      if (it == spec_meta_[c].end()) continue;
-      const SpecState& meta = it->second;
-      const TagArray::Slot s = l1_[c].find(line);
+      const SpecEntry* e = find_entry(c, line);
+      if (e == nullptr) continue;
+      const SpecState& meta = e->meta;
+      const TagArray::Slot s = e->slot;
       if (s == TagArray::kNoSlot && !oracle) {
         return "core " + std::to_string(c) + " line " + std::to_string(line) +
                ": speculative metadata without a resident line";
-      }
-      if (s != TagArray::kNoSlot && !oracle && !l1_[c].spec_flag(s)) {
-        return "core " + std::to_string(c) + " line " + std::to_string(line) +
-               ": speculative metadata but summary flag clear";
       }
       const std::uint32_t n = detector_.nsub();
       const SubBlockMask expect_spec = static_cast<SubBlockMask>(
@@ -626,19 +738,6 @@ std::string MemorySystem::check_invariants() const {
                ": retained flag on a valid line";
       }
     }
-    // Converse direction of the summary-flag audit: a set flag with no
-    // backing metadata would only cost performance, but it means a clear
-    // path was missed — fail loudly.
-    const TagArray& t = l1_[c];
-    for (TagArray::Slot s = 0; s < t.num_slots(); ++s) {
-      if (t.line(s) == TagArray::kEmptyTag) continue;
-      if (t.spec_flag(s) &&
-          spec_meta_[c].find(t.line(s)) == spec_meta_[c].end()) {
-        return "core " + std::to_string(c) + " line " +
-               std::to_string(t.line(s)) +
-               ": speculative summary flag without metadata";
-      }
-    }
   }
   // Piggyback coverage (paper §IV-C): while core c's transaction holds S-WR
   // sub-blocks on a line, every OTHER core with a load-origin copy (S or E —
@@ -650,10 +749,9 @@ std::string MemorySystem::check_invariants() const {
     for (CoreId c = 0; c < cfg_.ncores; ++c) {
       if (!txctl_->in_tx(c)) continue;
       for (const Addr line : lines) {
-        const auto it = spec_meta_[c].find(line);
-        if (it == spec_meta_[c].end()) continue;
-        const SpecState& meta = it->second;
-        const SubBlockMask swr = meta.bits.spec_written();
+        const SpecEntry* e = find_entry(c, line);
+        if (e == nullptr) continue;
+        const SubBlockMask swr = e->meta.bits.spec_written();
         if (swr == 0) continue;
         for (CoreId o = 0; o < cfg_.ncores; ++o) {
           if (o == c) continue;
@@ -675,28 +773,26 @@ std::string MemorySystem::check_invariants() const {
 void MemorySystem::clear_spec(CoreId core, bool discard_written_lines) {
   // Per-line drops touch disjoint cache entries; no cross-line effect
   // depends on visit order.
-  for (const Addr line : spec_lines_[core]) {
-    const TagArray::Slot s = l1_[core].find(line);
-    if (s == TagArray::kNoSlot) continue;
-    if (l1_[core].retained(s)) {
+  TagArray& t = l1_[core];
+  for (const SpecEntry& e : entries_[core]) {
+    if (e.slot == TagArray::kNoSlot) continue;  // an orphan has no way
+    if (t.retained(e.slot)) {
       // Invalid-but-retained line: its speculative info dies with the tx.
-      l1_[core].drop_slot(s);
-    } else if (discard_written_lines &&
-               spec_meta_[core].find(line)->second.write_bytes != 0) {
+      t.drop_slot(e.slot);
+    } else if (discard_written_lines && e.meta.write_bytes != 0) {
       // Abort: discard speculatively-modified lines (ASF §IV-A).
-      l1_[core].drop_slot(s);
-      l2_[core].drop(line);
-      l3_[core].drop(line);
-      dirty_marks_[core].erase(line);
+      t.drop_slot(e.slot);
+      l2_[core].drop(e.line);
+      l3_[core].drop(e.line);
     } else {
       // Clean speculatively-read lines stay valid; committed written lines
-      // stay Modified (their data is now the committed data). Their
-      // metadata dies here, so the probe summary flag must die with it.
-      l1_[core].set_spec_flag(s, false);
+      // stay Modified (their data is now the committed data). Their entry
+      // dies here, and with it the way's pin.
+      t.set_entry(e.slot, TagArray::kNoEntry);
     }
   }
-  spec_meta_[core].clear();
-  spec_lines_[core].clear();
+  entries_[core].clear();
+  orphans_[core] = 0;
 }
 
 }  // namespace asfsim

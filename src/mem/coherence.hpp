@@ -9,11 +9,27 @@
 // ground truth — so caches are pure timing/occupancy models, which is all
 // the paper's (relative) results depend on.
 //
-// Speculative metadata: one SpecState per (core, line) with an active
-// transaction, owned here, checked by the Detector policy value on
-// every incoming probe — for valid lines and for invalidated lines whose
-// speculative info was retained (paper §IV-B). Dirty sub-block marks (paper
-// §IV-C) persist independently of transaction lifetime until refetch.
+// Speculative metadata lives in the L1 way, as in the paper (§IV-B, §IV-E):
+// each core keeps a dense vector of {slot, line, SpecState} entries for its
+// live transaction, and the way holding the line points at its entry
+// (TagArray::entry), so "the line is speculative" and "the metadata exists"
+// are one fact. The Detector policy value checks the entry on every incoming
+// probe — for valid lines and for invalidated lines whose speculative info
+// was retained (paper §IV-B). Dirty sub-block marks (paper §IV-C) are a
+// per-way mask that outlives the transaction and dies when the line is
+// refetched or leaves the way.
+//
+// The perfect detector alone keeps an entry whose way is gone: its
+// metadata survives a plain invalidation (its upper-bound role). Such an
+// orphan entry has slot kNoSlot and is found by a scan of its core's
+// entries, taken only while that core holds an orphan; a refill of the line
+// re-attaches it to the new way. The probe-based detectors never orphan an
+// entry, and check_invariants() reports one as a violation.
+//
+// A destroyed MemorySystem hands its tag arrays to the next one of the
+// same geometry, which clears them instead of allocating (coherence.cpp,
+// SparePool): set-up then never depends on whether the allocator returned
+// the previous Machine's memory to the OS.
 //
 // Probes carry no residency directory: a broadcast reads the line's set in
 // every remote L1 tag array (two ways per set at Table II geometry) and
@@ -30,7 +46,6 @@
 #include "htm/tx_control.hpp"
 #include "mem/cache.hpp"
 #include "prov/collector.hpp"
-#include "sim/addr_map.hpp"
 #include "sim/config.hpp"
 #include "stats/counters.hpp"
 
@@ -78,6 +93,10 @@ class MemorySystem {
  public:
   MemorySystem(Kernel& kernel, const SimConfig& cfg, Stats& stats,
                Detector detector);
+  /// Hands the tag arrays to the next MemorySystem of the same geometry.
+  ~MemorySystem();
+  MemorySystem(const MemorySystem&) = delete;
+  MemorySystem& operator=(const MemorySystem&) = delete;
 
   void set_tx_control(ITxControl* txctl) { txctl_ = txctl; }
   /// Attach the trace hub (null while tracing is disabled; the only cost
@@ -129,7 +148,7 @@ class MemorySystem {
   [[nodiscard]] SubBlockState subblock_state(CoreId core, Addr line,
                                              std::uint32_t sub) const;
   [[nodiscard]] std::uint64_t spec_lines(CoreId core) const {
-    return spec_meta_[core].size();
+    return entries_[core].size();
   }
   /// Footprint of `core`'s live speculative metadata. Callers that need
   /// it at transaction end (trace records, Stats histograms) must query
@@ -142,9 +161,12 @@ class MemorySystem {
   ///   * at most one core holds a line in M or E;
   ///   * an M/E holder excludes every other valid copy;
   ///   * at most one O owner per line;
-  ///   * retained (invalid-with-info) entries are backed by live metadata;
-  ///   * every speculative-metadata line is resident (valid or retained);
-  ///   * byte masks and architectural sub-block bits agree.
+  ///   * every speculative entry's way holds its line and points back at
+  ///     it, and every way's entry index names an entry that points back;
+  ///   * every speculative-metadata line is resident (valid or retained),
+  ///     except the perfect detector's orphans;
+  ///   * byte masks and architectural sub-block bits agree;
+  ///   * load-origin copies carry the Dirty marks piggy-backed to them.
   [[nodiscard]] std::string check_invariants() const;
 
  private:
@@ -158,9 +180,20 @@ class MemorySystem {
   ProbeOutcome probe_remotes(CoreId requester, Addr line, ByteMask mask,
                              bool invalidating, SubBlockMask* piggyback);
 
-  /// Fill `line` into `core`'s L1. Returns the slot now holding the line,
-  /// or TagArray::kNoSlot on capacity abort (every way pinned).
-  TagArray::Slot fill_l1(CoreId core, Addr line, Moesi state);
+  /// One live speculative line of a core's transaction. `slot` is the L1
+  /// way holding `line`, or kNoSlot for a perfect-detector orphan.
+  struct SpecEntry {
+    TagArray::Slot slot;
+    Addr line;
+    SpecState meta;
+  };
+
+  /// Fill `line` into `core`'s L1. `slot` is what access() found for the
+  /// line: a retained way (revalidated in place) or kNoSlot. Returns the
+  /// slot now holding the line, or kNoSlot on capacity abort (every way
+  /// pinned).
+  TagArray::Slot fill_l1(CoreId core, TagArray::Slot slot, Addr line,
+                         Moesi state);
 
   /// `slot` is the requester's resident L1 slot for `line` (access() always
   /// has it in hand — hit, upgrade, or fresh fill — so re-finding it here
@@ -175,15 +208,22 @@ class MemorySystem {
                                                const SpecState& meta) const;
   /// Returns true when the contention policy ruled the requester the loser.
   bool oracle_check(CoreId requester, Addr line, ByteMask mask, bool is_write);
-  [[nodiscard]] bool line_pinned(CoreId core, Addr line) const;
+
+  /// `core`'s entry for `line`, found through the L1 way holding it, else
+  /// among the core's orphans; null when there is none.
+  [[nodiscard]] const SpecEntry* find_entry(CoreId core, Addr line) const;
+  /// Index of `core`'s orphan entry for `line`, or kNoEntry.
+  [[nodiscard]] TagArray::EntryIndex find_orphan(CoreId core, Addr line) const;
+  /// Empty `core`'s L1 way `slot`; an entry it held becomes an orphan.
+  void drop_l1(CoreId core, TagArray::Slot slot);
+  /// Remove entry `e` from `core`'s transaction (swap-remove: the moved
+  /// entry's way is re-pointed).
+  void erase_entry(CoreId core, TagArray::EntryIndex e);
 
   /// Capacity-pressure fault: evict the core's lowest-addressed speculative
   /// line from its whole private hierarchy. Returns false when the core has
   /// no speculative lines (nothing to evict).
   bool evict_speculative_line(CoreId core);
-  /// Drop `line`'s speculative metadata (and its spec_lines_ entry) from
-  /// `core`'s live transaction.
-  void erase_spec(CoreId core, Addr line);
 
   Kernel& kernel_;
   const SimConfig cfg_;
@@ -203,15 +243,11 @@ class MemorySystem {
   std::vector<TagArray> l1_;
   std::vector<RecencyTags> l2_, l3_;
   Cycle bus_free_at_ = 0;  // snoop bus busy-until cycle
-  // Speculative metadata for the core's current transaction, keyed by line.
-  mutable std::vector<AddrMap<SpecState>> spec_meta_;
-  // The key set of spec_meta_[core] as a dense list (insertion order, up to
-  // swap-removals), so transaction-end walks — clear_spec, tx_footprint,
-  // the forced-eviction victim search — cost O(lines touched) rather than
-  // O(hash slots). check_invariants() audits that the two agree.
-  std::vector<std::vector<Addr>> spec_lines_;
-  // Persistent Dirty sub-block marks, keyed by line.
-  std::vector<AddrMap<SubBlockMask>> dirty_marks_;
+  // Speculative entries of each core's current transaction, in insertion
+  // order up to swap-removals; each resident one is pointed at by its way.
+  std::vector<std::vector<SpecEntry>> entries_;
+  // Per core: how many of its entries are orphans (perfect detector only).
+  std::vector<std::uint32_t> orphans_;
   // MUTATION kStalePiggybackMask only: per-core one-entry buffer holding the
   // previous fill's piggybacked S-WR set (the "stale response" being reused).
   std::vector<SubBlockMask> stale_pb_;

@@ -1,5 +1,6 @@
 // Unit tests: TagArray geometry, LRU replacement, pinning, retention, and
-// the SoA slot API (sentinel tags, packed meta, speculative-summary flag);
+// the SoA slot API (sentinel tags, packed meta, per-way speculative entry
+// index and Dirty marks);
 // RecencyTags, and a randomized check that it replaces exactly like a
 // TagArray driven the way the L2/L3 miss path used to drive one.
 #include <gtest/gtest.h>
@@ -30,8 +31,6 @@ Addr line_in_set(std::uint32_t set, std::uint32_t k, std::uint32_t nsets = 4) {
   return (Addr{k} * nsets + set) << kLineShift;
 }
 
-constexpr auto kAnyVictim = [](Addr) { return false; };
-
 TEST(TagArray, RejectsNon64ByteLines) {
   CacheLevelConfig c = small_l1();
   c.line_bytes = 32;
@@ -52,7 +51,7 @@ TEST(TagArray, FindMissesOnEmptyAndHitsAfterFill) {
   TagArray t(small_l1());
   const Addr a = line_in_set(1, 0);
   EXPECT_EQ(t.find(a), kNoSlot);
-  const auto v = t.find_victim(a, kAnyVictim);
+  const auto v = t.find_victim(a);
   ASSERT_NE(v, kNoSlot);
   t.fill(v, a, Moesi::kExclusive);
   const auto s = t.find(a);
@@ -64,10 +63,10 @@ TEST(TagArray, FindMissesOnEmptyAndHitsAfterFill) {
 TEST(TagArray, LruEvictsLeastRecentlyTouched) {
   TagArray t(small_l1());
   const Addr a = line_in_set(2, 0), b = line_in_set(2, 1), c = line_in_set(2, 2);
-  t.fill(t.find_victim(a, kAnyVictim), a, Moesi::kShared);
-  t.fill(t.find_victim(b, kAnyVictim), b, Moesi::kShared);
+  t.fill(t.find_victim(a), a, Moesi::kShared);
+  t.fill(t.find_victim(b), b, Moesi::kShared);
   t.touch_slot(t.find(a));  // b is now LRU
-  t.fill(t.find_victim(c, kAnyVictim), c, Moesi::kShared);
+  t.fill(t.find_victim(c), c, Moesi::kShared);
   EXPECT_NE(t.find(a), kNoSlot);
   EXPECT_EQ(t.find(b), kNoSlot) << "LRU way must have been evicted";
   EXPECT_NE(t.find(c), kNoSlot);
@@ -76,8 +75,8 @@ TEST(TagArray, LruEvictsLeastRecentlyTouched) {
 TEST(TagArray, VictimPrefersEmptyWay) {
   TagArray t(small_l1());
   const Addr a = line_in_set(0, 0), b = line_in_set(0, 1);
-  t.fill(t.find_victim(a, kAnyVictim), a, Moesi::kModified);
-  const auto v = t.find_victim(b, kAnyVictim);
+  t.fill(t.find_victim(a), a, Moesi::kModified);
+  const auto v = t.find_victim(b);
   ASSERT_NE(v, kNoSlot);
   EXPECT_EQ(t.line(v), TagArray::kEmptyTag) << "must pick the empty way";
   EXPECT_NE(t.find(a), kNoSlot);
@@ -86,10 +85,11 @@ TEST(TagArray, VictimPrefersEmptyWay) {
 TEST(TagArray, PinnedLinesAreNotEvicted) {
   TagArray t(small_l1());
   const Addr a = line_in_set(3, 0), b = line_in_set(3, 1), c = line_in_set(3, 2);
-  t.fill(t.find_victim(a, kAnyVictim), a, Moesi::kModified);
-  t.fill(t.find_victim(b, kAnyVictim), b, Moesi::kShared);
-  auto pin_a = [&](Addr line) { return line == a; };
-  const auto v = t.find_victim(c, pin_a);
+  t.fill(t.find_victim(a), a, Moesi::kModified);
+  t.fill(t.find_victim(b), b, Moesi::kShared);
+  t.touch_slot(t.find(b));  // a is LRU, but
+  t.set_entry(t.find(a), 0);  // a speculative entry pins it
+  const auto v = t.find_victim(c);
   ASSERT_NE(v, kNoSlot);
   EXPECT_EQ(t.line(v), b) << "pinned line a must be skipped";
 }
@@ -97,16 +97,18 @@ TEST(TagArray, PinnedLinesAreNotEvicted) {
 TEST(TagArray, AllWaysPinnedReturnsNoSlot) {
   TagArray t(small_l1());
   const Addr a = line_in_set(1, 0), b = line_in_set(1, 1), c = line_in_set(1, 2);
-  t.fill(t.find_victim(a, kAnyVictim), a, Moesi::kModified);
-  t.fill(t.find_victim(b, kAnyVictim), b, Moesi::kModified);
-  EXPECT_EQ(t.find_victim(c, [](Addr) { return true; }), kNoSlot)
+  t.fill(t.find_victim(a), a, Moesi::kModified);
+  t.fill(t.find_victim(b), b, Moesi::kModified);
+  t.set_entry(t.find(a), 0);
+  t.set_entry(t.find(b), 1);
+  EXPECT_EQ(t.find_victim(c), kNoSlot)
       << "capacity abort signal when every way holds speculative state";
 }
 
 TEST(TagArray, RetainedEntriesStayFindable) {
   TagArray t(small_l1());
   const Addr a = line_in_set(0, 0);
-  t.fill(t.find_victim(a, kAnyVictim), a, Moesi::kShared);
+  t.fill(t.find_victim(a), a, Moesi::kShared);
   const auto s = t.find(a);
   t.retain_invalid(s);  // invalidated with speculative-info retention
   ASSERT_NE(t.find(a), kNoSlot);
@@ -120,7 +122,7 @@ TEST(TagArray, RetainedEntriesStayFindable) {
 TEST(TagArray, RevalidationClearsRetained) {
   TagArray t(small_l1());
   const Addr a = line_in_set(0, 0);
-  t.fill(t.find_victim(a, kAnyVictim), a, Moesi::kShared);
+  t.fill(t.find_victim(a), a, Moesi::kShared);
   const auto s = t.find(a);
   t.retain_invalid(s);
   t.set_state(s, Moesi::kExclusive);  // owner refetches the line
@@ -129,27 +131,50 @@ TEST(TagArray, RevalidationClearsRetained) {
 }
 
 TEST(TagArray, SpecFlagSurvivesRetentionAndDiesWithDrop) {
+  // The way's speculative flag is its entry index (kNoEntry = clear).
   TagArray t(small_l1());
   const Addr a = line_in_set(2, 0);
-  t.fill(t.find_victim(a, kAnyVictim), a, Moesi::kModified);
+  t.fill(t.find_victim(a), a, Moesi::kModified);
   auto s = t.find(a);
-  EXPECT_FALSE(t.spec_flag(s)) << "fresh fill carries no speculative summary";
-  t.set_spec_flag(s, true);
+  EXPECT_EQ(t.entry(s), TagArray::kNoEntry)
+      << "fresh fill carries no speculative entry";
+  t.set_entry(s, 5);
   t.retain_invalid(s);
-  EXPECT_TRUE(t.spec_flag(s)) << "retention keeps the line's speculative info";
+  EXPECT_EQ(t.entry(s), 5u) << "retention keeps the line's speculative info";
   t.set_state(s, Moesi::kModified);
-  EXPECT_TRUE(t.spec_flag(s)) << "revalidation keeps live metadata visible";
+  EXPECT_EQ(t.entry(s), 5u) << "revalidation keeps live metadata visible";
   t.drop_slot(s);
-  s = t.find_victim(a, kAnyVictim);
+  EXPECT_EQ(t.entry(s), TagArray::kNoEntry) << "a drop unlinks the entry";
+  s = t.find_victim(a);
   t.fill(s, a, Moesi::kShared);
-  EXPECT_FALSE(t.spec_flag(t.find(a))) << "drop+refill must reset the flag";
+  EXPECT_EQ(t.entry(t.find(a)), TagArray::kNoEntry);
+}
+
+TEST(TagArray, DirtyMarksLiveInTheWayUntilFillOrDrop) {
+  TagArray t(small_l1());
+  const Addr a = line_in_set(1, 0), b = line_in_set(1, 1), c = line_in_set(1, 2);
+  t.fill(t.find_victim(a), a, Moesi::kShared);
+  const auto s = t.find(a);
+  EXPECT_EQ(t.dirty(s), 0u);
+  t.set_dirty(s, 0x6);
+  t.retain_invalid(s);
+  t.set_state(s, Moesi::kShared);
+  EXPECT_EQ(t.dirty(s), 0x6u) << "state changes keep the marks";
+  t.drop_slot(s);
+  EXPECT_EQ(t.dirty(s), 0u) << "a drop zeroes the way's marks";
+  t.fill(t.find_victim(a), a, Moesi::kShared);
+  t.set_dirty(t.find(a), 0x1);
+  t.fill(t.find_victim(b), b, Moesi::kShared);
+  t.fill(t.find_victim(c), c, Moesi::kShared);  // evicts a (LRU)
+  ASSERT_EQ(t.find(a), kNoSlot);
+  EXPECT_EQ(t.dirty(t.find(c)), 0u) << "the victim's marks do not pass on";
 }
 
 TEST(TagArray, SlotsAreStableAcrossDropsOfOtherLines) {
   TagArray t(small_l1());
   const Addr a = line_in_set(0, 0), b = line_in_set(0, 1);
-  t.fill(t.find_victim(a, kAnyVictim), a, Moesi::kShared);
-  t.fill(t.find_victim(b, kAnyVictim), b, Moesi::kShared);
+  t.fill(t.find_victim(a), a, Moesi::kShared);
+  t.fill(t.find_victim(b), b, Moesi::kShared);
   const auto sa = t.find(a);
   t.drop_slot(t.find(b));
   EXPECT_EQ(t.find(a), sa);
@@ -159,8 +184,8 @@ TEST(TagArray, SlotsAreStableAcrossDropsOfOtherLines) {
 TEST(TagArray, DropIsIdempotentAndAddressSpecific) {
   TagArray t(small_l1());
   const Addr a = line_in_set(0, 0), b = line_in_set(0, 1);
-  t.fill(t.find_victim(a, kAnyVictim), a, Moesi::kShared);
-  t.fill(t.find_victim(b, kAnyVictim), b, Moesi::kShared);
+  t.fill(t.find_victim(a), a, Moesi::kShared);
+  t.fill(t.find_victim(b), b, Moesi::kShared);
   const auto sa = t.find(a);
   t.drop_slot(sa);
   t.drop_slot(sa);
@@ -173,10 +198,33 @@ TEST(TagArray, CountsFillsAndEvictions) {
   TagArray t(small_l1());
   const Addr a = line_in_set(2, 0), b = line_in_set(2, 1), c = line_in_set(2, 2);
   for (const Addr x : {a, b, c}) {
-    t.fill(t.find_victim(x, kAnyVictim), x, Moesi::kShared);
+    t.fill(t.find_victim(x), x, Moesi::kShared);
   }
   EXPECT_EQ(t.fills(), 3u);
   EXPECT_EQ(t.evictions(), 1u);  // only the third fill displaced anything
+}
+
+TEST(TagArray, ClearReturnsToTheBuiltState) {
+  TagArray t(small_l1());
+  const Addr a = line_in_set(2, 0), b = line_in_set(2, 1), c = line_in_set(2, 2);
+  for (const Addr x : {a, b, c}) t.fill(t.find_victim(x), x, Moesi::kShared);
+  t.set_entry(t.find(b), 0);
+  t.set_dirty(t.find(c), 0x3);
+  t.clear();
+  EXPECT_EQ(t.fills(), 0u);
+  EXPECT_EQ(t.evictions(), 0u);
+  for (TagArray::Slot s = 0; s < t.num_slots(); ++s) {
+    EXPECT_EQ(t.line(s), TagArray::kEmptyTag);
+    EXPECT_FALSE(t.valid(s));
+    EXPECT_EQ(t.entry(s), TagArray::kNoEntry);
+    EXPECT_EQ(t.dirty(s), 0u);
+  }
+  // LRU restarts too: after two fills and a touch, the untouched way goes.
+  t.fill(t.find_victim(a), a, Moesi::kShared);
+  t.fill(t.find_victim(b), b, Moesi::kShared);
+  t.touch_slot(t.find(a));
+  t.fill(t.find_victim(c), c, Moesi::kShared);
+  EXPECT_EQ(t.find(b), kNoSlot);
 }
 
 CacheLevelConfig level(std::uint32_t sets, std::uint32_t ways) {
@@ -231,6 +279,29 @@ TEST(RecencyTags, DropClosesTheGapAndFreesAWay) {
   EXPECT_TRUE(t.contains(d));
 }
 
+TEST(RecencyTags, ClearEmptiesEverySet) {
+  // 64 sets track up to 8 filled sets, which clear() empties one by one;
+  // past that it empties them all.
+  for (const std::uint32_t filled : {2u, 40u}) {
+    SCOPED_TRACE(filled);
+    RecencyTags t(level(64, 2));
+    std::vector<Addr> lines;
+    for (std::uint32_t set = 0; set < filled; ++set) {
+      for (std::uint32_t k = 0; k < 3; ++k) {
+        lines.push_back(line_in_set(set, k, 64));
+      }
+    }
+    for (const Addr x : lines) t.lookup_or_fill(x);
+    t.clear();
+    EXPECT_EQ(t.fills(), 0u);
+    EXPECT_EQ(t.evictions(), 0u);
+    for (const Addr x : lines) EXPECT_FALSE(t.contains(x));
+    EXPECT_FALSE(t.lookup_or_fill(lines[0]));
+    EXPECT_FALSE(t.lookup_or_fill(lines[1]));
+    EXPECT_EQ(t.evictions(), 0u) << "both ways were free again";
+  }
+}
+
 TEST(RecencyTags, HighestGuestLineFitsTheTag) {
   // GAllocator keeps guest addresses below 2^40.
   RecencyTags t(level(RecencyTags::kMinSets, 2));
@@ -252,7 +323,7 @@ Addr tag_array_access(TagArray& t, Addr line, bool& hit) {
     hit = true;
     return TagArray::kEmptyTag;
   }
-  const auto v = t.find_victim(line, kAnyVictim);
+  const auto v = t.find_victim(line);
   const Addr evicted = t.line(v);
   t.fill(v, line, Moesi::kShared);
   hit = false;

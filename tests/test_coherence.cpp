@@ -1,14 +1,17 @@
 // Unit tests: MemorySystem — MOESI transitions, latencies per data source,
-// speculative metadata, capacity aborts, retention, dirty marks.
+// speculative metadata and its lifetime in the L1 way, capacity aborts,
+// retention, dirty marks.
 //
 // Uses a scripted ITxControl so individual coherence decisions can be
 // asserted without the full HTM runtime.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/detector.hpp"
+#include "fault/plan.hpp"
 #include "mem/coherence.hpp"
 #include "sim/kernel.hpp"
 
@@ -33,9 +36,10 @@ class FakeTxControl final : public ITxControl {
 
 class CoherenceTest : public ::testing::Test {
  protected:
-  CoherenceTest()
+  explicit CoherenceTest(Detector detector = Detector(DetectorKind::kSubBlock,
+                                                       4))
       : cfg_(no_bus()), kernel_(cfg_.ncores), stats_(),
-        mem_(kernel_, cfg_, stats_, Detector(DetectorKind::kSubBlock, 4)),
+        mem_(kernel_, cfg_, stats_, detector),
         tx_(cfg_.ncores) {
     mem_.set_tx_control(&tx_);
     tx_.mem = &mem_;
@@ -52,6 +56,23 @@ class CoherenceTest : public ::testing::Test {
 
   AccessResult access(CoreId c, Addr a, std::uint32_t size, bool write) {
     return mem_.access(c, a, size, write, tx_.active[c]);
+  }
+
+  /// One step of a metadata-lifetime walk: whether `core` holds a
+  /// speculative entry for `line`, the line's Dirty marks there, and a
+  /// clean invariant audit.
+  void expect_line(CoreId core, Addr line, bool has_entry, SubBlockMask dirty,
+                   const std::string& step) const {
+    SCOPED_TRACE(step);
+    EXPECT_EQ(mem_.spec_state(core, line) != nullptr, has_entry);
+    EXPECT_EQ(mem_.dirty_marks(core, line), dirty);
+    EXPECT_EQ(mem_.check_invariants(), "");
+  }
+
+  /// End `core`'s transaction the way the runtime does.
+  void end_tx(CoreId core, bool abort) {
+    mem_.clear_spec(core, abort);
+    tx_.active[core] = false;
   }
 
   SimConfig cfg_;
@@ -328,6 +349,161 @@ TEST_F(CoherenceTest, TwoByteAccessesRecordExactMasks) {
   EXPECT_EQ(s->write_bytes, byte_mask(8, 2));
 }
 
+// ---- metadata lifetime ------------------------------------------------------
+// The speculative entry and the Dirty marks live in the L1 way: each walk
+// below reads both, and the invariant audit, after every step.
+
+TEST_F(CoherenceTest, RetainedEntrySurvivesRefetch) {
+  tx_.active[0] = true;
+  access(0, kA, 8, false);
+  expect_line(0, kA, true, 0, "speculative read");
+  access(1, kA + 32, 8, true);  // false WAR: invalidate with retention
+  EXPECT_EQ(mem_.l1_state(0, kA), Moesi::kInvalid);
+  expect_line(0, kA, true, 0, "retained after invalidation");
+  access(0, kA + 8, 8, false);  // refetch revalidates the retained way
+  EXPECT_EQ(mem_.l1_state(0, kA), Moesi::kShared);
+  expect_line(0, kA, true, 0, "refetched");
+  ASSERT_NE(mem_.spec_state(0, kA), nullptr);
+  EXPECT_EQ(mem_.spec_state(0, kA)->read_bytes, byte_mask(0, 16))
+      << "the refetch adds to the entry it kept";
+  EXPECT_EQ(mem_.spec_lines(0), 1u);
+  end_tx(0, false);
+  expect_line(0, kA, false, 0, "committed");
+}
+
+TEST_F(CoherenceTest, ForcedEvictionRemovesEntryAndMarks) {
+  FaultConfig fc;
+  fc.evict_rate = 1.0;  // every transactional access with live lines
+  FaultPlan plan(fc, 1, cfg_.ncores);
+  mem_.set_fault_plan(&plan);
+  tx_.active[0] = true;
+  tx_.active[1] = true;
+  access(1, kA + 32, 8, true);  // core1's only access: S-WR sub-block 2
+  access(0, kA, 8, false);      // piggy-back marks sub-block 2 Dirty
+  expect_line(0, kA, true, 0b0100, "speculative read with a Dirty mark");
+  const AccessResult r = access(0, kA + 8, 8, false);
+  EXPECT_TRUE(r.capacity_abort);
+  EXPECT_EQ(mem_.l1_state(0, kA), Moesi::kInvalid);
+  EXPECT_EQ(mem_.spec_lines(0), 0u);
+  expect_line(0, kA, false, 0, "forced eviction");
+  end_tx(0, true);
+  expect_line(0, kA, false, 0, "capacity abort");
+  mem_.set_fault_plan(nullptr);
+}
+
+TEST_F(CoherenceTest, ClearSpecOnCommitUnpinsAndDropsRetained) {
+  constexpr Addr kB = kA + kLineBytes, kC = kA + 2 * kLineBytes;
+  tx_.active[0] = true;
+  access(0, kA, 8, false);
+  access(0, kB, 8, true);
+  access(0, kC, 8, false);
+  access(1, kC + 32, 8, true);  // kC retained at core0
+  for (const Addr l : {kA, kB, kC}) expect_line(0, l, true, 0, "in tx");
+  end_tx(0, false);
+  EXPECT_EQ(mem_.l1_state(0, kA), Moesi::kExclusive);
+  EXPECT_EQ(mem_.l1_state(0, kB), Moesi::kModified);
+  EXPECT_EQ(mem_.l1_state(0, kC), Moesi::kInvalid) << "retained way dropped";
+  for (const Addr l : {kA, kB, kC}) expect_line(0, l, false, 0, "committed");
+  // The committed lines are no longer pinned: two fills of kA's set evict
+  // it without a capacity abort.
+  EXPECT_FALSE(access(0, kA + 512 * kLineBytes, 8, false).capacity_abort);
+  EXPECT_FALSE(access(0, kA + 1024 * kLineBytes, 8, false).capacity_abort);
+  EXPECT_EQ(mem_.l1_state(0, kA), Moesi::kInvalid);
+  expect_line(0, kA, false, 0, "evicted after commit");
+}
+
+TEST_F(CoherenceTest, ClearSpecOnAbortDropsWrittenAndRetained) {
+  constexpr Addr kB = kA + kLineBytes, kC = kA + 2 * kLineBytes;
+  tx_.active[0] = true;
+  access(0, kA, 8, false);
+  access(0, kB, 8, true);
+  access(0, kC, 8, false);
+  access(1, kC + 32, 8, true);  // kC retained at core0
+  for (const Addr l : {kA, kB, kC}) expect_line(0, l, true, 0, "in tx");
+  end_tx(0, true);
+  EXPECT_EQ(mem_.l1_state(0, kA), Moesi::kExclusive) << "clean line survives";
+  EXPECT_EQ(mem_.l1_state(0, kB), Moesi::kInvalid) << "written line dropped";
+  EXPECT_EQ(mem_.l1_state(0, kC), Moesi::kInvalid) << "retained way dropped";
+  for (const Addr l : {kA, kB, kC}) expect_line(0, l, false, 0, "aborted");
+  EXPECT_EQ(mem_.spec_lines(0), 0u);
+}
+
+TEST_F(CoherenceTest, EveryWayPinnedGivesCapacityAbortAndKeepsEntries) {
+  const Addr s1 = kA + 512 * kLineBytes, s2 = kA + 1024 * kLineBytes;
+  tx_.active[0] = true;
+  access(0, kA, 8, false);
+  access(0, s1, 8, true);
+  expect_line(0, kA, true, 0, "first way");
+  expect_line(0, s1, true, 0, "second way");
+  EXPECT_TRUE(access(0, s2, 8, false).capacity_abort);
+  EXPECT_EQ(mem_.l1_state(0, s2), Moesi::kInvalid) << "no victim, no fill";
+  expect_line(0, s2, false, 0, "capacity abort");
+  expect_line(0, kA, true, 0, "pinned way kept");
+  expect_line(0, s1, true, 0, "pinned way kept");
+  end_tx(0, true);
+  EXPECT_FALSE(access(0, s2, 8, false).capacity_abort);
+  expect_line(0, s2, false, 0, "filled after the abort");
+}
+
+TEST_F(CoherenceTest, DirtyMarkOfAnEvictedLineIsGoneOnRefill) {
+  tx_.active[1] = true;
+  access(1, kA + 32, 8, true);  // core1: S-WR sub-block 2
+  access(0, kA, 8, false);      // plain load: piggy-back marks it Dirty
+  expect_line(0, kA, false, 0b0100, "marked");
+  end_tx(1, false);
+  expect_line(0, kA, false, 0b0100, "marks outlive the writer's commit");
+  access(0, kA + 512 * kLineBytes, 8, false);
+  access(0, kA + 1024 * kLineBytes, 8, true);  // store miss evicts kA (LRU)
+  EXPECT_EQ(mem_.l1_state(0, kA), Moesi::kInvalid);
+  expect_line(0, kA, false, 0, "evicted");
+  expect_line(0, kA + 1024 * kLineBytes, false, 0,
+              "the victim's marks do not pass to the new line");
+  access(0, kA, 8, false);  // refilled from the private L2
+  EXPECT_NE(mem_.l1_state(0, kA), Moesi::kInvalid);
+  expect_line(0, kA, false, 0, "refilled");
+}
+
+class PerfectCoherenceTest : public CoherenceTest {
+ protected:
+  PerfectCoherenceTest() : CoherenceTest(Detector(DetectorKind::kPerfect, 1)) {}
+};
+
+TEST_F(PerfectCoherenceTest, EntryOutlivesItsWayAndReattachesOnRefill) {
+  const Addr s1 = kA + 512 * kLineBytes, s2 = kA + 1024 * kLineBytes;
+  tx_.active[0] = true;
+  access(0, kA, 8, false);
+  expect_line(0, kA, true, 0, "speculative read");
+  access(1, kA + 32, 8, true);  // the oracle retains nothing: kA is dropped
+  EXPECT_EQ(mem_.l1_state(0, kA), Moesi::kInvalid);
+  expect_line(0, kA, true, 0, "orphaned by the invalidation");
+  EXPECT_EQ(stats_.false_conflicts_avoided, 1u);
+  access(0, kA + 8, 8, false);  // refill re-attaches the entry
+  EXPECT_NE(mem_.l1_state(0, kA), Moesi::kInvalid);
+  expect_line(0, kA, true, 0, "re-attached");
+  ASSERT_NE(mem_.spec_state(0, kA), nullptr);
+  EXPECT_EQ(mem_.spec_state(0, kA)->read_bytes, byte_mask(0, 16));
+  EXPECT_EQ(mem_.spec_lines(0), 1u);
+  access(0, s1, 8, false);
+  EXPECT_TRUE(access(0, s2, 8, false).capacity_abort)
+      << "the re-attached entry pins its way";
+  expect_line(0, kA, true, 0, "pinned");
+}
+
+TEST_F(PerfectCoherenceTest, OrphanEntryStillMeetsTrueConflicts) {
+  tx_.active[0] = true;
+  access(0, kA, 8, false);
+  access(1, kA + 32, 8, true);  // orphans core0's entry
+  expect_line(0, kA, true, 0, "orphaned");
+  ASSERT_TRUE(tx_.dooms.empty());
+  tx_.active[2] = true;
+  access(2, kA, 4, true);  // true WAR against the orphan's read bytes
+  ASSERT_EQ(tx_.dooms.size(), 1u);
+  EXPECT_EQ(tx_.dooms[0].victim, 0u);
+  EXPECT_FALSE(tx_.dooms[0].is_false);
+  expect_line(0, kA, false, 0, "doomed");
+  EXPECT_EQ(mem_.spec_lines(0), 0u);
+}
+
 TEST(BusContention, BackToBackProbesQueue) {
   SimConfig cfg;  // default bus_occupancy = 4
   Kernel kernel(cfg.ncores);
@@ -363,6 +539,38 @@ TEST(BusContention, LocalHitsNeverTouchTheBus) {
   const AccessResult hit = mem.access(0, 0x10000, 8, false, false);
   EXPECT_EQ(hit.latency, cfg.l1.latency);
   EXPECT_EQ(mem.bus_busy_until(), busy) << "hits must not occupy the bus";
+}
+
+TEST(TagArrayReuse, ANewMemorySystemStartsEmpty) {
+  // A MemorySystem takes the tag arrays a destroyed one of the same geometry
+  // left behind; the second round must see none of the first round's
+  // lines, speculative entries or Dirty marks.
+  SimConfig cfg;
+  cfg.ncores = 2;
+  const Addr line = 0x40000;
+  for (int round = 0; round < 2; ++round) {
+    SCOPED_TRACE(round);
+    Kernel kernel(cfg.ncores);
+    Stats stats;
+    MemorySystem mem(kernel, cfg, stats, Detector(DetectorKind::kSubBlock, 4));
+    FakeTxControl tx(cfg.ncores);
+    mem.set_tx_control(&tx);
+    tx.mem = &mem;
+    EXPECT_EQ(mem.l1_state(0, line), Moesi::kInvalid);
+    EXPECT_EQ(mem.spec_state(0, line), nullptr);
+    EXPECT_EQ(mem.dirty_marks(1, line), 0u);
+    // Served from memory: no L2/L3 copy survives from the first round.
+    tx.active[0] = true;
+    EXPECT_EQ(mem.access(0, line, 8, true, true).source, DataSource::kMemory);
+    EXPECT_EQ(mem.access(1, line + 32, 8, false, false).source,
+              DataSource::kRemoteL1);
+    EXPECT_TRUE(tx.dooms.empty());
+    EXPECT_NE(mem.spec_state(0, line), nullptr);
+    EXPECT_NE(mem.dirty_marks(1, line), 0u);
+    EXPECT_EQ(mem.check_invariants(), "");
+    // The round ends with core 0's transaction still live: its way holds
+    // an entry and core 1's copy a Dirty mark.
+  }
 }
 
 }  // namespace

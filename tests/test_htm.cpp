@@ -216,6 +216,15 @@ TEST(Fallback, OversizedTransactionCompletesViaSerialFallback) {
   EXPECT_EQ(m.peek(base + 1024 * kLineBytes, 8), 3u);
 }
 
+TEST(Fallback, LockStartsFreeWithoutAStore) {
+  // Guest memory that was never written reads 0, so the constructor stores
+  // nothing to the lock word and a fresh Machine owns no page yet.
+  Machine m;
+  EXPECT_EQ(m.backing().pages_touched(), 0u);
+  EXPECT_EQ(m.peek(m.fallback_lock(), 8), 0u);
+  EXPECT_EQ(m.backing().pages_touched(), 0u);
+}
+
 namespace fallback {
 
 Task<void> small_txs(GuestCtx& c, Addr cell, int n) {

@@ -269,7 +269,7 @@ TEST(SubBlockLut, WordWideOpsMatchPerSubBlockLutApplication) {
     SubBlockBits bits;
     bits.spec = static_cast<SubBlockMask>(rng.next_u64());
     // Constrain to the reachable SpecState region: wr ⊆ spec. The Dirty
-    // encoding (wr without spec) lives in dirty_marks_, never in a
+    // encoding (wr without spec) lives in the L1 way's Dirty mask, never in a
     // transaction's own SpecState bits — apply_tx is only defined there.
     bits.wr = static_cast<SubBlockMask>(rng.next_u64() & bits.spec);
     const auto m = static_cast<SubBlockMask>(rng.next_u64());

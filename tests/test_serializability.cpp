@@ -14,8 +14,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <ostream>
 #include <vector>
 
+#include "core/detector.hpp"
 #include "guest/garray.hpp"
 #include "guest/machine.hpp"
 
@@ -66,6 +68,12 @@ struct SerCase {
   std::uint32_t nsub;
   std::uint64_t seed;
 };
+
+/// gtest prints a parameter it has no printer for as its raw bytes,
+/// padding included, and ctest takes that text into the test's name.
+void PrintTo(const SerCase& c, std::ostream* os) {
+  *os << Detector(c.detector, c.nsub).name() << ", seed " << c.seed;
+}
 
 class Serializability : public ::testing::TestWithParam<SerCase> {};
 
